@@ -9,6 +9,7 @@ reads the same format.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,9 +67,18 @@ def write_dump(path: str | Path, values: np.ndarray, t: float, grid: PhaseGrid,
         _END,
     ]
     payload = np.ascontiguousarray(values, dtype="<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(header) + "\n").encode("ascii"))
-        fh.write(payload)
+    # Write a sibling file and rename it over the target, so a reader (or a
+    # restart after a crash) sees either the old dump or the complete new one.
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(("\n".join(header) + "\n").encode("ascii"))
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_dump(path: str | Path) -> Dump:

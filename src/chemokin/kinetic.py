@@ -2,13 +2,16 @@
 
 One macro step is Strang-ordered with the stiff internal-state term
 outermost: half adaptation, half turning, full transport, half turning,
-half adaptation, then a signal refresh.  Every sub-operation is written in
-non-negative-coefficient form so positivity is preserved under its CFL
-bound, and every sub-operation conserves the discrete mass exactly up to
-round-off (periodic transport telescopes, the turning integrand is
-antisymmetric under swapping the two velocities, and the m-flux carries
-zero boundary values because the adaptation rate points inward at both
-ends of the truncated m-interval).
+half adaptation, then a signal refresh.  The signal is frozen within the
+step, so the adaptation drift dm/dt = F(m, S(x))/eps has a closed-form
+flow, and the adaptation half steps are one conservative remap along it:
+no eps-CFL, and a cost independent of eps.  Turning and transport are
+explicit and written in non-negative-coefficient form, so positivity is
+preserved under their CFL bounds.  Every sub-operation conserves the
+discrete mass up to round-off (periodic transport telescopes, the turning
+integrand is antisymmetric under swapping the two velocities, and the
+remap's cell masses telescope to the full m-integral because the
+adaptation rate points inward at both ends of the truncated m-interval).
 """
 from __future__ import annotations
 
@@ -25,6 +28,9 @@ from .model import InitialData, ModelSpec, PhaseGrid
 
 #: Relative slack when comparing a step against its CFL bound.
 CFL_SLACK = 1e-9
+#: Density elements (256 KiB) remapped per block of x-cells, so the
+#: adaptation remap's temporaries stay in cache.
+REMAP_BLOCK = 1 << 15
 
 
 def pbar_of(p: np.ndarray, grid: PhaseGrid) -> np.ndarray:
@@ -47,14 +53,17 @@ def total_mass(p: np.ndarray, grid: PhaseGrid) -> float:
 
 @dataclass
 class TurningTensors:
-    """Precomputed quadrature arrays for the turning operator.
+    """Precomputed quadrature arrays for the separable turning operator.
 
-    ``gain[k, k', j] = w_k' * T(v_k, v_k', m_j)`` and
-    ``loss[k, j] = sum_k' w_k' * T(v_k', v_k, m_j)`` so one explicit Euler
-    update is p <- p*(1 - dt*loss) + dt*(gain contracted with p).
+    Every turning family is T(v, v', m) = lambda(m) * K(v, v'), so
+    ``gain[k, k'] = w_k' * K(v_k, v_k')`` is one (V, V) matrix scaled by
+    ``freq[j] = lambda(m_j)``, and ``loss[k, j] = freq[j] * sum_k' w_k' *
+    K(v_k', v_k)``.  One explicit Euler update is
+    p <- p*(1 - dt*loss) + dt*freq*(gain @ p).
     """
 
     gain: np.ndarray
+    freq: np.ndarray
     loss: np.ndarray
 
     @property
@@ -63,9 +72,10 @@ class TurningTensors:
 
     @classmethod
     def build(cls, spec: ModelSpec, grid: PhaseGrid) -> "TurningTensors":
-        t = spec.turning_tensor(grid)
+        ker = spec.turning.kernel_matrix(grid)
         w = grid.weights
-        return cls(gain=t * w[None, :, None], loss=np.einsum("lkj,l->kj", t, w))
+        freq = np.asarray(spec.turning.frequency(grid.m_centers), dtype=float)
+        return cls(gain=ker * w[None, :], freq=freq, loss=np.outer(w @ ker, freq))
 
 
 def turning_apply(p: np.ndarray, spec: ModelSpec, grid: PhaseGrid, dt: float,
@@ -79,8 +89,10 @@ def turning_apply(p: np.ndarray, spec: ModelSpec, grid: PhaseGrid, dt: float,
     if dt * tensors.max_loss > 1.0 + CFL_SLACK:
         raise CflViolation(
             f"turning step dt = {dt} exceeds positivity bound {1.0 / tensors.max_loss}")
-    gain = np.einsum("klj,...lj->...kj", tensors.gain, p)
-    return p * (1.0 - dt * tensors.loss) + dt * gain
+    out = np.matmul(tensors.gain, p)
+    out *= dt * tensors.freq
+    out += p * (1.0 - dt * tensors.loss)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -128,58 +140,66 @@ def transport_apply(p: np.ndarray, grid: PhaseGrid, dt: float) -> np.ndarray:
 # Stiff adaptation in m
 # ---------------------------------------------------------------------------
 
-def adaptation_substeps(dt: float, f_edge_max: float, spec: ModelSpec,
-                        grid: PhaseGrid) -> int:
-    """Substep count keeping each substep below eps*dm/max|F|."""
-    if f_edge_max == 0.0:
-        return 1
-    return max(1, math.ceil(dt * f_edge_max / (spec.epsilon * grid.dm) - CFL_SLACK))
+def adaptation_feet(s: np.ndarray, spec: ModelSpec, grid: PhaseGrid,
+                    dt: float) -> np.ndarray:
+    """m-edges pulled back over dt along the exact flow, clipped to [0, m_max].
+
+    Shape ``x_shape + (m_nodes + 1,)``, non-decreasing along the last axis
+    bit for bit (``np.maximum.accumulate`` repairs any rounding inversion
+    of the monotone exact flow).
+    """
+    s = np.asarray(s, dtype=float)[..., None]
+    feet = spec.adaptation.pull_back(grid.m_edges, s, dt / spec.epsilon)
+    np.clip(feet, 0.0, grid.m_max, out=feet)
+    return np.maximum.accumulate(feet, axis=-1)
 
 
 def adaptation_apply(p: np.ndarray, s: np.ndarray, spec: ModelSpec, grid: PhaseGrid,
-                     dt: float, n_sub: int | None = None) -> np.ndarray:
-    """Conservative flux-form upwind step of the m-drift term.
+                     dt: float) -> np.ndarray:
+    """Conservative semi-Lagrangian remap of the m-drift term over dt.
 
-    The rate F(., S(x))/eps is evaluated at the m-cell edges with zero
-    ghost states beyond [0, m_max].  Because the validated sign structure
-    puts F > 0 at m = 0 and F < 0 at m = m_max, both boundary fluxes
-    vanish and the m-integral of p is exact.  The stiff CFL is met by
-    internal substepping.
+    The signal is frozen over the step, so dm/dt = F(m, S(x))/eps has a
+    closed-form flow (``AdaptationModel.pull_back``).  The mass of a new
+    cell [e_i, e_i+1] is the old mass between the feet of its edges: the
+    per-(x, v) exclusive prefix sum C of p, interpolated linearly inside a
+    cell as C(foot) = cum[i] + frac*p[i], differenced between feet.  With
+    F > 0 at m = 0 and F < 0 at m_max the end feet clip to 0 and m_max, so
+    the differences telescope to the full m-integral.  Positivity holds in
+    floating point, not only in exact arithmetic: the feet are
+    non-decreasing, ``frac`` lies in [0, 1], and the sequential prefix sum
+    gives cum[i] + frac*p[i] <= cum[i+1], so C is non-decreasing at the
+    feet.  The cost is independent of eps and there is no eps-CFL.
     """
-    f_edge = np.asarray(spec.adaptation_rate(grid.m_edges[None, :], np.asarray(s)[..., None]))
-    f_edge = f_edge.reshape(grid.x_shape + (1, grid.m_nodes + 1))
-
-    if np.any(f_edge[..., -1] >= 0.0):
+    f_ends = np.asarray(spec.adaptation_rate(np.array([0.0, grid.m_max]),
+                                             np.asarray(s)[..., None]))
+    if np.any(f_ends[..., 1] >= 0.0):
         raise SpecViolation(
             "adaptation rate is non-negative at m_max; the m-truncation is too small "
-            f"(max rate at m_max = {float(f_edge[..., -1].max()):.6g})")
-    if np.any(f_edge[..., 0] <= 0.0):
+            f"(max rate at m_max = {float(f_ends[..., 1].max()):.6g})")
+    if np.any(f_ends[..., 0] <= 0.0):
         raise SpecViolation("adaptation rate is non-positive at m = 0")
 
-    f_max = float(np.abs(f_edge).max())
-    steps = n_sub if n_sub is not None else adaptation_substeps(dt, f_max, spec, grid)
-    dt_sub = dt / steps
-    if dt_sub * f_max > spec.epsilon * grid.dm * (1.0 + CFL_SLACK):
-        raise CflViolation(
-            f"adaptation substep {dt_sub} exceeds eps*dm/max|F| = "
-            f"{spec.epsilon * grid.dm / f_max}")
+    n_x, n_v, n_m = int(np.prod(grid.x_shape)), grid.n_v, grid.m_nodes
+    u = adaptation_feet(s, spec, grid, dt).reshape(n_x, n_m + 1) / grid.dm
+    idx = np.minimum(np.floor(u), n_m - 1).astype(np.intp)
+    frac = np.minimum(u - idx, 1.0)[..., None]
 
-    a = dt_sub / (spec.epsilon * grid.dm)
-    f_plus = np.maximum(f_edge, 0.0)
-    f_minus = np.minimum(f_edge, 0.0)
-    # Interior-edge coefficients; the sign structure makes the stay
-    # coefficient non-negative under the substep CFL.
-    stay = 1.0 - a * (f_plus[..., 1:] - f_minus[..., :-1])
-    from_left = a * f_plus[..., 1:-1]
-    from_right = -a * f_minus[..., 1:-1]
-
-    out = p
-    for _ in range(steps):
-        new = out * stay
-        new[..., 1:] += from_left * out[..., :-1]
-        new[..., :-1] += from_right * out[..., 1:]
-        out = new
-    return out
+    flat = p.reshape(n_x, n_v, n_m)
+    out = np.empty_like(flat)
+    step = max(1, REMAP_BLOCK // (n_v * n_m))
+    for lo in range(0, n_x, step):
+        # (x, m, v) rows: each foot gathers all velocities at once.
+        block = np.ascontiguousarray(flat[lo:lo + step].transpose(0, 2, 1))
+        rows = idx[lo:lo + step] + np.arange(0, block.shape[0] * n_m, n_m)[:, None]
+        cum = np.zeros_like(block)
+        np.cumsum(block[:, :-1], axis=1, out=cum[:, 1:])
+        at_feet = np.take(cum.reshape(-1, n_v), rows, axis=0)  # (x, edge, v)
+        gathered = np.take(block.reshape(-1, n_v), rows, axis=0)
+        gathered *= frac[lo:lo + step]
+        at_feet += gathered
+        np.subtract(at_feet[:, 1:], at_feet[:, :-1],
+                    out=out[lo:lo + step].transpose(0, 2, 1))
+    return out.reshape(p.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +252,8 @@ def macro_step(state: StepperState, dt: float) -> StepperState:
 
     The signal is frozen over the step and refreshed from the updated
     density afterwards (unless the state freezes it for oracle runs).
-    Positivity is asserted on the result: a negative cell is a scheme bug,
-    never something to clip.
+    Positivity is asserted on the result: a negative or NaN cell is a
+    scheme bug, never something to clip.
     """
     if dt <= 0:
         raise BadConfig(f"macro step dt must be positive, got {dt}")
@@ -247,9 +267,10 @@ def macro_step(state: StepperState, dt: float) -> StepperState:
     p = adaptation_apply(p, s, spec, grid, 0.5 * dt)
 
     pmin = float(p.min())
-    if pmin < 0.0:
+    if not pmin >= 0.0:  # also catches NaN, which compares false
         raise PositivityError(
-            f"negative density {pmin:.3e} after macro step at t = {state.t + dt:.6g}")
+            f"negative or non-finite density (min {pmin:.3e}) after macro step "
+            f"at t = {state.t + dt:.6g}")
 
     t_new = state.t + dt
     signal = state.signal if state.freeze_signal \

@@ -11,7 +11,6 @@ width and the L1 gap to the reduced solution.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field, replace as dc_replace
@@ -26,8 +25,6 @@ from .errors import BadConfig, CflViolation, EmptyField, NoSignChange, Positivit
 from .fields import BarDensityField, SignalField
 from .kinetic import StepperState, output_times, pbar_of, run as kinetic_run
 from .model import InitialData, ModelSpec, PhaseGrid, build_scenario
-
-logger = logging.getLogger(__name__)
 
 STUDY_COLUMNS = ("eps", "t", "w1", "l1_gap", "mass",
                  "env_pbar_margin", "env_n_margin", "tail_moment", "xmoment_rate")
@@ -287,13 +284,6 @@ class StudyReport:
                 writer.writerow([repr(getattr(r, c)) for c in STUDY_COLUMNS])
 
 
-def _estimate_substeps(spec: ModelSpec, grid: PhaseGrid, dt: float) -> int:
-    s_probe = np.linspace(0.0, spec.s_sample_cap, 9)
-    ends = np.array([0.0, grid.m_max])
-    f_max = float(np.abs(spec.adaptation_rate(ends[:, None], s_probe[None, :])).max())
-    return max(1, math.ceil(dt * f_max / (spec.epsilon * grid.dm)))
-
-
 def _run_one_eps(cfg: RunConfig, eps: float, t_end: float,
                  oda_bars: list[np.ndarray]) -> list[StudyRow]:
     cfg_eps = dc_replace(cfg, model=dc_replace(cfg.model, eps=eps))
@@ -337,12 +327,6 @@ def eps_study(cfg: RunConfig, eps_list: list[float],
 
     grid, spec, initial = build_scenario(
         dc_replace(cfg, model=dc_replace(cfg.model, eps=min(eps_list))))
-    dt_probe = min(cfg.run.output_every,
-                   StepperState.create(grid, spec, initial).cfl_dt())
-    logger.info("eps study: smallest eps = %g needs ~%d adaptation substeps per "
-                "macro half-step", min(eps_list),
-                _estimate_substeps(spec, grid, 0.5 * dt_probe))
-
     oda_state = OdaState.from_initial(grid, spec, initial)
     oda_bars: list[np.ndarray] = []
     oda_run(oda_state, t_end, cfg.run.output_every,

@@ -23,6 +23,11 @@ from .fields import DensityField
 #: Relative clamp keeping the adapted state strictly inside (m_minus, m_plus).
 EQUILIBRIUM_CLAMP = 1e-6
 
+#: Cap on the linear flow's exponent kappa*dt/eps.  exp(700) is below the
+#: float maximum, and any gap above m_max*exp(-700) is pulled back out of
+#: [0, m_max] already, so the cap only keeps eps -> 0 finite.
+FLOW_EXPONENT_CAP = 700.0
+
 
 # ---------------------------------------------------------------------------
 # Phase-space grid
@@ -196,6 +201,24 @@ class AdaptationModel:
         if self.kind == "linear":
             return self.kappa * gap
         return self.kappa * gap ** 3
+
+    def pull_back(self, m, s, tau):
+        """Start point of the path dm/dt = rate(m, S) that reaches m after time tau.
+
+        ``tau`` is the rescaled time dt/eps.  The gap g = m - m0(S) follows
+        g*exp(kappa*tau) (linear) or g/sqrt(1 - 2*kappa*g**2*tau) (cubic);
+        a cubic path whose radicand is <= 0 comes from infinity and returns
+        +-inf.  The linear exponent is capped at FLOW_EXPONENT_CAP so the
+        eps -> 0 limit stays finite.
+        """
+        m0 = self.equilibrium(s)
+        gap = np.asarray(m, dtype=float) - m0
+        if self.kind == "linear":
+            return m0 + gap * math.exp(min(self.kappa * tau, FLOW_EXPONENT_CAP))
+        radicand = 1.0 - 2.0 * self.kappa * tau * gap ** 2
+        escaped = radicand <= 0.0
+        foot = m0 + gap / np.sqrt(np.where(escaped, 1.0, radicand))
+        return np.where(escaped, np.copysign(np.inf, gap), foot)
 
     def rate_m(self, m, s):
         """Analytic derivative of the rate with respect to m."""

@@ -186,3 +186,19 @@ def test_verify_passes_on_shipped_default(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CHEMOKIN_OUT", str(tmp_path / "out"))
     assert main(["verify", str(CONFIG_DIR / "default.cfg")]) == 0
     assert "verify: OK" in capsys.readouterr().out
+
+
+def test_nan_mid_run_is_verification_failure(tmp_path, monkeypatch, capsys):
+    # A NaN produced inside a step is a solver failure (exit 4), not a
+    # bad config, and is caught before the signal solve sees it.
+    from chemokin import kinetic
+    real_transport = kinetic.transport_apply
+
+    def poisoned(p, grid, dt):
+        out = real_transport(p, grid, dt)
+        out[0, 0, 0] = float("nan")
+        return out
+
+    monkeypatch.setattr(kinetic, "transport_apply", poisoned)
+    assert main(["run", str(write_config(tmp_path))]) == 4
+    assert "non-finite" in capsys.readouterr().err

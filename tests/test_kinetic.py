@@ -1,12 +1,15 @@
 """Stepper sub-operations against independent oracles, plus full-step invariants."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chemokin.config import GridConfig, RunConfig
-from chemokin.errors import CflViolation, SpecViolation
+from chemokin.errors import CflViolation, PositivityError, SpecViolation
 from chemokin.fields import DensityField
 from chemokin.kinetic import (StepperState, TurningTensors, adaptation_apply,
-                              adaptation_substeps, macro_step, pbar_of, run,
+                              adaptation_feet, macro_step, pbar_of, run,
                               total_mass, transport_apply, turning_apply)
 from chemokin.model import (AdaptationModel, ModelSpec, PhaseGrid, TurningModel,
                             build_scenario, package_initial, velocity_set)
@@ -193,43 +196,103 @@ def test_adapted_data_barely_moves():
     assert abs(mean - grid.m_centers[j0]) <= grid.dm
 
 
-def test_substep_count_doubles_when_eps_halves():
-    grid = custom_grid(*velocity_set(1, 2), x_nodes=4, m_nodes=16)
-    spec_a = make_spec(grid, eps=0.2)
-    spec_b = make_spec(grid, eps=0.1)
-    f_max = 1.0
-    dt = 8.0 * spec_a.epsilon * grid.dm / f_max  # exact multiple: count is exact
-    assert adaptation_substeps(dt, f_max, spec_b, grid) \
-        == 2 * adaptation_substeps(dt, f_max, spec_a, grid)
+@st.composite
+def remap_cases(draw):
+    """Random adaptation scenario: family, dim 1-2, m-grid, eps in [1e-12, 1]."""
+    dim = draw(st.sampled_from([1, 2]))
+    grid = custom_grid(*velocity_set(dim, draw(st.sampled_from([2, 4]))),
+                       x_nodes=draw(st.integers(1, 5)), dim=dim,
+                       m_nodes=draw(st.integers(2, 96)),
+                       m_max=draw(st.floats(1.25, 4.0)))
+    spec = make_spec(grid, f_family=draw(st.sampled_from(["linear", "cubic"])),
+                     kappa=draw(st.floats(0.1, 5.0)),
+                     eps=10.0 ** draw(st.floats(-12.0, 0.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    s = rng.uniform(0.0, 5.0, grid.x_shape)
+    dt = draw(st.floats(1e-4, 0.5))
+    return grid, spec, s, dt, rng
 
 
-def test_adaptation_semigroup_consistency():
-    # Two half-steps with half the substeps each equal one full step.
-    grid = custom_grid(*velocity_set(1, 2), x_nodes=6, m_nodes=24)
-    spec = make_spec(grid, eps=0.3)
-    rng = np.random.default_rng(12)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(remap_cases())
+def test_remap_column_mass_finite_and_positive(case):
+    grid, spec, s, dt, rng = case
+    p = rng.random(grid.field_shape) * (rng.random(grid.field_shape) < 0.8)
+    new = adaptation_apply(p, s, spec, grid, dt)
+    assert np.all(np.isfinite(new))
+    assert new.min() >= 0.0
+    before, after = p.sum(axis=-1), new.sum(axis=-1)
+    assert np.all(np.abs(after - before) <= 1e-13 * before)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(remap_cases())
+def test_remap_feet_compose_as_exact_flow(case):
+    # Pulling back over dt/2 twice lands where one pull-back over dt does.
+    grid, spec, s, dt, _ = case
+    full = adaptation_feet(s, spec, grid, dt)
+    half = adaptation_feet(s, spec, grid, 0.5 * dt)
+    twice = spec.adaptation.pull_back(half, s[..., None], 0.5 * dt / spec.epsilon)
+    assert np.all(np.diff(full, axis=-1) >= 0.0)
+    assert np.max(np.abs(full - np.clip(twice, 0.0, grid.m_max))) <= 1e-12
+
+
+def test_remap_positive_even_if_flow_rounds_out_of_order(monkeypatch):
+    # The exact flows are monotone, but the remap must not rely on every
+    # foot computation rounding in order: jitter the feet and require
+    # positivity and column mass all the same.
+    grid = custom_grid(*velocity_set(1, 2), x_nodes=6, m_nodes=40)
+    spec = make_spec(grid, eps=0.05)
+    rng = np.random.default_rng(4)
+    exact = spec.adaptation.pull_back
+
+    def jittered(m, s, tau):
+        feet = exact(m, s, tau)
+        return feet + rng.normal(0.0, grid.dm, feet.shape)
+
+    monkeypatch.setattr(spec.adaptation, "pull_back", jittered)
     p = rng.random(grid.field_shape)
-    s = np.full(grid.x_shape, 0.4)
-    dt = 0.12
-    full = adaptation_apply(p, s, spec, grid, dt, n_sub=8)
-    half = adaptation_apply(p, s, spec, grid, dt / 2, n_sub=4)
-    half = adaptation_apply(half, s, spec, grid, dt / 2, n_sub=4)
-    assert np.max(np.abs(full - half)) <= 1e-10
+    new = adaptation_apply(p, rng.uniform(0.0, 2.0, grid.x_shape), spec, grid, 0.05)
+    assert new.min() >= 0.0
+    assert np.allclose(new.sum(axis=-1), p.sum(axis=-1), rtol=1e-13, atol=0.0)
 
 
-def test_adaptation_refinement_consistency():
-    # 4x finer substepping as the oracle; first-order decrease.
-    grid = custom_grid(*velocity_set(1, 2), x_nodes=6, m_nodes=32)
-    spec = make_spec(grid, eps=0.5)
-    rng = np.random.default_rng(21)
-    p = rng.random(grid.field_shape)
-    s = np.full(grid.x_shape, 0.4)
-    dt = 0.2
-    base = adaptation_substeps(dt, 1.2, spec, grid)
-    coarse = adaptation_apply(p, s, spec, grid, dt, n_sub=base)
-    fine = adaptation_apply(p, s, spec, grid, dt, n_sub=4 * base)
-    finest = adaptation_apply(p, s, spec, grid, dt, n_sub=16 * base)
-    assert np.abs(fine - finest).max() < np.abs(coarse - finest).max()
+def characteristic_end(spec, m, s, t, n_steps):
+    """RK4 along dm/dt = rate(m, S)/eps from every start point in m."""
+    h = t / n_steps
+    for _ in range(n_steps):
+        k1 = spec.adaptation_rate(m, s) / spec.epsilon
+        k2 = spec.adaptation_rate(m + 0.5 * h * k1, s) / spec.epsilon
+        k3 = spec.adaptation_rate(m + 0.5 * h * k2, s) / spec.epsilon
+        k4 = spec.adaptation_rate(m + h * k3, s) / spec.epsilon
+        m = m + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    return m
+
+
+@pytest.mark.parametrize("family,kappa", [("linear", 1.0), ("cubic", 4.0)])
+def test_remap_mean_m_refines_against_characteristics(family, kappa):
+    # Oracle: the mean of the initial profile carried along the
+    # characteristics, integrated by RK4 from 4096 sub-cell nodes.
+    s_val, t_end, n_steps, n_fine = 0.4, 0.2, 4, 4096
+    base = custom_grid(*velocity_set(1, 2), x_nodes=2, m_nodes=n_fine)
+    spec = make_spec(base, f_family=family, kappa=kappa, eps=0.5)
+    nodes = base.m_centers
+    profile = np.exp(-0.5 * ((nodes - 0.95) / 0.12) ** 2)
+    exact = float(profile @ characteristic_end(spec, nodes, s_val, t_end, 400)
+                  / profile.sum())
+    errors, spacings = [], []
+    for m_nodes in (16, 32, 64, 128, 256):
+        grid = custom_grid(*velocity_set(1, 2), x_nodes=2, m_nodes=m_nodes)
+        p = np.broadcast_to(profile.reshape(m_nodes, -1).mean(axis=1),
+                            grid.field_shape).copy()
+        s = np.full(grid.x_shape, s_val)
+        for _ in range(n_steps):
+            p = adaptation_apply(p, s, spec, grid, t_end / n_steps)
+        errors.append(abs(float(p[0, 0] @ grid.m_centers / p[0, 0].sum()) - exact))
+        spacings.append(grid.dm)
+    order = np.log2(errors[0] / errors[-1]) / (len(errors) - 1)
+    assert all(e <= h for e, h in zip(errors, spacings)), errors
+    assert order >= 0.9, (errors, order)
 
 
 def test_adaptation_mass_exact_and_positive():
@@ -274,14 +337,6 @@ def test_adaptation_rejects_bad_truncation():
         adaptation_apply(p, np.full(small.x_shape, 5.0), spec, small, dt=0.01)
 
 
-def test_adaptation_cfl_guard():
-    grid = custom_grid(*velocity_set(1, 2), x_nodes=2, m_nodes=8)
-    spec = make_spec(grid, eps=0.1)
-    p = np.ones(grid.field_shape)
-    with pytest.raises(CflViolation):
-        adaptation_apply(p, np.zeros(grid.x_shape), spec, grid, dt=1.0, n_sub=1)
-
-
 # -- macro step and run ---------------------------------------------------------
 
 def test_x_uniform_data_stays_x_uniform():
@@ -320,6 +375,18 @@ def test_hundred_steps_mass_and_positivity():
         state = macro_step(state, dt)
     assert state.max_mass_defect <= 1e-12
     assert state.field.values.min() >= 0.0
+
+
+def test_nan_density_raises_positivity_error():
+    # A frozen signal skips the signal solve, so only the step's own guard
+    # can stop a NaN from spreading.
+    cfg, grid, spec, init = default_scenario()
+    state = StepperState.create(grid, spec, init, freeze_signal=True)
+    p = state.field.values.copy()
+    p[3, 1, 5] = np.nan
+    state = replace(state, field=DensityField(p, state.t))
+    with pytest.raises(PositivityError, match="non-finite"):
+        macro_step(state, 0.05)
 
 
 def test_run_identity_when_t_end_equals_t():
@@ -417,3 +484,42 @@ def test_dump_rejects_corruption(tmp_path):
     dump = dumpio.read_dump(path)
     with pytest.raises(BadConfig, match="hash"):
         dumpio.check_compatible(dump, grid, "different-hash")
+
+
+def test_failed_dump_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    from chemokin import dumpio
+    cfg, grid, spec, init = default_scenario()
+    path = tmp_path / "state.chk"
+    dumpio.write_dump(path, init.p0.values, 0.0, grid, spec.epsilon, "old")
+    original = path.read_bytes()
+
+    real_open = open
+
+    class DiskFull:
+        """File whose second write fails after the first reached the disk."""
+
+        def __init__(self, *args):
+            self.fh = real_open(*args)
+            self.writes = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes > 1:
+                self.fh.write(data[: len(data) // 2])
+                raise OSError("no space left on device")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(dumpio, "open", DiskFull, raising=False)
+    with pytest.raises(OSError, match="no space"):
+        dumpio.write_dump(path, init.p0.values, 0.1, grid, spec.epsilon, "new")
+    with pytest.raises(OSError, match="no space"):
+        dumpio.write_dump(tmp_path / "fresh.chk", init.p0.values, 0.1, grid,
+                          spec.epsilon, "new")
+    assert path.read_bytes() == original
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.chk"]
