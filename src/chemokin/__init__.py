@@ -8,13 +8,12 @@ norm/envelope monitors (`diagnostics`) and a CLI (`cli`).
 """
 
 from .config import RunConfig, parse_config
-from .fields import BarDensityField, DensityField, SignalField
+from .fields import DensityField, SignalField
 from .model import (AdaptationModel, InitialData, ModelSpec, PhaseGrid,
                     TurningModel, build_scenario)
 
 __all__ = [
     "AdaptationModel",
-    "BarDensityField",
     "DensityField",
     "InitialData",
     "ModelSpec",

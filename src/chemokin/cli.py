@@ -1,9 +1,10 @@
 """Command-line interface: run, study-eps, verify, compare.
 
 Exit codes are stable: 0 success, 2 bad config, 3 I/O trouble,
-4 verification failure.  ``CHEMOKIN_OUT`` overrides the configured output
-directory.  All outputs are deterministic for a fixed config with
-threads=1.
+4 verification failure (a failed check, or a ``SolverFailure`` such as a
+negative density or a CFL violation mid-run).  ``CHEMOKIN_OUT`` overrides
+the configured output directory.  All outputs are deterministic for a
+fixed config with threads=1.
 """
 from __future__ import annotations
 
@@ -20,11 +21,11 @@ from . import dumpio
 from .config import RunConfig, parse_config  # noqa: F401  (RunConfig is part of the CLI surface)
 from .diagnostics import DiagnosticsReport
 from .elliptic import kernel_check, solve_signal, stencil_residual
-from .errors import BadConfig, ChemokinError, PositivityError
+from .errors import BadConfig, ChemokinError, SolverFailure
 from .fields import DensityField
-from .kinetic import StepperState, number_density, run as kinetic_run, total_mass
+from .kinetic import StepperState, number_density, run as kinetic_run
 from .limit import eps_study
-from .model import PhaseGrid, build_scenario, velocity_set
+from .model import PhaseGrid, build_scenario, package_initial, velocity_set
 from .oracle import SignalHistory, duhamel_solve
 
 logger = logging.getLogger(__name__)
@@ -54,11 +55,14 @@ def cmd_run(cfg: RunConfig, restart: str | None = None) -> int:
     if restart is not None:
         dump = dumpio.read_dump(restart)
         dumpio.check_compatible(dump, grid, scenario)
+        # The dump is outside input: a NaN or negative cell is rejected here
+        # (bad config), not met later as a solver failure.  mass0 stays the
+        # scenario's initial mass (the hash pins it), so the mass defect
+        # still counts drift from before the restart.
         state = dc_replace(
             state,
-            field=DensityField(dump.values, dump.t),
+            field=package_initial(DensityField(dump.values, dump.t), grid).p0,
             signal=solve_signal(number_density(dump.values, grid), grid),
-            mass0=total_mass(dump.values, grid),
         )
 
     out = _out_dir(cfg)
@@ -269,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"io-error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except PositivityError as exc:
+    except SolverFailure as exc:
         print(f"verification-failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except ChemokinError as exc:

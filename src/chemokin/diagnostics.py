@@ -14,7 +14,7 @@ same field are bitwise identical.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -181,7 +181,3 @@ class DiagnosticsReport:
             writer.writerow(CSV_COLUMNS)
             for row in self.rows:
                 writer.writerow([repr(getattr(row, c)) for c in CSV_COLUMNS])
-
-
-def row_as_dict(row: ReportRow) -> dict[str, float]:
-    return {f.name: getattr(row, f.name) for f in dc_fields(row)}

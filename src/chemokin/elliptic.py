@@ -11,7 +11,6 @@ resolutions.
 from __future__ import annotations
 
 import csv
-import hashlib
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -167,8 +166,7 @@ def solve_signal(n: np.ndarray, grid: PhaseGrid) -> SignalField:
             s = signal.fftconvolve(n, kern.values, mode="same") * grid.dx ** 2
         solver = "green-convolution"
 
-    digest = hashlib.sha256(n.tobytes()).hexdigest()[:16]
-    return SignalField(values=s, solver=solver, source_digest=digest)
+    return SignalField(values=s, solver=solver)
 
 
 def stencil_residual(s: np.ndarray, n: np.ndarray, grid: PhaseGrid) -> float:

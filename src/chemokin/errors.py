@@ -16,28 +16,36 @@ class AssumptionViolation(ChemokinError):
     """
 
 
-class NonFiniteInput(ChemokinError):
+class SolverFailure(ChemokinError):
+    """A failure found while stepping or solving a validated scenario.
+
+    The CLI reports these as verification failures (exit 4), not as bad
+    configuration.
+    """
+
+
+class NonFiniteInput(SolverFailure):
     """An input array contains NaN or infinity."""
 
 
-class CflViolation(ChemokinError):
+class CflViolation(SolverFailure):
     """A time step exceeds the positivity bound of a sub-operation."""
 
 
-class SpecViolation(ChemokinError):
+class SpecViolation(SolverFailure):
     """The model/grid combination breaks a runtime requirement
     (e.g. the adaptation rate is non-negative at the m truncation)."""
 
 
-class PositivityError(ChemokinError):
+class PositivityError(SolverFailure):
     """A scheme produced a negative cell; a hard failure, never clipped."""
 
 
-class LeftDomain(ChemokinError):
+class LeftDomain(SolverFailure):
     """A backtraced internal-state path exited [0, m_max]."""
 
 
-class NoContraction(ChemokinError):
+class NoContraction(SolverFailure):
     """The fixed-point iteration horizon is too long to contract."""
 
 

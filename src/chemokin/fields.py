@@ -6,7 +6,7 @@ innermost, i.e. shape ``(*x_shape, n_velocities, m_nodes)``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,29 +22,13 @@ class DensityField:
     values: np.ndarray
     t: float = 0.0
 
-    def copy(self) -> "DensityField":
-        return DensityField(self.values.copy(), self.t)
-
-
-@dataclass
-class BarDensityField:
-    """m-integrated density over (x, v) at one instant."""
-
-    values: np.ndarray
-    t: float = 0.0
-
-    def copy(self) -> "BarDensityField":
-        return BarDensityField(self.values.copy(), self.t)
-
 
 @dataclass
 class SignalField:
     """Chemical signal over the x-grid, output of the elliptic solve.
 
-    ``source_digest`` fingerprints the density it was solved from so stale
-    signals are detectable; ``solver`` records which inversion produced it.
+    ``solver`` records which inversion produced it.
     """
 
     values: np.ndarray
     solver: str = ""
-    source_digest: str = field(default="", repr=False)

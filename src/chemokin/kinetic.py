@@ -12,6 +12,8 @@ discrete mass up to round-off (periodic transport telescopes, the turning
 integrand is antisymmetric under swapping the two velocities, and the
 remap's cell masses telescope to the full m-integral because the
 adaptation rate points inward at both ends of the truncated m-interval).
+The step epilogue (``finish_step``) and the output scheduler (``run``)
+also serve the reduced model of ``limit``, a state on one m-cell.
 """
 from __future__ import annotations
 
@@ -57,7 +59,7 @@ class TurningTensors:
 
     Every turning family is T(v, v', m) = lambda(m) * K(v, v'), so
     ``gain[k, k'] = w_k' * K(v_k, v_k')`` is one (V, V) matrix scaled by
-    ``freq[j] = lambda(m_j)``, and ``loss[k, j] = freq[j] * sum_k' w_k' *
+    ``freq = lambda(m)``, and ``loss[k, ...] = freq * sum_k' w_k' *
     K(v_k', v_k)``.  One explicit Euler update is
     p <- p*(1 - dt*loss) + dt*freq*(gain @ p).
     """
@@ -71,11 +73,20 @@ class TurningTensors:
         return float(self.loss.max())
 
     @classmethod
-    def build(cls, spec: ModelSpec, grid: PhaseGrid) -> "TurningTensors":
+    def build(cls, spec: ModelSpec, grid: PhaseGrid,
+              m: np.ndarray | None = None) -> "TurningTensors":
+        """Tensors with lambda evaluated at ``m``.
+
+        The default, the m-cell centers, gives ``freq`` shape (M,) and
+        ``loss`` shape (V, M).  Any ``m`` that broadcasts against the
+        density's trailing (V, M) axes works: the reduced model passes
+        m0(S(x))[..., None, None] for its single m-cell.
+        """
+        m = grid.m_centers if m is None else m
         ker = spec.turning.kernel_matrix(grid)
         w = grid.weights
-        freq = np.asarray(spec.turning.frequency(grid.m_centers), dtype=float)
-        return cls(gain=ker * w[None, :], freq=freq, loss=np.outer(w @ ker, freq))
+        freq = np.asarray(spec.turning.frequency(m), dtype=float)
+        return cls(gain=ker * w[None, :], freq=freq, loss=(w @ ker)[:, None] * freq)
 
 
 def turning_apply(p: np.ndarray, spec: ModelSpec, grid: PhaseGrid, dt: float,
@@ -252,8 +263,6 @@ def macro_step(state: StepperState, dt: float) -> StepperState:
 
     The signal is frozen over the step and refreshed from the updated
     density afterwards (unless the state freezes it for oracle runs).
-    Positivity is asserted on the result: a negative or NaN cell is a
-    scheme bug, never something to clip.
     """
     if dt <= 0:
         raise BadConfig(f"macro step dt must be positive, got {dt}")
@@ -265,21 +274,30 @@ def macro_step(state: StepperState, dt: float) -> StepperState:
     p = transport_apply(p, grid, dt)
     p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors)
     p = adaptation_apply(p, s, spec, grid, 0.5 * dt)
+    return finish_step(state, p, dt)
 
+
+def finish_step(state: StepperState, p: np.ndarray, dt: float) -> StepperState:
+    """Close a step that produced density ``p``: check, refresh, account.
+
+    Positivity is asserted on the result: a negative or NaN cell is a
+    scheme bug, never something to clip.  The signal is then re-solved
+    from ``p`` (unless the state freezes it) and the relative mass defect
+    against ``mass0`` is recorded.
+    """
     pmin = float(p.min())
     if not pmin >= 0.0:  # also catches NaN, which compares false
         raise PositivityError(
             f"negative or non-finite density (min {pmin:.3e}) after macro step "
             f"at t = {state.t + dt:.6g}")
 
-    t_new = state.t + dt
+    grid = state.grid
     signal = state.signal if state.freeze_signal \
         else solve_signal(number_density(p, grid), grid)
-
     defect = (total_mass(p, grid) - state.mass0) / state.mass0 if state.mass0 else 0.0
     return replace(
         state,
-        field=DensityField(p, t_new),
+        field=DensityField(p, state.t + dt),
         signal=signal,
         step_count=state.step_count + 1,
         mass_defect=defect,
@@ -305,16 +323,18 @@ def output_times(t_start: float, t_end: float, output_every: float) -> list[floa
 
 
 def run(state: StepperState, t_end: float, output_every: float,
-        report: DiagnosticsReport | None = None,
-        observer=None) -> tuple[StepperState, DiagnosticsReport | None]:
+        report: DiagnosticsReport | None = None, observer=None,
+        step=None) -> tuple[StepperState, DiagnosticsReport | None]:
     """Advance to t_end with the largest CFL-safe step, capped per output.
 
-    Each output interval is covered by an integer number of equal macro
-    steps; the state's clock is snapped to the exact scheduled instant at
-    every interval end so runs and restarts share bitwise-identical
+    Each output interval is covered by an integer number of equal steps
+    ``step(state, dt)`` (default ``macro_step``; the reduced model passes
+    its own); the state's clock is snapped to the exact scheduled instant
+    at every interval end so runs and restarts share bitwise-identical
     schedules.  ``report.observe`` fires at t_start (fresh reports only)
     and at every output instant; ``observer(state)`` after each output.
     """
+    step = macro_step if step is None else step
     if t_end < state.t:
         raise BadConfig(f"t_end = {t_end} is before current time {state.t}")
     if report is not None and not report.rows:
@@ -330,7 +350,7 @@ def run(state: StepperState, t_end: float, output_every: float,
         n_steps = max(1, math.ceil(span / dt_cap - 1e-9))
         dt = span / n_steps
         for _ in range(n_steps):
-            state = macro_step(state, dt)
+            state = step(state, dt)
         state = replace(state, field=DensityField(state.field.values, t_next))
         if report is not None:
             report.observe(state.field.values, state.signal.values, t_next)

@@ -1,12 +1,17 @@
 """Fast-adaptation limit: the reduced velocity-jump model and the eps study.
 
 As the adaptation time scale shrinks, the m-distribution collapses onto a
-Dirac at the adapted state m0(S) and the dynamics reduce to a
-velocity-jump model whose turning kernel is evaluated at m0(S(x, t)).
-This module solves that reduced model, quantifies how far a kinetic
-solution is from the Dirac profile (Wasserstein-1 width of the normalized
-m-marginal), and runs the eps-family experiment tabulating concentration
-width and the L1 gap to the reduced solution.
+Dirac at the adapted state m0(S) and the dynamics reduce to the
+Othmer-Dunbar-Alt velocity-jump model, whose turning kernel is evaluated
+at m0(S(x, t)).  That model is the kinetic model with its m-axis reduced
+to one cell sitting at m0(S(x)), so it runs on the kinetic stepper's own
+parts: a ``StepperState`` on a one-cell m-grid of unit width, the
+kinetic transport and turning operator (with lambda taken at m0 of the
+lagged signal), the shared step epilogue and the ``kinetic.run``
+scheduler.  The module also quantifies how far a kinetic solution is from
+the Dirac profile (Wasserstein-1 width of the normalized m-marginal), and
+runs the eps-family experiment tabulating concentration width and the L1
+gap to the reduced solution.
 """
 from __future__ import annotations
 
@@ -21,9 +26,10 @@ import numpy as np
 from .config import RunConfig
 from .diagnostics import DiagnosticsReport
 from .elliptic import solve_signal
-from .errors import BadConfig, CflViolation, EmptyField, NoSignChange, PositivityError
-from .fields import BarDensityField, SignalField
-from .kinetic import StepperState, output_times, pbar_of, run as kinetic_run
+from .errors import BadConfig, EmptyField, NoSignChange
+from .fields import DensityField
+from .kinetic import (StepperState, TurningTensors, finish_step, number_density, pbar_of,
+                      run as kinetic_run, transport_apply, turning_apply)
 from .model import InitialData, ModelSpec, PhaseGrid, build_scenario
 
 STUDY_COLUMNS = ("eps", "t", "w1", "l1_gap", "mass",
@@ -64,116 +70,54 @@ def m_zero_field(spec: ModelSpec, s: np.ndarray, tol: float = 1e-12) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# Reduced velocity-jump stepper
+# Reduced velocity-jump model
 # ---------------------------------------------------------------------------
 
-def _advect_slab(slab: np.ndarray, courants: np.ndarray, periodic: bool) -> np.ndarray:
-    stay = 1.0
-    acc = np.zeros_like(slab)
-    for axis, c in enumerate(courants):
-        if c == 0.0:
-            continue
-        cmag = min(abs(float(c)), 1.0)
-        stay -= cmag
-        shifted = np.roll(slab, 1 if c > 0 else -1, axis=axis)
-        if not periodic:
-            sl = [slice(None)] * slab.ndim
-            sl[axis] = 0 if c > 0 else -1
-            shifted[tuple(sl)] = 0.0
-        acc += cmag * shifted
-    return max(stay, 0.0) * slab + acc
+def _adapted_tensors(spec: ModelSpec, grid: PhaseGrid, s: np.ndarray) -> TurningTensors:
+    return TurningTensors.build(spec, grid, m=m_zero_field(spec, s)[..., None, None])
 
 
-@dataclass
-class OdaState:
-    """Reduced-model state: m-integrated density plus its lagged signal."""
+def oda_state(grid: PhaseGrid, spec: ModelSpec, initial: InitialData) -> StepperState:
+    """The reduced model's initial state on the one-cell m-grid of ``grid``.
 
-    field: BarDensityField
-    signal: SignalField
-    spec: ModelSpec
-    grid: PhaseGrid
-    mass0: float
-
-    @property
-    def t(self) -> float:
-        return self.field.t
-
-    @classmethod
-    def from_initial(cls, grid: PhaseGrid, spec: ModelSpec,
-                     initial: InitialData) -> "OdaState":
-        pbar0 = pbar_of(initial.p0.values, grid)
-        signal = solve_signal(np.sum(pbar0 * grid.weights, axis=-1), grid)
-        return cls(field=BarDensityField(pbar0, initial.p0.t), signal=signal,
-                   spec=spec, grid=grid, mass0=initial.mass)
+    The density is the m-integral of the kinetic initial data, held in one
+    m-cell of unit width, so ``pbar_of``, ``number_density`` and
+    ``total_mass`` read it unchanged; ``mass0`` is the kinetic run's mass.
+    """
+    rgrid = dc_replace(grid, m_nodes=1, m_max=1.0)
+    p0 = pbar_of(initial.p0.values, grid)[..., None]
+    signal = solve_signal(number_density(p0, rgrid), rgrid)
+    return StepperState(field=DensityField(p0, initial.p0.t), signal=signal, spec=spec,
+                        grid=rgrid, tensors=_adapted_tensors(spec, rgrid, signal.values),
+                        mass0=initial.mass)
 
 
-def oda_mass(pbar: np.ndarray, grid: PhaseGrid) -> float:
-    return float(np.sum(pbar * grid.weights) * grid.cell_volume)
+def oda_step(state: StepperState, dt: float) -> StepperState:
+    """One Strang step of the reduced model: half turning, transport, half turning.
 
-
-def _oda_turning(pbar: np.ndarray, lam_x: np.ndarray, kernel: np.ndarray,
-                 grid: PhaseGrid, dt: float) -> np.ndarray:
-    gain_w = kernel * grid.weights[None, :]
-    col_norm = grid.weights @ kernel
-    max_loss = float(lam_x.max() * col_norm.max())
-    if dt * max_loss > 1.0 + 1e-9:
-        raise CflViolation(
-            f"reduced-model turning step dt = {dt} exceeds {1.0 / max_loss}")
-    gain = np.einsum("kl,...l->...k", gain_w, pbar)
-    lam = lam_x[..., None]
-    return pbar * (1.0 - dt * lam * col_norm) + dt * lam * gain
-
-
-def oda_step(state: OdaState, dt: float) -> OdaState:
-    """One Strang step of the reduced model: turning, transport, turning.
-
-    The turning kernel is evaluated at the adapted state of the lagged
-    signal; the signal refreshes from the updated density afterwards,
-    matching the kinetic stepper's lagging so the two solvers collapse
-    onto each other when the kernel is m-independent.
+    The turning frequency is lambda(m0(S(x))) of the lagged signal; the
+    step closes like a kinetic macro step (positivity check, signal
+    refresh, mass defect), so the two solvers collapse onto each other
+    when the kernel is m-independent.
     """
     grid, spec = state.grid, state.spec
-    m0x = m_zero_field(spec, state.signal.values) if spec.turning.m_dependent \
-        else np.full(grid.x_shape, 0.5 * (spec.m_minus + spec.m_plus))
-    lam_x = np.asarray(spec.turning.frequency(m0x))
-    kernel = spec.turning.kernel_matrix(grid)
-    periodic = grid.x_topology == "periodic"
-
-    pbar = _oda_turning(state.field.values, lam_x, kernel, grid, 0.5 * dt)
-    out = np.empty_like(pbar)
-    for k in range(grid.n_v):
-        courants = grid.velocities[k] * dt / grid.dx
-        if np.sum(np.abs(courants)) > 1.0 + 1e-9:
-            raise CflViolation(f"reduced-model transport exceeds CFL for node {k}")
-        out[..., k] = _advect_slab(pbar[..., k], courants, periodic)
-    pbar = _oda_turning(out, lam_x, kernel, grid, 0.5 * dt)
-
-    if float(pbar.min()) < 0.0:
-        raise PositivityError("negative reduced-model density after step")
-    signal = solve_signal(np.sum(pbar * grid.weights, axis=-1), grid)
-    return dc_replace(state, field=BarDensityField(pbar, state.t + dt), signal=signal)
+    p = turning_apply(state.field.values, spec, grid, 0.5 * dt, state.tensors)
+    p = transport_apply(p, grid, dt)
+    p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors)
+    state = finish_step(state, p, dt)
+    return dc_replace(state, tensors=_adapted_tensors(spec, grid, state.signal.values))
 
 
-def oda_run(state: OdaState, t_end: float, output_every: float,
-            observer=None) -> OdaState:
-    """Advance the reduced model on the same schedule as the kinetic run."""
-    if t_end < state.t:
-        raise BadConfig(f"t_end = {t_end} is before current time {state.t}")
+def oda_run(grid: PhaseGrid, spec: ModelSpec, initial: InitialData, t_end: float,
+            output_every: float, observer=None) -> StepperState:
+    """Advance the reduced model on the same schedule as the kinetic run.
+
+    ``observer(state)`` fires at t_start and at every output instant.
+    """
+    state = oda_state(grid, spec, initial)
     if observer is not None:
         observer(state)
-    if t_end == state.t:
-        return state
-    dt_x = state.grid.dx / state.grid.max_speed if state.grid.max_speed > 0 else np.inf
-    dt_cap = min(dt_x, 1.0 / (state.grid.v_measure * state.spec.turning_cap))
-    for t_next in output_times(state.t, t_end, output_every):
-        span = t_next - state.t
-        n_steps = max(1, math.ceil(span / dt_cap - 1e-9))
-        dt = span / n_steps
-        for _ in range(n_steps):
-            state = oda_step(state, dt)
-        state = dc_replace(state, field=BarDensityField(state.field.values, t_next))
-        if observer is not None:
-            observer(state)
+    state, _ = kinetic_run(state, t_end, output_every, observer=observer, step=oda_step)
     return state
 
 
@@ -327,10 +271,9 @@ def eps_study(cfg: RunConfig, eps_list: list[float],
 
     grid, spec, initial = build_scenario(
         dc_replace(cfg, model=dc_replace(cfg.model, eps=min(eps_list))))
-    oda_state = OdaState.from_initial(grid, spec, initial)
     oda_bars: list[np.ndarray] = []
-    oda_run(oda_state, t_end, cfg.run.output_every,
-            observer=lambda st: oda_bars.append(st.field.values.copy()))
+    oda_run(grid, spec, initial, t_end, cfg.run.output_every,
+            observer=lambda st: oda_bars.append(pbar_of(st.field.values, st.grid)))
 
     report = StudyReport(t_end=t_end)
     if cfg.run.threads > 1:

@@ -278,10 +278,6 @@ class TurningModel:
             return self.lambda0
         return float(max(self.frequency(0.0), self.frequency(m_max)))
 
-    @property
-    def m_dependent(self) -> bool:
-        return self.kind != "constant" and self.beta != 0.0
-
     def kernel_matrix(self, grid: PhaseGrid) -> np.ndarray:
         """K[k, k'] for the grid's velocity set; rows indexed by the new v."""
         n, vd = grid.n_v, grid.v_measure

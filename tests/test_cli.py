@@ -202,3 +202,54 @@ def test_nan_mid_run_is_verification_failure(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(kinetic, "transport_apply", poisoned)
     assert main(["run", str(write_config(tmp_path))]) == 4
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_restart_keeps_the_run_mass_reference(tmp_path, capsys):
+    # Mass drift recorded in the dump (here an injected 1e-9) must still
+    # show in the resumed run's defect, measured against the scenario mass.
+    from chemokin import dumpio
+    from chemokin.model import build_scenario
+    cfg_half = write_config(tmp_path, name="half.cfg", t_end=0.1)
+    assert main(["run", str(cfg_half)]) == 0
+    dump = dumpio.read_dump(tmp_path / "out" / "dump_0.1.chk")
+    cfg = parse_config(write_config(tmp_path, name="full.cfg"))
+    grid, _, _ = build_scenario(cfg)
+    drifted = tmp_path / "drifted.chk"
+    dumpio.write_dump(drifted, dump.values * (1.0 + 1e-9), dump.t, grid,
+                      dump.eps, dump.scenario)
+    capsys.readouterr()
+    assert main(["run", str(tmp_path / "full.cfg"), "--restart", str(drifted)]) == 0
+    out = capsys.readouterr().out
+    defect = float(out.split("max mass defect = ")[1].split(",")[0])
+    assert defect >= 1e-9
+
+
+def test_restart_rejects_non_finite_dump(tmp_path, capsys):
+    # A dump is outside input: a NaN cell is a bad config (exit 2), not a
+    # solver failure.
+    from chemokin import dumpio
+    from chemokin.model import build_scenario
+    cfg_path = write_config(tmp_path)
+    assert main(["run", str(cfg_path)]) == 0
+    dump = dumpio.read_dump(tmp_path / "out" / "dump_0.1.chk")
+    values = dump.values.copy()
+    values[0, 0, 0] = float("nan")
+    grid, _, _ = build_scenario(parse_config(cfg_path))
+    poisoned = tmp_path / "nan.chk"
+    dumpio.write_dump(poisoned, values, dump.t, grid, dump.eps, dump.scenario)
+    assert main(["run", str(cfg_path), "--restart", str(poisoned)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_cfl_violation_mid_run_is_verification_failure(tmp_path, monkeypatch, capsys):
+    # A step beyond the CFL bound is a solver failure (exit 4), not a bad
+    # config.
+    from chemokin.kinetic import StepperState
+    real_cfl_dt = StepperState.cfl_dt
+    monkeypatch.setattr(StepperState, "cfl_dt", lambda self: 2.0 * real_cfl_dt(self))
+    path = write_config(tmp_path, t_end=1.0)
+    # One output interval spans two CFL-limited steps, so the doubled step
+    # really exceeds the bound.
+    path.write_text(path.read_text().replace("output_every = 0.1", "output_every = 1.0"))
+    assert main(["run", str(path)]) == 4
+    assert "exceeds" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import pytest
 from chemokin.config import GridConfig, RunConfig
 from chemokin.diagnostics import DiagnosticsReport
 from chemokin.kinetic import StepperState, macro_step, run as kinetic_run, total_mass
-from chemokin.limit import OdaState, concentration_metrics, oda_mass, oda_run
+from chemokin.limit import concentration_metrics, oda_run
 from chemokin.model import build_scenario
 
 
@@ -56,10 +56,8 @@ def test_two_dimensional_concentration_metrics():
 
 def test_two_dimensional_oda_runs():
     cfg, grid, spec, init = build(dim=2, x_nodes=10, v_count=4, m_nodes=12)
-    state = OdaState.from_initial(grid, spec, init)
-    m0 = oda_mass(state.field.values, grid)
-    state = oda_run(state, 0.3, 0.1)
-    assert oda_mass(state.field.values, grid) == pytest.approx(m0, rel=1e-12)
+    state = oda_run(grid, spec, init, 0.3, 0.1)
+    assert total_mass(state.field.values, state.grid) == pytest.approx(init.mass, rel=1e-12)
     assert state.field.values.min() >= 0.0
 
 
@@ -85,10 +83,8 @@ def test_angle_kernel_full_and_reduced_runs():
     assert state.max_mass_defect <= 1e-12
     assert float(state.field.values.min()) >= 0.0
 
-    oda = OdaState.from_initial(grid, spec, init)
-    m0 = oda_mass(oda.field.values, grid)
-    oda = oda_run(oda, 0.3, 0.1)
-    assert oda_mass(oda.field.values, grid) == pytest.approx(m0, rel=1e-12)
+    oda = oda_run(grid, spec, init, 0.3, 0.1)
+    assert total_mass(oda.field.values, oda.grid) == pytest.approx(init.mass, rel=1e-12)
 
 
 def test_cubic_family_full_run():
