@@ -57,25 +57,27 @@ def cmd_run(cfg: RunConfig, restart: str | None = None) -> int:
         dumpio.check_compatible(dump, grid, scenario)
         # The dump is outside input: a NaN or negative cell is rejected here
         # (bad config), not met later as a solver failure.  mass0 stays the
-        # scenario's initial mass (the hash pins it), so the mass defect
-        # still counts drift from before the restart.
+        # scenario's initial mass (the hash pins it), and the step count and
+        # largest defect resume from the dump, so the resumed run reports
+        # what the uninterrupted one would.
         state = dc_replace(
             state,
             field=package_initial(DensityField(dump.values, dump.t), grid).p0,
             signal=solve_signal(number_density(dump.values, grid), grid),
+            step_count=dump.steps,
+            max_mass_defect=dump.max_mass_defect,
         )
 
     out = _out_dir(cfg)
     report = DiagnosticsReport(initial, spec, grid)
 
-    def observer(st: StepperState) -> None:
-        dumpio.write_dump(out / _dump_name(st.t), st.field.values, st.t, grid,
-                          spec.epsilon, scenario)
+    def write(path: Path, st: StepperState) -> None:
+        dumpio.write_dump(path, st.field.values, st.t, grid, spec.epsilon, scenario,
+                          steps=st.step_count, max_mass_defect=st.max_mass_defect)
 
-    state, _ = kinetic_run(state, cfg.run.t_end, cfg.run.output_every,
-                           report=report, observer=observer)
-    dumpio.write_dump(out / "final.chk", state.field.values, state.t, grid,
-                      spec.epsilon, scenario)
+    state, _ = kinetic_run(state, cfg.run.t_end, cfg.run.output_every, report=report,
+                           observer=lambda st: write(out / _dump_name(st.t), st))
+    write(out / "final.chk", state)
     report.write_csv(out / "diagnostics.csv")
 
     if report.failed:

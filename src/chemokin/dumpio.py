@@ -2,7 +2,10 @@
 
 The header starts with the magic ``CHKIN1`` and carries the grid
 signature (dims, spacings, the velocity nodes with their weights), the
-time stamp, the adaptation time scale and the scenario hash.  Floats are
+time stamp, the adaptation time scale and the scenario hash, plus the
+run's bookkeeping: macro steps taken and the largest mass defect so far.
+The two bookkeeping keys are optional on reading (0 and 0.0), so dumps
+written without them still read.  Floats are
 written with ``repr`` so they round-trip bit-exactly; the payload is the
 density array in row-major order, x outermost and m innermost.  Restart
 reads the same format.
@@ -36,6 +39,8 @@ class Dump:
     eps: float
     scenario: str
     values: np.ndarray
+    steps: int = 0
+    max_mass_defect: float = 0.0
 
     @property
     def field_shape(self) -> tuple[int, ...]:
@@ -47,7 +52,8 @@ def _floats_csv(arr: np.ndarray) -> str:
 
 
 def write_dump(path: str | Path, values: np.ndarray, t: float, grid: PhaseGrid,
-               eps: float, scenario_hash: str) -> None:
+               eps: float, scenario_hash: str, steps: int = 0,
+               max_mass_defect: float = 0.0) -> None:
     header = [
         MAGIC,
         f"dim={grid.dim}",
@@ -64,6 +70,8 @@ def write_dump(path: str | Path, values: np.ndarray, t: float, grid: PhaseGrid,
         f"t={float(t)!r}",
         f"eps={eps!r}",
         f"scenario={scenario_hash}",
+        f"steps={int(steps)}",
+        f"max_mass_defect={float(max_mass_defect)!r}",
         _END,
     ]
     payload = np.ascontiguousarray(values, dtype="<f8").tobytes()
@@ -111,9 +119,14 @@ def read_dump(path: str | Path) -> Dump:
             eps=float(fields["eps"]),
             scenario=fields["scenario"],
             values=np.empty(0),
+            steps=int(fields.get("steps", "0")),
+            max_mass_defect=float(fields.get("max_mass_defect", "0.0")),
         )
     except (KeyError, ValueError) as exc:
         raise BadConfig(f"{path}: malformed dump header ({exc})") from exc
+    if dump.steps < 0 or not 0.0 <= dump.max_mass_defect < np.inf:
+        raise BadConfig(f"{path}: bookkeeping out of range (steps = {dump.steps}, "
+                        f"max_mass_defect = {dump.max_mass_defect})")
 
     payload = raw[cut + len(end_marker):]
     data = np.frombuffer(payload, dtype="<f8")

@@ -8,6 +8,14 @@ slope-damping term and the turning gain/loss, iterated here as a Picard
 fixed point.  The kinetic stepper is cross-validated against this solver;
 two independent routes agreeing under refinement is the numerical
 stand-in for uniqueness.
+
+Densities are read off the grid by cubic Lagrange interpolation in (x, m),
+a tensor-product stencil.  Characteristic positions are the grid shifted
+by a whole-row displacement, so each characteristic's x-stencil is
+tabulated once and gathers whole m columns of every source velocity in
+four row reads; the m-stencil then picks four taps per query from a
+zero-padded m axis.  This module shares no code with the kinetic stepper
+it checks.
 """
 from __future__ import annotations
 
@@ -174,39 +182,71 @@ def _lagrange_cubic_weights(frac: np.ndarray) -> tuple[np.ndarray, ...]:
     return w0, w1, w2, w3
 
 
-def _interp_grid_xm(field: np.ndarray, xq: np.ndarray, mq: np.ndarray,
-                    grid: PhaseGrid) -> np.ndarray:
-    """Cubic Lagrange interpolation of a (x_nodes, m_nodes) grid function.
+# Zero ghost cells padded onto each end of the m axis.  The stencil
+# {jm-1, ..., jm+2} reads only ghosts once jm < -2 or jm > m_nodes, so
+# clipping jm to [-3, m_nodes + 1] keeps every tap on the padded axis and
+# still reads zero.
+_M_GHOSTS = 4
 
-    Periodic in x (zero ghost in free mode); zero ghost centers beyond
-    m = 0 and m = m_max, matching the boundary values.  Cubic order keeps
-    the oracle's own error far below the first-order scheme it checks.
+
+def _pad_m(values: np.ndarray) -> np.ndarray:
+    """Zero-pad the last (m) axis with the ghost cells _interp_xm reads."""
+    pad = [(0, 0)] * (values.ndim - 1) + [(_M_GHOSTS, _M_GHOSTS)]
+    return np.pad(values, pad)
+
+
+def _x_stencil(xq: np.ndarray, grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and weights of the cubic Lagrange x-stencil at positions ``xq``.
+
+    Both have shape (4,) + xq.shape.  Periodic grids wrap the rows; free
+    grids clip them and zero the weights of taps outside the domain, so
+    the zero ghost cells never need storing.
     """
-    nx, nm = grid.x_nodes, grid.m_nodes
-    periodic = grid.x_topology == "periodic"
-
     u = (xq + 0.5 * grid.x_extent) / grid.dx - 0.5
-    ix = np.floor(u).astype(int)
-    wx = _lagrange_cubic_weights(u - ix)
-    w = mq / grid.dm - 0.5
-    jm = np.floor(w).astype(int)
-    wm = _lagrange_cubic_weights(w - jm)
+    ix = np.floor(u)
+    wx = np.stack(_lagrange_cubic_weights(u - ix))
+    rows = ix.astype(int) + np.arange(-1, 3).reshape((4,) + (1,) * np.ndim(u))
+    if grid.x_topology == "periodic":
+        return rows % grid.x_nodes, wx
+    inside = (rows >= 0) & (rows < grid.x_nodes)
+    return np.clip(rows, 0, grid.x_nodes - 1), wx * inside
 
-    out = np.zeros(np.broadcast(xq, mq).shape)
-    for a in range(4):
-        i = ix + (a - 1)
-        if periodic:
-            i_ok = 1.0
-            i = np.mod(i, nx)
-        else:
-            i_ok = ((i >= 0) & (i < nx)).astype(float)
-            i = np.clip(i, 0, nx - 1)
-        row = np.zeros_like(out)
-        for b in range(4):
-            j = jm + (b - 1)
-            j_ok = ((j >= 0) & (j < nm)).astype(float)
-            row += wm[b] * field[i, np.clip(j, 0, nm - 1)] * j_ok
-        out += wx[a] * row * i_ok
+
+def _interp_xm(src: np.ndarray, rows: np.ndarray, wx: np.ndarray,
+               mq: np.ndarray, grid: PhaseGrid) -> np.ndarray:
+    """Cubic Lagrange interpolation of every source velocity at (x, m) queries.
+
+    ``src`` is (n_rows, n_src, m_nodes + 8): grid functions of (x, m), one
+    per source velocity, m-padded by _pad_m.  ``rows`` and ``wx`` are an
+    x-stencil of shape (4,) + Q whose rows index ``src``; ``mq`` has shape
+    Q + (m_nodes,).  The stencil is a tensor product, so the x-stencil is
+    applied first as four row gathers of whole m columns, then the
+    m-stencil as four gathers along the padded m axis.  Returns
+    Q + (n_src, m_nodes).  Cubic order keeps the oracle's own error far
+    below the first-order scheme it checks.
+    """
+    cols = np.take(src, rows[0], axis=0)
+    cols *= wx[0][..., None, None]
+    for r, wr in zip(rows[1:], wx[1:]):
+        part = np.take(src, r, axis=0)
+        part *= wr[..., None, None]
+        cols += part
+    w = mq / grid.dm - 0.5
+    jm = np.floor(w)
+    wm = _lagrange_cubic_weights(w - jm)
+    # Flat index of each query's first m-tap in ``cols``; mode="clip" only
+    # skips numpy's bounds check, as every tap is on the padded axis.
+    n_col = cols.shape[-1]
+    first = np.arange(0, cols.size, n_col).reshape(cols.shape[:-1] + (1,))
+    tap = first + (np.clip(jm.astype(int), -3, grid.m_nodes + 1)
+                   + (_M_GHOSTS - 1))[..., None, :]
+    cols = cols.reshape(-1)
+    out = np.take(cols, tap, mode="clip")
+    out *= wm[0][..., None, :]
+    for b in range(1, 4):
+        part = np.take(cols[b:], tap, mode="clip")   # cols[b:][i] is cols[i + b]
+        part *= wm[b][..., None, :]
+        out += part
     return out
 
 
@@ -234,6 +274,14 @@ def duhamel_solve(p0: DensityField, s_hist: SignalHistory, spec: ModelSpec,
     backward characteristic) until successive iterates differ by at most
     ``tol`` in sup norm, or ``picard_iters`` sweeps.  Requires the horizon
     to contract: t * (slope_cap/eps + 2 V_d turning_cap) < 1.
+
+    The characteristics are fixed before the first sweep.  Each one is
+    indexed by (k, l, l'): target velocity k, end node tau_l and quadrature
+    node tau_l' <= tau_l.  Its positions are the grid shifted by
+    v_k (tau_l - tau_l'), so its x-stencil (rows, weights with the free-mode
+    ghost mask, and the signal there) is tabulated once.  A sweep applies it
+    to every source velocity at once, then the m-stencil of the tabulated
+    internal states, rebuilt per sweep; see _interp_xm.
     """
     if grid.dim != 1:
         raise BadConfig("the Duhamel oracle is one-dimensional")
@@ -256,12 +304,13 @@ def duhamel_solve(p0: DensityField, s_hist: SignalHistory, spec: ModelSpec,
     gain_w = kernel * grid.weights[None, :]          # (k, k'')
     col_norm = grid.weights @ kernel                 # (k,) discrete loss kernel mass
 
-    # Characteristic tables: for each target velocity k and end index l,
-    # positions (l+1, nx) and internal states (l+1, nx, nm) at every
-    # earlier node l' <= l.  States may wander outside [0, m_max]; density
-    # lookups there read zero, the boundary data of the truncated problem.
-    x_tab = [[None] * (lt + 1) for _ in range(nv)]
+    # Characteristic tables for each target velocity k and end index l,
+    # stacked over the earlier nodes l' <= l: internal states m_tab
+    # (l+1, nx, nm); x-stencil rows and weights (4, l+1, nx); signal values
+    # (l+1, nx, 1).  States may wander outside [0, m_max]; density lookups
+    # there read zero, the boundary data of the truncated problem.
     m_tab = [[None] * (lt + 1) for _ in range(nv)]
+    x_sten = [[None] * (lt + 1) for _ in range(nv)]
     for k in range(nv):
         vx = float(grid.velocities[k, 0])
         for l in range(lt + 1):
@@ -271,53 +320,49 @@ def duhamel_solve(p0: DensityField, s_hist: SignalHistory, spec: ModelSpec,
             else:
                 m_tab[k][l] = _rk4_backward(mq0, x_col, vx, s_grid, spec=spec,
                                             s_hist=s_hist, substeps=rk_substeps)
-            x_tab[k][l] = grid.x_centers[None, :] - vx * (taus[l] - s_grid)[:, None]
+            xs = grid.x_centers[None, :] - vx * (taus[l] - s_grid)[:, None]
+            rows, wx = _x_stencil(xs, grid)
+            s_at = np.stack([s_hist.eval(xs[lp], s_grid[lp]) for lp in range(l + 1)])
+            x_sten[k][l] = (rows, wx, s_at[..., None])
 
-    # Pull-back of the initial data: iterate zero.
+    # Pull-back of the initial data (node l' = 0): iterate zero.
+    p0_pad = _pad_m(p0.values)
     pullback = np.empty((lt + 1, nx, nv, nm))
     for k in range(nv):
         for l in range(lt + 1):
-            pullback[l, :, k, :] = _interp_grid_xm(
-                p0.values[:, k, :], x_tab[k][l][0][:, None], m_tab[k][l][0], grid)
+            rows, wx, _ = x_sten[k][l]
+            pullback[l, :, k, :] = _interp_xm(p0_pad[:, k:k + 1], rows[:, 0], wx[:, 0],
+                                              m_tab[k][l][0], grid)[:, 0, :]
 
-    iters = [pullback.copy()]
     sup_diffs: list[float] = []
     l1_diffs: list[float] = []
     cell = grid.cell_volume * grid.dm
 
+    prev = pullback
     done = 0
     for it in range(picard_iters):
-        prev = iters[-1]
+        src = _pad_m(prev)
         nxt = pullback.copy()
         for l in range(1, lt + 1):
-            integ = np.empty((l + 1, nx, nv, nm))
-            for lp in range(l + 1):
-                s_lp = taus[lp]
-                for k in range(nv):
-                    xs = x_tab[k][l][lp][:, None]
+            for k in range(nv):
+                rows, wx, s_at = x_sten[k][l]
+                for lp in range(l + 1):
                     ms = m_tab[k][l][lp]
-                    lam = spec.turning.frequency(ms)
-                    slope = spec.adaptation.rate_m(ms, s_hist.eval(xs, s_lp))
-                    gathered = np.stack(
-                        [_interp_grid_xm(prev[lp][:, kk, :], xs, ms, grid)
-                         for kk in range(nv)], axis=1)       # (nx, nv, nm) sources
+                    gathered = _interp_xm(src[lp], rows[:, lp], wx[:, lp], ms, grid)
                     own = gathered[:, k, :]
                     gain = np.einsum("j,xjm->xm", gain_w[k], gathered)
-                    integ[lp, :, k, :] = (-slope / eps) * own \
-                        + lam * (gain - col_norm[k] * own)
-            wts = np.full(l + 1, dtau)
-            wts[0] = wts[-1] = 0.5 * dtau
-            nxt[l] += np.einsum("l,lxvm->xvm", wts, integ)
+                    lam = spec.turning.frequency(ms)
+                    slope = spec.adaptation.rate_m(ms, s_at[lp])
+                    integ = (-slope / eps) * own + lam * (gain - col_norm[k] * own)
+                    nxt[l, :, k, :] += (dtau if 0 < lp < l else 0.5 * dtau) * integ
         diff = nxt - prev
         sup_diffs.append(float(np.abs(diff).max()))
         l1_per_node = np.einsum("lxvm,v->l", np.abs(diff), grid.weights) * cell
         l1_diffs.append(float(l1_per_node.max()))
-        iters.append(nxt)
-        iters.pop(0)
+        prev = nxt
         done = it + 1
         if sup_diffs[-1] <= tol:
             break
 
-    final = iters[-1][lt]
-    return DuhamelResult(field=DensityField(final, t), iterations=done,
+    return DuhamelResult(field=DensityField(prev[lt], t), iterations=done,
                          sup_diffs=sup_diffs, l1_diffs=l1_diffs)

@@ -88,18 +88,28 @@ def test_run_determinism_bitwise(tmp_path):
     assert first == second
 
 
-def test_restart_equals_straight_through(tmp_path):
+def _run_summary(out: str) -> str:
+    """The 'steps = N, max mass defect = D' part of a run's last line."""
+    return out.strip().splitlines()[-1].split("steps = ")[1].split(", out =")[0]
+
+
+def test_restart_equals_straight_through(tmp_path, capsys):
     cfg_full = write_config(tmp_path, name="full.cfg", t_end=0.2)
     assert main(["run", str(cfg_full)]) == 0
     straight = (tmp_path / "out" / "final.chk").read_bytes()
+    straight_summary = _run_summary(capsys.readouterr().out)
 
     cfg_half = write_config(tmp_path, name="half.cfg", t_end=0.1)
     assert main(["run", str(cfg_half)]) == 0
     mid = tmp_path / "out" / "dump_0.1.chk"
     assert mid.exists()
+    capsys.readouterr()
     assert main(["run", str(cfg_full), "--restart", str(mid)]) == 0
     resumed = (tmp_path / "out" / "final.chk").read_bytes()
     assert straight == resumed
+    # The resumed run carries on the step count and the largest defect.
+    assert _run_summary(capsys.readouterr().out) == straight_summary
+    assert not straight_summary.startswith("0,")
 
 
 def test_restart_rejects_mismatched_scenario(tmp_path):

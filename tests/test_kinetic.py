@@ -456,12 +456,33 @@ def test_dump_roundtrip_bitwise(tmp_path):
     state = StepperState.create(grid, spec, init)
     state, _ = run(state, 0.2, 0.1)
     path = tmp_path / "state.chk"
-    dumpio.write_dump(path, state.field.values, state.t, grid, spec.epsilon, "abc123")
+    dumpio.write_dump(path, state.field.values, state.t, grid, spec.epsilon, "abc123",
+                      steps=state.step_count, max_mass_defect=state.max_mass_defect)
     dump = dumpio.read_dump(path)
     assert dump.t == state.t
     assert dump.scenario == "abc123"
     assert np.array_equal(dump.values, state.field.values)
+    assert dump.steps == state.step_count > 0
+    assert dump.max_mass_defect == state.max_mass_defect
     dumpio.check_compatible(dump, grid, "abc123")
+
+
+def test_dump_without_bookkeeping_keys_still_reads(tmp_path):
+    # Dumps written before the header carried steps and max_mass_defect
+    # read with both at zero.
+    from chemokin import dumpio
+    cfg, grid, spec, init = default_scenario()
+    path = tmp_path / "state.chk"
+    dumpio.write_dump(path, init.p0.values, 0.0, grid, spec.epsilon, "abc123",
+                      steps=7, max_mass_defect=1e-15)
+    raw = path.read_bytes()
+    lines = raw.split(b"\n")
+    assert b"steps=7" in lines and b"max_mass_defect=1e-15" in lines
+    legacy = tmp_path / "legacy.chk"
+    legacy.write_bytes(raw.replace(b"steps=7\n", b"").replace(b"max_mass_defect=1e-15\n", b""))
+    dump = dumpio.read_dump(legacy)
+    assert (dump.steps, dump.max_mass_defect) == (0, 0.0)
+    assert np.array_equal(dump.values, init.p0.values)
 
 
 def test_dump_rejects_corruption(tmp_path):
@@ -480,6 +501,11 @@ def test_dump_rejects_corruption(tmp_path):
     truncated.write_bytes(path.read_bytes()[:-16])
     with pytest.raises(BadConfig, match="payload"):
         dumpio.read_dump(truncated)
+
+    negative = tmp_path / "negative.chk"
+    negative.write_bytes(path.read_bytes().replace(b"steps=0\n", b"steps=-1\n"))
+    with pytest.raises(BadConfig, match="bookkeeping"):
+        dumpio.read_dump(negative)
 
     dump = dumpio.read_dump(path)
     with pytest.raises(BadConfig, match="hash"):

@@ -1,20 +1,21 @@
 """Characteristic backtrace and the Picard fixed point vs. independent oracles."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chemokin.errors import LeftDomain, NoContraction
 from chemokin.fields import DensityField
 from chemokin.kinetic import StepperState, macro_step, total_mass
 from chemokin.model import (AdaptationModel, ModelSpec, PhaseGrid, TurningModel,
                             package_initial, velocity_set)
-from chemokin.oracle import (SignalHistory, backtrace, contraction_coefficient,
-                             duhamel_solve)
+from chemokin.oracle import (SignalHistory, _interp_xm, _pad_m, _x_stencil,
+                             backtrace, contraction_coefficient, duhamel_solve)
 
 
 def make_setup(nx=16, nm=16, extent=4.0, kappa=1.0, lambda0=0.5, eps=1.0,
-               t_family="constant", nv=2):
+               t_family="constant", nv=2, topology="periodic"):
     v, w = velocity_set(1, nv)
-    grid = PhaseGrid(dim=1, x_nodes=nx, x_extent=extent, x_topology="periodic",
+    grid = PhaseGrid(dim=1, x_nodes=nx, x_extent=extent, x_topology=topology,
                      velocities=v, weights=w, m_nodes=nm, m_max=1.7)
     spec = ModelSpec(
         adaptation=AdaptationModel(kind="linear", kappa=kappa, s_ref=0.5,
@@ -113,7 +114,8 @@ def _cubic_w(frac):
 
 
 def _scalar_interp(field, xq, mq, grid):
-    # cubic Lagrange, periodic in x, zero ghosts in m (mirrors the oracle)
+    # cubic Lagrange; periodic in x, or zero x-ghosts on a free grid; zero
+    # ghosts in m (mirrors the oracle)
     u = (xq + 0.5 * grid.x_extent) / grid.dx - 0.5
     i0 = int(np.floor(u))
     wx = _cubic_w(u - i0)
@@ -122,7 +124,11 @@ def _scalar_interp(field, xq, mq, grid):
     wm = _cubic_w(wj - j0)
     total = 0.0
     for a in range(4):
-        i = (i0 + a - 1) % grid.x_nodes
+        i = i0 + a - 1
+        if grid.x_topology == "periodic":
+            i %= grid.x_nodes
+        elif not 0 <= i < grid.x_nodes:
+            continue
         row = 0.0
         for b in range(4):
             j = j0 + b - 1
@@ -133,7 +139,13 @@ def _scalar_interp(field, xq, mq, grid):
 
 
 def _scalar_s(s_field, xq, grid):
+    # linear in x; periodic, or clamped to the end values on a free grid
     u = (xq + 0.5 * grid.x_extent) / grid.dx - 0.5
+    if grid.x_topology == "free":
+        u = min(max(u, 0.0), grid.x_nodes - 1.0)
+        i0 = min(int(np.floor(u)), grid.x_nodes - 2)
+        fx = u - i0
+        return (1 - fx) * s_field[i0] + fx * s_field[i0 + 1]
     i0 = int(np.floor(u))
     fx = u - i0
     i0 %= grid.x_nodes
@@ -226,6 +238,75 @@ def test_duhamel_matches_brute_force_quadrature():
     brute = brute_force_duhamel(p0, s_field, spec, grid, t, iters, n_time,
                                 rk_substeps=2)
     assert np.max(np.abs(res.field.values - brute)) <= 1e-10
+
+
+def test_duhamel_matches_brute_force_quadrature_free_grid():
+    # Free grid: x-stencils near the ends read zero ghosts.  kappa = 2 sends
+    # the outer m-nodes' characteristics out of [0, m_max] within t, so the
+    # zero m-ghosts are read too.
+    grid, spec = make_setup(nx=4, nm=4, extent=2.0, kappa=2.0, lambda0=0.5,
+                            topology="free")
+    x = grid.x_centers
+    s_field = 0.3 + 0.4 * np.exp(-x ** 2)
+    hist = SignalHistory.constant(s_field, grid)
+    t, n_time, iters = 0.3, 4, 4
+    for j in (0, grid.m_nodes - 1):
+        with pytest.raises(LeftDomain):
+            backtrace(x=float(x[0]), v_idx=0, m=float(grid.m_centers[j]), t=t,
+                      s_hist=hist, spec=spec, grid=grid)
+    rng = np.random.default_rng(11)
+    p0 = rng.random(grid.field_shape)
+    res = duhamel_solve(DensityField(p0), hist, spec, grid, t,
+                        picard_iters=iters, n_time=n_time, rk_substeps=2,
+                        tol=0.0)
+    brute = brute_force_duhamel(p0, s_field, spec, grid, t, iters, n_time,
+                                rk_substeps=2)
+    assert np.max(np.abs(res.field.values - brute)) <= 1e-10
+
+
+@st.composite
+def gather_cases(draw):
+    nx = draw(st.integers(4, 12))
+    nm = draw(st.integers(1, 9))
+    topology = draw(st.sampled_from(["periodic", "free"]))
+    v, w = velocity_set(1, draw(st.integers(1, 4)))
+    grid = PhaseGrid(dim=1, x_nodes=nx, x_extent=draw(st.sampled_from([1.6, 2.0, 3.0])),
+                     x_topology=topology, velocities=v, weights=w, m_nodes=nm,
+                     m_max=1.7)
+    # One shift per characteristic slice, as v * (tau_l - tau_l'): whole
+    # cells put u within ulps of an integer, where floor may differ by cell.
+    n_slices = draw(st.integers(1, 3))
+    cells = st.integers(-5, 5).map(lambda c: c * grid.dx)
+    speeds = st.sampled_from([-0.75, -0.5, 0.5, 0.75])
+    taus = np.linspace(0.0, 2.0 * grid.dx, 5)
+    as_flow = st.builds(lambda vx, l, lp: vx * (taus[l] - taus[lp]), speeds,
+                        st.integers(0, 4), st.integers(0, 4))
+    shifts = draw(st.lists(st.one_of(cells, as_flow,
+                                     st.floats(-3.0 * grid.dx, 3.0 * grid.dx)),
+                           min_size=n_slices, max_size=n_slices))
+    return grid, np.array(shifts), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(gather_cases())
+def test_shared_stencil_gather_matches_scalar_reference(case):
+    grid, shifts, seed = case
+    rng = np.random.default_rng(seed)
+    nx, nv, nm = grid.x_nodes, grid.n_v, grid.m_nodes
+    field = rng.random((nx, nv, nm))
+    xq = grid.x_centers[None, :] - shifts[:, None]
+    # m queries from well below 0 to well above m_max
+    mq = rng.uniform(-0.6, 1.6, (len(shifts), nx, nm)) * grid.m_max
+    mq[..., ::3] = np.round(mq[..., ::3] / grid.dm) * grid.dm  # on cell edges
+    rows, wx = _x_stencil(xq, grid)
+    got = _interp_xm(_pad_m(field), rows, wx, mq, grid)
+    assert got.shape == (len(shifts), nx, nv, nm)
+    for b in range(len(shifts)):
+        for i in range(nx):
+            for k in range(nv):
+                want = [_scalar_interp(field[:, k, :], xq[b, i], mq[b, i, j], grid)
+                        for j in range(nm)]
+                assert np.max(np.abs(got[b, i, k] - want)) <= 1e-13 * np.abs(field).max()
 
 
 def test_picard_contraction_ratio():
