@@ -5,9 +5,12 @@ outermost: half adaptation, half turning, full transport, half turning,
 half adaptation, then a signal refresh.  The signal is frozen within the
 step, so the adaptation drift dm/dt = F(m, S(x))/eps has a closed-form
 flow, and the adaptation half steps are one conservative remap along it:
-no eps-CFL, and a cost independent of eps.  Turning and transport are
-explicit and written in non-negative-coefficient form, so positivity is
-preserved under their CFL bounds.  Every sub-operation conserves the
+no eps-CFL, and a cost independent of eps.  Both half steps share the
+frozen signal and dt/2, so one plan (``adaptation_plan``: the feet of the
+m-edges) serves both, and the remap runs in the density's own (x, v, m)
+layout without transposing it.  Turning and transport are explicit and
+written in non-negative-coefficient form, so positivity is preserved
+under their CFL bounds.  Every sub-operation conserves the
 discrete mass up to round-off (periodic transport telescopes, the turning
 integrand is antisymmetric under swapping the two velocities, and the
 remap's cell masses telescope to the full m-integral because the
@@ -30,9 +33,9 @@ from .model import InitialData, ModelSpec, PhaseGrid
 
 #: Relative slack when comparing a step against its CFL bound.
 CFL_SLACK = 1e-9
-#: Density elements (256 KiB) remapped per block of x-cells, so the
+#: Density elements (128 KiB) remapped per block of x-cells, so the
 #: adaptation remap's temporaries stay in cache.
-REMAP_BLOCK = 1 << 15
+REMAP_BLOCK = 1 << 14
 
 
 def pbar_of(p: np.ndarray, grid: PhaseGrid) -> np.ndarray:
@@ -165,21 +168,29 @@ def adaptation_feet(s: np.ndarray, spec: ModelSpec, grid: PhaseGrid,
     return np.maximum.accumulate(feet, axis=-1)
 
 
-def adaptation_apply(p: np.ndarray, s: np.ndarray, spec: ModelSpec, grid: PhaseGrid,
-                     dt: float) -> np.ndarray:
-    """Conservative semi-Lagrangian remap of the m-drift term over dt.
+@dataclass(frozen=True)
+class AdaptationPlan:
+    """Where the feet of one adaptation step fall, shared by its two uses.
 
-    The signal is frozen over the step, so dm/dt = F(m, S(x))/eps has a
-    closed-form flow (``AdaptationModel.pull_back``).  The mass of a new
-    cell [e_i, e_i+1] is the old mass between the feet of its edges: the
-    per-(x, v) exclusive prefix sum C of p, interpolated linearly inside a
-    cell as C(foot) = cum[i] + frac*p[i], differenced between feet.  With
-    F > 0 at m = 0 and F < 0 at m_max the end feet clip to 0 and m_max, so
-    the differences telescope to the full m-integral.  Positivity holds in
-    floating point, not only in exact arithmetic: the feet are
-    non-decreasing, ``frac`` lies in [0, 1], and the sequential prefix sum
-    gives cum[i] + frac*p[i] <= cum[i+1], so C is non-decreasing at the
-    feet.  The cost is independent of eps and there is no eps-CFL.
+    ``idx`` and ``frac`` (shape (X, M+1)) locate each foot as cell index
+    plus fraction of a cell.  The remap runs over blocks of
+    ``len(offsets)`` x-cells; ``offsets`` (shape (block, V, 1)) holds the
+    block-local flat start ((x - lo)*V + v)*M of every (x, v) column.
+    Nothing of shape (X, V, M+1) is kept: each block builds its own gather
+    indices.
+    """
+
+    idx: np.ndarray
+    frac: np.ndarray
+    offsets: np.ndarray
+
+
+def adaptation_plan(s: np.ndarray, spec: ModelSpec, grid: PhaseGrid,
+                    dt: float) -> AdaptationPlan:
+    """Check the rate's sign at the m-truncation and locate the feet over dt.
+
+    Depends only on the frozen signal and dt, so one plan serves both
+    adaptation half steps of a macro step.
     """
     f_ends = np.asarray(spec.adaptation_rate(np.array([0.0, grid.m_max]),
                                              np.asarray(s)[..., None]))
@@ -193,23 +204,52 @@ def adaptation_apply(p: np.ndarray, s: np.ndarray, spec: ModelSpec, grid: PhaseG
     n_x, n_v, n_m = int(np.prod(grid.x_shape)), grid.n_v, grid.m_nodes
     u = adaptation_feet(s, spec, grid, dt).reshape(n_x, n_m + 1) / grid.dm
     idx = np.minimum(np.floor(u), n_m - 1).astype(np.intp)
-    frac = np.minimum(u - idx, 1.0)[..., None]
+    frac = np.minimum(u - idx, 1.0)
+    step = min(n_x, max(1, REMAP_BLOCK // (n_v * n_m)))
+    offsets = np.arange(0, step * n_v * n_m, n_m, dtype=np.intp).reshape(step, n_v, 1)
+    return AdaptationPlan(idx=idx, frac=frac, offsets=offsets)
 
-    flat = p.reshape(n_x, n_v, n_m)
+
+def adaptation_apply(p: np.ndarray, s: np.ndarray, spec: ModelSpec, grid: PhaseGrid,
+                     dt: float, plan: AdaptationPlan | None = None) -> np.ndarray:
+    """Conservative semi-Lagrangian remap of the m-drift term over dt.
+
+    The signal is frozen over the step, so dm/dt = F(m, S(x))/eps has a
+    closed-form flow (``AdaptationModel.pull_back``).  The mass of a new
+    cell [e_i, e_i+1] is the old mass between the feet of its edges: the
+    per-(x, v) exclusive prefix sum C of p, interpolated linearly inside a
+    cell as C(foot) = cum[i] + frac*p[i], differenced between feet.  With
+    F > 0 at m = 0 and F < 0 at m_max the end feet clip to 0 and m_max, so
+    the differences telescope to the full m-integral.  Positivity holds in
+    floating point, not only in exact arithmetic: the feet are
+    non-decreasing, ``frac`` lies in [0, 1], and the sequential prefix sum
+    gives cum[i] + frac*p[i] <= cum[i+1], so C is non-decreasing at the
+    feet.  The cost is independent of eps and there is no eps-CFL.
+
+    ``plan`` is ``adaptation_plan(s, spec, grid, dt)``, built here when not
+    given; ``macro_step`` builds one per step for both half steps.  The
+    remap works in the density's own (x, v, m) layout, a block of x-cells
+    at a time: prefix sums run along the contiguous m axis, and every
+    (x, v) column gathers at its feet through flat block-local indices.
+    """
+    if plan is None:
+        plan = adaptation_plan(s, spec, grid, dt)
+    idx, frac, step = plan.idx, plan.frac, len(plan.offsets)
+    n_x = idx.shape[0]
+    flat = p.reshape(n_x, grid.n_v, grid.m_nodes)
     out = np.empty_like(flat)
-    step = max(1, REMAP_BLOCK // (n_v * n_m))
     for lo in range(0, n_x, step):
-        # (x, m, v) rows: each foot gathers all velocities at once.
-        block = np.ascontiguousarray(flat[lo:lo + step].transpose(0, 2, 1))
-        rows = idx[lo:lo + step] + np.arange(0, block.shape[0] * n_m, n_m)[:, None]
-        cum = np.zeros_like(block)
-        np.cumsum(block[:, :-1], axis=1, out=cum[:, 1:])
-        at_feet = np.take(cum.reshape(-1, n_v), rows, axis=0)  # (x, edge, v)
-        gathered = np.take(block.reshape(-1, n_v), rows, axis=0)
-        gathered *= frac[lo:lo + step]
+        block = flat[lo:lo + step]
+        hi = lo + block.shape[0]
+        cum = np.empty_like(block)
+        cum[..., 0] = 0.0
+        np.cumsum(block[..., :-1], axis=-1, out=cum[..., 1:])
+        at = idx[lo:hi, None, :] + plan.offsets[:hi - lo]  # (x, v, edge)
+        at_feet = np.take(cum, at)
+        gathered = np.take(block, at)
+        gathered *= frac[lo:hi, None, :]
         at_feet += gathered
-        np.subtract(at_feet[:, 1:], at_feet[:, :-1],
-                    out=out[lo:lo + step].transpose(0, 2, 1))
+        np.subtract(at_feet[..., 1:], at_feet[..., :-1], out=out[lo:hi])
     return out.reshape(p.shape)
 
 
@@ -269,11 +309,12 @@ def macro_step(state: StepperState, dt: float) -> StepperState:
     grid, spec = state.grid, state.spec
     s = state.signal.values
 
-    p = adaptation_apply(state.field.values, s, spec, grid, 0.5 * dt)
+    plan = adaptation_plan(s, spec, grid, 0.5 * dt)
+    p = adaptation_apply(state.field.values, s, spec, grid, 0.5 * dt, plan)
     p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors)
     p = transport_apply(p, grid, dt)
     p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors)
-    p = adaptation_apply(p, s, spec, grid, 0.5 * dt)
+    p = adaptation_apply(p, s, spec, grid, 0.5 * dt, plan)
     return finish_step(state, p, dt)
 
 

@@ -1,8 +1,12 @@
 """Subcommands, exit codes, config rejection, determinism and restart."""
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import chemokin
 from chemokin.cli import main
 from chemokin.config import parse_config
 from chemokin.errors import BadConfig
@@ -35,6 +39,17 @@ def write_config(tmp_path: Path, name="scenario.cfg", extra="", t_end=None) -> P
     path = tmp_path / name
     path.write_text(text + extra)
     return path
+
+
+def test_python_m_chemokin_help():
+    # The package runs as ``python -m chemokin`` from a source checkout.
+    src = str(Path(chemokin.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "chemokin", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "study-eps" in proc.stdout
 
 
 def test_parse_config_roundtrip(tmp_path):

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chemokin import kinetic
 from chemokin.config import GridConfig, RunConfig
 from chemokin.errors import CflViolation, PositivityError, SpecViolation
 from chemokin.fields import DensityField
 from chemokin.kinetic import (StepperState, TurningTensors, adaptation_apply,
-                              adaptation_feet, macro_step, pbar_of, run,
-                              total_mass, transport_apply, turning_apply)
+                              adaptation_feet, adaptation_plan, macro_step, pbar_of,
+                              run, total_mass, transport_apply, turning_apply)
 from chemokin.model import (AdaptationModel, ModelSpec, PhaseGrid, TurningModel,
                             build_scenario, package_initial, velocity_set)
 
@@ -180,6 +181,67 @@ def test_transport_2d_positivity_and_mass():
     assert total_mass(new, grid) == pytest.approx(total_mass(p, grid), rel=1e-13)
 
 
+# -- turning and transport across random grids ------------------------------------
+
+@st.composite
+def operator_cases(draw):
+    """Random grid (dim 1-2, periodic or free), turning family and density."""
+    dim = draw(st.sampled_from([1, 2]))
+    grid = custom_grid(*velocity_set(dim, draw(st.sampled_from([2, 4, 6, 8]))),
+                       x_nodes=draw(st.integers(2, 24 if dim == 1 else 8)),
+                       x_extent=draw(st.floats(1.0, 20.0)),
+                       topology=draw(st.sampled_from(["periodic", "free"])),
+                       dim=dim, m_nodes=draw(st.integers(1, 12)))
+    spec = make_spec(
+        grid, t_family=draw(st.sampled_from(["constant", "separable-uniform",
+                                             "separable-angle"])),
+        lambda0=draw(st.floats(0.05, 20.0)), beta=draw(st.floats(0.0, 0.9)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    p = rng.random(grid.field_shape) * (rng.random(grid.field_shape) < 0.7)
+    return grid, spec, p, rng
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(operator_cases())
+def test_turning_at_cfl_edge_positive_and_conservative(case):
+    grid, spec, p, _ = case
+    tensors = TurningTensors.build(spec, grid)
+    dt = 1.0 / tensors.max_loss
+    new = turning_apply(p, spec, grid, dt, tensors)
+    assert new.min() >= 0.0
+    assert total_mass(new, grid) == pytest.approx(total_mass(p, grid), rel=1e-13)
+    with pytest.raises(CflViolation):
+        turning_apply(p, spec, grid, dt * (1.0 + 1e-6), tensors)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(operator_cases())
+def test_transport_at_cfl_edge_positive_and_conservative(case):
+    grid, _, p, _ = case
+    dt = grid.dx / grid.max_speed
+    new = transport_apply(p, grid, dt)
+    assert new.min() >= 0.0
+    before, after = total_mass(p, grid), total_mass(new, grid)
+    if grid.x_topology == "periodic":
+        assert after == pytest.approx(before, rel=1e-13)
+    else:
+        assert after <= before * (1.0 + 1e-13)
+    with pytest.raises(CflViolation):
+        transport_apply(p, grid, dt * (1.0 + 1e-6))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(operator_cases())
+def test_nan_cell_anywhere_raises_positivity_error(case):
+    grid, spec, p, rng = case
+    state = StepperState.create(grid, spec, package_initial(DensityField(p), grid))
+    bad = p.copy()
+    bad[tuple(int(rng.integers(n)) for n in grid.field_shape)] = np.nan
+    state = replace(state, field=DensityField(bad, state.t))
+    with pytest.raises(PositivityError, match="non-finite"):
+        macro_step(state, state.cfl_dt())
+
+
 # -- adaptation ----------------------------------------------------------------
 
 def test_adapted_data_barely_moves():
@@ -235,6 +297,81 @@ def test_remap_feet_compose_as_exact_flow(case):
     twice = spec.adaptation.pull_back(half, s[..., None], 0.5 * dt / spec.epsilon)
     assert np.all(np.diff(full, axis=-1) >= 0.0)
     assert np.max(np.abs(full - np.clip(twice, 0.0, grid.m_max))) <= 1e-12
+
+
+def remap_reference(p, s, spec, grid, dt):
+    """Unblocked remap, one (x, v) column at a time, same arithmetic."""
+    u = adaptation_feet(s, spec, grid, dt).reshape(-1, grid.m_nodes + 1) / grid.dm
+    idx = np.minimum(np.floor(u), grid.m_nodes - 1).astype(np.intp)
+    frac = np.minimum(u - idx, 1.0)
+    cols = p.reshape(len(u), grid.n_v, grid.m_nodes)
+    out = np.empty_like(cols)
+    for x in range(len(u)):
+        for v in range(grid.n_v):
+            col = cols[x, v]
+            cum = np.concatenate(([0.0], np.cumsum(col[:-1])))
+            out[x, v] = np.diff(cum[idx[x]] + frac[x] * col[idx[x]])
+    return out.reshape(p.shape)
+
+
+@st.composite
+def blocked_remap_cases(draw):
+    """Adaptation scenario plus a REMAP_BLOCK that splits x into several
+    blocks with a short last one."""
+    dim = draw(st.sampled_from([1, 2]))
+    x_nodes = draw(st.integers(3, 12 if dim == 1 else 5))
+    grid = custom_grid(*velocity_set(dim, draw(st.sampled_from([2, 4]))),
+                       x_nodes=x_nodes, dim=dim, m_nodes=draw(st.integers(2, 24)),
+                       m_max=draw(st.floats(1.25, 4.0)))
+    spec = make_spec(grid, f_family=draw(st.sampled_from(["linear", "cubic"])),
+                     kappa=draw(st.floats(0.1, 5.0)),
+                     eps=10.0 ** draw(st.floats(-6.0, 0.0)))
+    n_x = x_nodes ** dim
+    step = draw(st.sampled_from([k for k in range(2, n_x) if n_x % k]))
+    column = grid.n_v * grid.m_nodes
+    block = step * column + draw(st.integers(0, column - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return grid, spec, block, step, rng
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(blocked_remap_cases())
+def test_blocked_remap_matches_unblocked_reference(case):
+    grid, spec, block, step, rng = case
+    p = rng.random(grid.field_shape) * (rng.random(grid.field_shape) < 0.8)
+    s = rng.uniform(0.0, 5.0, grid.x_shape)
+    dt = float(rng.uniform(1e-3, 0.5))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kinetic, "REMAP_BLOCK", block)
+        plan = adaptation_plan(s, spec, grid, dt)
+        assert len(plan.offsets) == step
+        planned = adaptation_apply(p, s, spec, grid, dt, plan)
+        unplanned = adaptation_apply(p, s, spec, grid, dt)
+    expected = remap_reference(p, s, spec, grid, dt)
+    assert np.array_equal(planned, expected)
+    assert np.array_equal(unplanned, expected)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(blocked_remap_cases(), st.sampled_from(["periodic", "free"]))
+def test_macro_step_is_strang_composition(case, topology):
+    # One shared plan must give the bits of two independently planned
+    # half steps around turning and transport.
+    grid, spec, block, _, rng = case
+    grid = replace(grid, x_topology=topology)
+    init = package_initial(DensityField(rng.random(grid.field_shape)), grid)
+    state = StepperState.create(grid, spec, init)
+    dt = float(rng.uniform(0.1, 1.0)) * state.cfl_dt()
+    s = state.signal.values
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kinetic, "REMAP_BLOCK", block)
+        stepped = macro_step(state, dt).field.values
+        p = adaptation_apply(state.field.values, s, spec, grid, 0.5 * dt)
+        p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors)
+        p = transport_apply(p, grid, dt)
+        p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors)
+        p = adaptation_apply(p, s, spec, grid, 0.5 * dt)
+    assert np.array_equal(stepped, p)
 
 
 def test_remap_positive_even_if_flow_rounds_out_of_order(monkeypatch):
