@@ -9,7 +9,6 @@ fixed config with threads=1.
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from dataclasses import replace as dc_replace
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dumpio
-from .config import RunConfig, parse_config  # noqa: F401  (RunConfig is part of the CLI surface)
+from .config import RunConfig, parse_config
 from .diagnostics import DiagnosticsReport
 from .elliptic import kernel_check, solve_signal, stencil_residual
 from .errors import BadConfig, ChemokinError, SolverFailure
@@ -27,8 +26,6 @@ from .kinetic import StepperState, number_density, run as kinetic_run
 from .limit import eps_study
 from .model import PhaseGrid, build_scenario, package_initial, velocity_set
 from .oracle import SignalHistory, duhamel_solve
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 2
@@ -259,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 
@@ -185,6 +186,14 @@ def parse_config(path: str | Path) -> RunConfig:
 def validate_config(cfg: RunConfig) -> None:
     """Check value-level constraints that do not need the grid built."""
     g, m, ini, run = cfg.grid, cfg.model, cfg.initial, cfg.run
+    # NaN passes every ordered comparison below, and an infinite t_end never
+    # ends the output schedule.
+    for sec_name, schema in _SCHEMA.items():
+        section = getattr(cfg, sec_name)
+        for key, (attr, kind) in schema.items():
+            val = getattr(section, attr) if kind is float else None
+            if val is not None and not math.isfinite(val):
+                raise BadConfig(f"[{sec_name}] {key} must be finite, got {val}")
     if g.dim not in (1, 2):
         raise BadConfig(f"[grid] dim must be 1 or 2, got {g.dim}")
     if g.x_topology not in X_TOPOLOGIES:

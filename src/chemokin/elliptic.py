@@ -157,16 +157,14 @@ def solve_signal(n: np.ndarray, grid: PhaseGrid) -> SignalField:
             half = _spectral_symbol(nx, grid.dx)
             sym = 1.0 + full[:, None] + half[None, :]
             s = np.fft.irfft2(np.fft.rfft2(n) / sym, s=(nx, nx))
-        solver = "spectral"
     else:
         kern = green_kernel(grid.dim, grid.dx, grid.x_nodes - 1)
         if grid.dim == 1:
             s = np.convolve(n, kern.values, mode="valid") * grid.dx
         else:
             s = signal.fftconvolve(n, kern.values, mode="same") * grid.dx ** 2
-        solver = "green-convolution"
 
-    return SignalField(values=s, solver=solver)
+    return SignalField(values=s)
 
 
 def stencil_residual(s: np.ndarray, n: np.ndarray, grid: PhaseGrid) -> float:

@@ -6,7 +6,7 @@ class ChemokinError(Exception):
 
 
 class BadConfig(ChemokinError):
-    """Unknown key/family or unparsable/non-positive parameter."""
+    """Unknown key/family or an unparsable, non-finite or out-of-range parameter."""
 
 
 class AssumptionViolation(ChemokinError):
@@ -41,16 +41,8 @@ class PositivityError(SolverFailure):
     """A scheme produced a negative cell; a hard failure, never clipped."""
 
 
-class LeftDomain(SolverFailure):
-    """A backtraced internal-state path exited [0, m_max]."""
-
-
 class NoContraction(SolverFailure):
     """The fixed-point iteration horizon is too long to contract."""
-
-
-class NoSignChange(ChemokinError):
-    """Root bracketing failed: the adaptation rate does not change sign."""
 
 
 class EmptyField(ChemokinError):

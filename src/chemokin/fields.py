@@ -25,10 +25,6 @@ class DensityField:
 
 @dataclass
 class SignalField:
-    """Chemical signal over the x-grid, output of the elliptic solve.
-
-    ``solver`` records which inversion produced it.
-    """
+    """Chemical signal over the x-grid, output of the elliptic solve."""
 
     values: np.ndarray
-    solver: str = ""

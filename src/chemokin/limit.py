@@ -1,17 +1,18 @@
 """Fast-adaptation limit: the reduced velocity-jump model and the eps study.
 
 As the adaptation time scale shrinks, the m-distribution collapses onto a
-Dirac at the adapted state m0(S) and the dynamics reduce to the
-Othmer-Dunbar-Alt velocity-jump model, whose turning kernel is evaluated
-at m0(S(x, t)).  That model is the kinetic model with its m-axis reduced
-to one cell sitting at m0(S(x)), so it runs on the kinetic stepper's own
-parts: a ``StepperState`` on a one-cell m-grid of unit width, the
-kinetic transport and turning operator (with lambda taken at m0 of the
-lagged signal), the shared step epilogue and the ``kinetic.run``
-scheduler.  The module also quantifies how far a kinetic solution is from
-the Dirac profile (Wasserstein-1 width of the normalized m-marginal), and
-runs the eps-family experiment tabulating concentration width and the L1
-gap to the reduced solution.
+Dirac at the adapted state m0(S), the zero of the adaptation rate, which
+both rate families give in closed form (``AdaptationModel.equilibrium``).
+The dynamics reduce to the Othmer-Dunbar-Alt velocity-jump model, whose
+turning kernel is evaluated at m0(S(x, t)).  That model is the kinetic
+model with its m-axis reduced to one cell sitting at m0(S(x)), so it runs
+on the kinetic stepper's own parts: a ``StepperState`` on a one-cell
+m-grid of unit width, the kinetic transport and turning operator (with
+lambda taken at m0 of the lagged signal), the shared step epilogue and
+the ``kinetic.run`` scheduler.  The module also quantifies how far a
+kinetic solution is from the Dirac profile (Wasserstein-1 width of the
+normalized m-marginal), and runs the eps-family experiment tabulating
+concentration width and the L1 gap to the reduced solution.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ import numpy as np
 from .config import RunConfig
 from .diagnostics import DiagnosticsReport
 from .elliptic import solve_signal
-from .errors import BadConfig, EmptyField, NoSignChange
+from .errors import BadConfig, EmptyField
 from .fields import DensityField
 from .kinetic import (StepperState, TurningTensors, finish_step, number_density, pbar_of,
                       run as kinetic_run, transport_apply, turning_apply)
@@ -37,44 +38,11 @@ STUDY_COLUMNS = ("eps", "t", "w1", "l1_gap", "mass",
 
 
 # ---------------------------------------------------------------------------
-# Adapted-state root
-# ---------------------------------------------------------------------------
-
-def m_zero(spec: ModelSpec, s: float, tol: float = 1e-12) -> float:
-    """Unique zero of the adaptation rate in (m_minus, m_plus), by bisection.
-
-    Derivative-free so the flat-rooted cubic family costs nothing extra.
-    """
-    return float(m_zero_field(spec, np.array([float(s)]), tol)[0])
-
-
-def m_zero_field(spec: ModelSpec, s: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Vectorized bisection of the adaptation rate over an array of signals."""
-    s = np.asarray(s, dtype=float)
-    lo = np.full(s.shape, spec.m_minus)
-    hi = np.full(s.shape, spec.m_plus)
-    f_lo = spec.adaptation_rate(lo, s)
-    f_hi = spec.adaptation_rate(hi, s)
-    if np.any(f_lo <= 0) or np.any(f_hi >= 0):
-        bad = np.argmax((f_lo <= 0) | (f_hi >= 0))
-        raise NoSignChange(
-            "adaptation rate does not change sign over (m_minus, m_plus) at "
-            f"S = {s.ravel()[bad]:.6g}")
-    span = spec.m_plus - spec.m_minus
-    for _ in range(max(1, math.ceil(math.log2(span / tol)))):
-        mid = 0.5 * (lo + hi)
-        pos = spec.adaptation_rate(mid, s) > 0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-# ---------------------------------------------------------------------------
 # Reduced velocity-jump model
 # ---------------------------------------------------------------------------
 
 def _adapted_tensors(spec: ModelSpec, grid: PhaseGrid, s: np.ndarray) -> TurningTensors:
-    return TurningTensors.build(spec, grid, m=m_zero_field(spec, s)[..., None, None])
+    return TurningTensors.build(spec, grid, m=spec.adaptation.equilibrium(s)[..., None, None])
 
 
 def oda_state(grid: PhaseGrid, spec: ModelSpec, initial: InitialData) -> StepperState:
@@ -129,20 +97,15 @@ def oda_run(grid: PhaseGrid, spec: ModelSpec, initial: InitialData, t_end: float
 class ConcentrationMetrics:
     """Distance of the normalized m-marginals from the adapted Dirac profile.
 
-    Per spatial cell (flattened x index): absolute deviation of the
-    m-mean from m0(S(x)), the marginal's standard deviation, and the
-    Wasserstein-1 distance to the Dirac at m0(S(x)) (the first absolute
-    moment about it, equivalently the integral of |CDF - step|).
-    Aggregates are mass-weighted over cells above the vacuum floor.
+    ``w1_aggregate`` is the Wasserstein-1 distance of each spatial cell's
+    normalized m-marginal to the Dirac at m0(S(x)) (the first absolute
+    moment about it, equivalently the integral of |CDF - step|),
+    mass-weighted over the cells above the vacuum floor; the cells and
+    mass below that floor are counted in ``excluded_cells`` and
+    ``excluded_mass``.
     """
 
-    included: np.ndarray
-    mean_dev: np.ndarray
-    std: np.ndarray
-    w1: np.ndarray
     w1_aggregate: float
-    mean_dev_aggregate: float
-    std_aggregate: float
     excluded_cells: int
     excluded_mass: float
 
@@ -158,30 +121,16 @@ def concentration_metrics(p: np.ndarray, s: np.ndarray, spec: ModelSpec,
 
     floor = 1e-12 * total / marginal.shape[0]
     included = n_x * grid.cell_volume > floor
-    m0x = m_zero_field(spec, np.asarray(s).reshape(-1))
+    m0x = spec.adaptation.equilibrium(np.asarray(s).reshape(-1))
 
-    m_c = grid.m_centers
     safe_n = np.where(included, n_x, 1.0)
     norm = marginal / safe_n[:, None]
-    mean = norm @ m_c
-    var = np.einsum("xm,xm->x", norm, (m_c[None, :] - mean[:, None]) ** 2)
-    w1 = np.einsum("xm,xm->x", norm, np.abs(m_c[None, :] - m0x[:, None]))
+    w1 = np.einsum("xm,xm->x", norm, np.abs(grid.m_centers[None, :] - m0x[:, None]))
 
     weight = np.where(included, n_x, 0.0)
     wsum = float(np.sum(weight))
-    mean_dev = np.abs(mean - m0x)
-
-    def agg(values: np.ndarray) -> float:
-        return float(np.sum(values * weight) / wsum) if wsum > 0 else np.nan
-
     return ConcentrationMetrics(
-        included=included,
-        mean_dev=np.where(included, mean_dev, np.nan),
-        std=np.where(included, np.sqrt(var), np.nan),
-        w1=np.where(included, w1, np.nan),
-        w1_aggregate=agg(w1),
-        mean_dev_aggregate=agg(mean_dev),
-        std_aggregate=agg(np.sqrt(var)),
+        w1_aggregate=float(np.sum(w1 * weight) / wsum) if wsum > 0 else np.nan,
         excluded_cells=int(np.sum(~included)),
         excluded_mass=float(np.sum(n_x[~included]) * grid.cell_volume),
     )
@@ -267,7 +216,11 @@ def eps_study(cfg: RunConfig, eps_list: list[float],
     """
     if not eps_list or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise BadConfig("eps_list must be non-empty and strictly decreasing")
+    if not all(map(math.isfinite, eps_list)):
+        raise BadConfig(f"eps values must be finite, got {eps_list}")
     t_end = cfg.run.t_end if t_end is None else t_end
+    if not math.isfinite(t_end):
+        raise BadConfig(f"t_end must be finite, got {t_end}")
 
     grid, spec, initial = build_scenario(
         dc_replace(cfg, model=dc_replace(cfg.model, eps=min(eps_list))))

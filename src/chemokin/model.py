@@ -171,7 +171,7 @@ class AdaptationModel:
     rate = kappa*(m0(S) - m)**3, with m0(S) = m_minus +
     (m_plus - m_minus)*S/(s_ref + S) clamped strictly inside
     (m_minus, m_plus).  The cubic kind has a flat (vanishing-derivative)
-    root and exercises the derivative-free code paths.
+    root.
     """
 
     kind: str
@@ -332,17 +332,6 @@ class ModelSpec:
 
     def adaptation_rate(self, m, s):
         return self.adaptation.rate(m, s)
-
-    def turning_rate(self, grid: PhaseGrid, to_idx: int, from_idx: int, m):
-        """T(v_to, v_from, m) on the grid's velocity set."""
-        k = self.turning.kernel_matrix(grid)[to_idx, from_idx]
-        return self.turning.frequency(m) * k
-
-    def turning_tensor(self, grid: PhaseGrid) -> np.ndarray:
-        """T[k, k', j] = T(v_k, v_k', m_j) at the m-cell centers."""
-        lam = self.turning.frequency(grid.m_centers)
-        ker = self.turning.kernel_matrix(grid)
-        return ker[:, :, None] * lam[None, None, :]
 
     def validate_on(self, grid: PhaseGrid, n_s_samples: int = 33) -> None:
         """Certify kernel positivity/boundedness and the rate sign structure.

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import BadConfig, LeftDomain, NoContraction
+from .errors import BadConfig, NoContraction
 from .fields import DensityField
 from .model import ModelSpec, PhaseGrid
 
@@ -81,18 +81,8 @@ class SignalHistory:
 
 
 # ---------------------------------------------------------------------------
-# Characteristic backtrace
+# Internal state along backward characteristics
 # ---------------------------------------------------------------------------
-
-@dataclass
-class CharacteristicPath:
-    """Backward characteristic through (x, v, m, t), sampled on s in [0, t]."""
-
-    s: np.ndarray
-    x: np.ndarray
-    m: np.ndarray
-    v: np.ndarray
-
 
 def _rk4_backward(m_end, x_end, v, s_grid: np.ndarray, s_hist: SignalHistory,
                   spec: ModelSpec, substeps: int):
@@ -124,45 +114,6 @@ def _rk4_backward(m_end, x_end, v, s_grid: np.ndarray, s_hist: SignalHistory,
             s += h
         out[idx - 1] = m
     return out
-
-
-def backtrace(x: float, v_idx: int, m: float, t: float, s_hist: SignalHistory,
-              spec: ModelSpec, grid: PhaseGrid, tol: float = 1e-10,
-              n_samples: int = 16, max_doublings: int = 20) -> CharacteristicPath:
-    """Backward characteristic from (x, v, m) at time t down to time 0.
-
-    The position is exact (affine in s); the internal state is integrated
-    with classical RK4, doubling the step count until M(0) moves by at
-    most ``tol``.  Raises LeftDomain if the state exits [0, m_max], which
-    signals a misconfigured m truncation.
-    """
-    if t < 0:
-        raise BadConfig("backtrace needs t >= 0")
-    v = grid.velocities[v_idx]
-    vx = float(v[0]) if grid.dim == 1 else v
-    if t == 0:
-        return CharacteristicPath(np.array([0.0]), np.array([x]), np.array([float(m)]), v)
-
-    n = n_samples
-    prev_m0 = None
-    for _ in range(max_doublings):
-        s_grid = np.linspace(0.0, t, n + 1)
-        m_path = _rk4_backward(np.float64(m), np.float64(x), vx, s_grid, s_hist,
-                               spec, substeps=1)
-        m0 = float(m_path[0])
-        if prev_m0 is not None and abs(m0 - prev_m0) <= tol:
-            break
-        prev_m0 = m0
-        n *= 2
-
-    slack = 1e-9 * grid.m_max
-    if np.any(m_path < -slack) or np.any(m_path > grid.m_max + slack):
-        raise LeftDomain(
-            f"internal state left [0, {grid.m_max}] along the characteristic "
-            f"(range [{float(m_path.min()):.6g}, {float(m_path.max()):.6g}])")
-
-    x_path = x - vx * (t - s_grid)
-    return CharacteristicPath(s=s_grid, x=x_path, m=m_path, v=np.atleast_1d(v))
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,33 @@ def test_m_max_conflict_rejected(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("old, new, args", [
+    ("eps = 0.2", "eps = nan", None),
+    ("kappa = 1.0", "kappa = nan", None),
+    ("[model]", "[model]\nlambda0 = nan", None),
+    ("output_every = 0.1", "output_every = nan", None),
+    (None, None, ["--eps", "0.2,nan"]),
+    (None, None, ["--eps", "inf,0.1"]),
+    (None, None, ["--eps", "0.2", "--t-end", "nan"]),
+], ids=["eps", "kappa", "lambda0", "output_every", "eps-list-nan", "eps-list-inf",
+        "t-end-nan"])
+def test_non_finite_input_is_bad_config(tmp_path, capsys, old, new, args):
+    # NaN slips through every "<= 0" check; it must still be a bad config
+    # (exit 2) naming the value, not a crash or a verification failure.
+    path = write_config(tmp_path)
+    if old is not None:
+        path.write_text(path.read_text().replace(old, new))
+    argv = ["run", str(path)] if args is None else ["study-eps", str(path)] + args
+    assert main(argv) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_infinite_t_end_rejected(tmp_path):
+    # Checked on the parser: a run to t_end = inf would never end.
+    with pytest.raises(BadConfig, match="t_end"):
+        parse_config(write_config(tmp_path, t_end="inf"))
+
+
 def test_missing_config_is_io_error(tmp_path):
     assert main(["run", str(tmp_path / "nope.cfg")]) == 3
 

@@ -45,7 +45,6 @@ def test_free_space_delta_reproduces_half_exponential():
     n = np.zeros(grid.x_nodes)
     n[i0] = 1.0 / grid.dx  # unit-mass discrete delta
     s = solve_signal(n, grid)
-    assert s.solver == "green-convolution"
     assert abs(s.values[i0] - 0.5) <= grid.dx
     x0 = grid.x_centers[i0]
     exact = 0.5 * np.exp(-np.abs(grid.x_centers - x0))

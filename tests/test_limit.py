@@ -1,15 +1,16 @@
-"""Adapted-state root, reduced velocity-jump model, concentration metrics, study."""
+"""Adapted state, reduced velocity-jump model, concentration metrics, study."""
+from dataclasses import replace as dc_replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chemokin.config import GridConfig, RunConfig
-from chemokin.errors import BadConfig, EmptyField, NoSignChange, PositivityError
+from chemokin.errors import AssumptionViolation, BadConfig, EmptyField, PositivityError
 from chemokin.fields import DensityField
 from chemokin.kinetic import StepperState, pbar_of, run as kinetic_run, total_mass
-from chemokin.limit import (concentration_metrics, eps_study, m_zero, m_zero_field,
-                            oda_run, oda_state, oda_step)
-from chemokin.model import build_scenario, package_initial
+from chemokin.limit import concentration_metrics, eps_study, oda_run, oda_state, oda_step
+from chemokin.model import AdaptationModel, build_scenario, package_initial
 
 
 def scenario(**overrides):
@@ -25,46 +26,79 @@ def scenario(**overrides):
     return cfg, *build_scenario(cfg)
 
 
-# -- adapted-state root ----------------------------------------------------------
+# -- adapted state ---------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["linear", "cubic"]), kappa=st.floats(0.05, 20.0),
+       s_ref=st.floats(0.01, 5.0), m_minus=st.floats(0.01, 2.0),
+       span=st.floats(0.05, 3.0), s=st.floats(0.0, 20.0))
+def test_equilibrium_is_the_sign_change_of_the_rate(kind, kappa, s_ref, m_minus, span, s):
+    # The closed-form adapted state is the unique zero of the rate inside
+    # (m_minus, m_plus): the rate is positive below it and negative above
+    # it, down to a hair's width on either side, for both families.
+    adapt = AdaptationModel(kind=kind, kappa=kappa, s_ref=s_ref,
+                            m_minus=m_minus, m_plus=m_minus + span)
+    m0 = float(adapt.equilibrium(s))
+    assert adapt.m_minus < m0 < adapt.m_plus
+    assert adapt.rate(m0, s) == 0.0
+    h = 1e-9 * span
+    for below in (adapt.m_minus, m0 - h):
+        assert adapt.rate(below, s) > 0.0
+    for above in (m0 + h, adapt.m_plus):
+        assert adapt.rate(above, s) < 0.0
+
+
+
+def bisect_rate_root(adapt, s, tol=1e-15):
+    """Reference root of the adaptation rate in (m_minus, m_plus) by bisection."""
+    lo, hi = adapt.m_minus, adapt.m_plus
+    assert adapt.rate(lo, s) > 0.0 > adapt.rate(hi, s)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if adapt.rate(mid, s) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
 
 def test_m_zero_linear_equals_equilibrium_map():
+    # The reduced model's adapted state is the closed-form map; it matches
+    # an independent bisection of the linear rate.
     cfg, grid, spec, init = scenario(f_family="linear")
     for s in (0.05, 0.4, 1.3, 7.0):
-        assert m_zero(spec, s) == pytest.approx(float(spec.adaptation.equilibrium(s)),
-                                                abs=1e-12)
+        m0 = float(spec.adaptation.equilibrium(s))
+        assert m0 == pytest.approx(bisect_rate_root(spec.adaptation, s), abs=1e-12)
 
 
 def test_m_zero_cubic_same_root_despite_flat_derivative():
+    # The cubic rate has a vanishing derivative at its root; the bisection
+    # still lands on the same closed-form adapted state.
     cfg, grid, spec, init = scenario(f_family="cubic")
     for s in (0.1, 0.6, 2.5):
-        oracle = float(spec.adaptation.equilibrium(s))  # same map for both kinds
-        assert m_zero(spec, s) == pytest.approx(oracle, abs=1e-12)
+        m0 = float(spec.adaptation.equilibrium(s))
+        assert m0 == pytest.approx(bisect_rate_root(spec.adaptation, s), abs=1e-12)
 
 
 def test_m_zero_at_zero_signal_strictly_inside():
     cfg, grid, spec, init = scenario()
-    root = m_zero(spec, 0.0)
+    root = float(spec.adaptation.equilibrium(0.0))
     assert spec.m_minus < root < spec.m_plus
 
 
-def test_m_zero_vectorized_matches_scalar():
-    cfg, grid, spec, init = scenario()
-    s = np.linspace(0.0, 3.0, 17)
-    roots = m_zero_field(spec, s)
-    for si, ri in zip(s, roots):
-        assert ri == pytest.approx(m_zero(spec, float(si)), abs=1e-12)
-
-
 def test_m_zero_no_sign_change():
-    class AlwaysPositive:
-        m_minus, m_plus = 0.2, 1.2
-
-        def adaptation_rate(self, m, s):
+    # A rate without a sign change in (m_minus, m_plus) has no adapted
+    # state; the build-time certificate refuses it.
+    class AlwaysPositive(AdaptationModel):
+        def rate(self, m, s):
             return np.ones_like(np.asarray(m, dtype=float))
 
-    with pytest.raises(NoSignChange):
-        m_zero_field(AlwaysPositive(), np.array([0.5]))
-
+    cfg, grid, spec, init = scenario()
+    a = spec.adaptation
+    bad = dc_replace(spec, adaptation=AlwaysPositive(
+        kind=a.kind, kappa=a.kappa, s_ref=a.s_ref, m_minus=a.m_minus, m_plus=a.m_plus))
+    with pytest.raises(AssumptionViolation, match="sign structure"):
+        bad.validate_on(grid)
 
 # -- reduced model ----------------------------------------------------------------
 
@@ -187,7 +221,7 @@ def test_w1_symmetric_two_cell_split_equals_offset():
     m0 = 0.5 * (grid.m_centers[j_lo] + grid.m_centers[j_hi])
     h = 0.5 * (grid.m_centers[j_hi] - grid.m_centers[j_lo])
     s_val = s_for_root(spec, m0)
-    assert m_zero(spec, s_val) == pytest.approx(m0, abs=1e-10)
+    assert float(spec.adaptation.equilibrium(s_val)) == pytest.approx(m0, abs=1e-10)
     p = np.zeros(grid.field_shape)
     p[:, :, j_lo] = 1.0
     p[:, :, j_hi] = 1.0
@@ -207,7 +241,8 @@ def test_w1_uniform_marginal_closed_form():
     p = np.ones(grid.field_shape)
     metrics = concentration_metrics(p, np.full(grid.x_shape, s_val), spec, grid)
     masses = np.ones(grid.m_nodes)
-    oracle = cdf_step_distance(masses, grid.m_centers, m_zero(spec, s_val), grid.m_max)
+    oracle = cdf_step_distance(masses, grid.m_centers,
+                               float(spec.adaptation.equilibrium(s_val)), grid.m_max)
     assert metrics.w1_aggregate == pytest.approx(oracle, rel=1e-3)
 
 

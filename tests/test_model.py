@@ -9,6 +9,17 @@ from chemokin.model import (AdaptationModel, PhaseGrid, TurningModel,
 from chemokin.fields import DensityField
 
 
+def turning_rate(spec, grid, to_idx, from_idx, m):
+    """Reference T(v_to, v_from, m) = lambda(m) * K(v_to, v_from) on the grid."""
+    return spec.turning.frequency(m) * spec.turning.kernel_matrix(grid)[to_idx, from_idx]
+
+
+def turning_tensor(spec, grid):
+    """Reference T[k, k', j] = T(v_k, v_k', m_j) at the m-cell centers."""
+    lam = spec.turning.frequency(grid.m_centers)
+    return spec.turning.kernel_matrix(grid)[:, :, None] * lam[None, None, :]
+
+
 def small_config(**model_kw) -> RunConfig:
     cfg = RunConfig()
     cfg.grid = GridConfig(x_nodes=32, x_extent=8.0, v_count=4, m_nodes=24)
@@ -41,7 +52,7 @@ def test_constant_kernel_accepted():
     cfg = small_config(t_family="constant", lambda0=1.5)
     grid, spec, _ = build_scenario(cfg)
     assert spec.turning_cap == pytest.approx(1.5 / grid.v_measure)
-    t_val = spec.turning_rate(grid, 0, 1, 0.3)
+    t_val = turning_rate(spec, grid, 0, 1, 0.3)
     assert 0 < t_val <= spec.turning_cap
 
 
@@ -96,7 +107,7 @@ def test_rate_vanishes_at_equilibrium():
 def test_uniform_turning_rate_independent_of_arguments():
     cfg = small_config(t_family="constant", lambda0=2.0)
     grid, spec, _ = build_scenario(cfg)
-    vals = {spec.turning_rate(grid, i, j, m)
+    vals = {turning_rate(spec, grid, i, j, m)
             for i in range(grid.n_v) for j in range(grid.n_v)
             for m in (0.0, 0.5, 1.5)}
     assert len({round(v, 15) for v in vals}) == 1
@@ -141,7 +152,7 @@ def test_turning_sweep_positive_and_bounded():
     for family in ("constant", "separable-uniform", "separable-angle"):
         cfg = small_config(t_family=family)
         grid, spec, _ = build_scenario(cfg)
-        tensor = spec.turning_tensor(grid)
+        tensor = turning_tensor(spec, grid)
         assert np.all(tensor > 0)
         assert np.all(tensor <= spec.turning_cap * (1 + 1e-12))
 

@@ -1,15 +1,15 @@
-"""Characteristic backtrace and the Picard fixed point vs. independent oracles."""
+"""Backward characteristics and the Picard fixed point vs. independent oracles."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chemokin.errors import LeftDomain, NoContraction
+from chemokin.errors import NoContraction
 from chemokin.fields import DensityField
 from chemokin.kinetic import StepperState, macro_step, total_mass
 from chemokin.model import (AdaptationModel, ModelSpec, PhaseGrid, TurningModel,
                             package_initial, velocity_set)
-from chemokin.oracle import (SignalHistory, _interp_xm, _pad_m, _x_stencil,
-                             backtrace, contraction_coefficient, duhamel_solve)
+from chemokin.oracle import (SignalHistory, _interp_xm, _pad_m, _rk4_backward, _x_stencil,
+                             contraction_coefficient, duhamel_solve)
 
 
 def make_setup(nx=16, nm=16, extent=4.0, kappa=1.0, lambda0=0.5, eps=1.0,
@@ -27,18 +27,27 @@ def make_setup(nx=16, nm=16, extent=4.0, kappa=1.0, lambda0=0.5, eps=1.0,
     return grid, spec
 
 
-# -- backtrace ------------------------------------------------------------------
+# -- backward characteristics ---------------------------------------------------
+
+def backtrace(m_end, x_end, v, t, hist, spec, n_intervals=16, substeps=4):
+    """Internal state along the backward characteristic, on a uniform s grid."""
+    s_grid = np.linspace(0.0, t, n_intervals + 1)
+    path = _rk4_backward(np.float64(m_end), np.float64(x_end), v, s_grid, hist, spec,
+                         substeps=substeps)
+    return s_grid, path
+
+
+def leaves_m_range(path, grid):
+    return bool(path.min() < 0.0 or path.max() > grid.m_max)
+
 
 def test_backtrace_stationary_at_adapted_state():
     grid, spec = make_setup()
     s_val = 0.5
     hist = SignalHistory.constant(np.full(grid.x_nodes, s_val), grid)
     m0 = float(spec.adaptation.equilibrium(s_val))
-    path = backtrace(x=0.3, v_idx=1, m=m0, t=1.0, s_hist=hist, spec=spec, grid=grid)
-    assert np.allclose(path.m, m0, atol=1e-12)
-    v = float(grid.velocities[1, 0])
-    assert path.x[0] == pytest.approx(0.3 - v * 1.0)       # exact streaming
-    assert np.allclose(np.diff(path.x) / np.diff(path.s), v, atol=1e-12)
+    _, path = backtrace(m0, 0.3, float(grid.velocities[1, 0]), 1.0, hist, spec)
+    assert np.allclose(path, m0, atol=1e-12)
 
 
 def test_backtrace_matches_linear_relaxation_closed_form():
@@ -47,37 +56,33 @@ def test_backtrace_matches_linear_relaxation_closed_form():
     hist = SignalHistory.constant(np.full(grid.x_nodes, s_val), grid)
     m0 = float(spec.adaptation.equilibrium(s_val))
     m_end, t = 0.9, 0.6
-    path = backtrace(x=0.0, v_idx=0, m=m_end, t=t, s_hist=hist, spec=spec, grid=grid)
+    s, path = backtrace(m_end, 0.0, float(grid.velocities[0, 0]), t, hist, spec)
     # relaxation toward m0 forward in time departs from m0 backward in time
-    exact = m0 + (m_end - m0) * np.exp(1.3 * (t - path.s) / 0.7)
-    assert np.max(np.abs(path.m - exact)) <= 1e-8
+    exact = m0 + (m_end - m0) * np.exp(1.3 * (t - s) / 0.7)
+    assert np.max(np.abs(path - exact)) <= 1e-8
 
 
 def test_backtrace_zero_velocity_stationary_position():
-    v = np.array([[0.0]])
-    w = np.array([2.0])
-    grid = PhaseGrid(dim=1, x_nodes=8, x_extent=4.0, x_topology="periodic",
-                     velocities=v, weights=w, m_nodes=8, m_max=1.7)
-    spec = ModelSpec(
-        adaptation=AdaptationModel(kind="linear", kappa=1.0, s_ref=0.5,
-                                   m_minus=0.2, m_plus=1.2),
-        turning=TurningModel(kind="constant", lambda0=0.5),
-        epsilon=1.0)
-    spec.validate_on(grid)
-    hist = SignalHistory.constant(np.full(8, 0.8), grid)
-    path = backtrace(x=0.6, v_idx=0, m=0.9, t=0.5, s_hist=hist, spec=spec, grid=grid)
-    assert np.all(path.x == 0.6)
-    m0 = float(spec.adaptation.equilibrium(0.8))
+    # With v = 0 the path reads the signal at its end point only, so on a
+    # signal that varies in x it relaxes toward that point's adapted state.
+    grid, spec = make_setup()
+    x = grid.x_centers
+    hist = SignalHistory.constant(0.3 + 0.5 * np.exp(-x ** 2), grid)
+    i = 5
+    m0 = float(spec.adaptation.equilibrium(hist.fields[0, i]))
+    _, path = backtrace(0.9, x[i], 0.0, 0.5, hist, spec)
     exact0 = m0 + (0.9 - m0) * np.exp(1.0 * 0.5)
-    assert path.m[0] == pytest.approx(exact0, abs=1e-8)
+    assert path[0] == pytest.approx(exact0, abs=1e-8)
 
 
-def test_backtrace_leaves_domain_raises():
+def test_backtrace_leaves_m_range():
     grid, spec = make_setup(kappa=2.0)
     hist = SignalHistory.constant(np.full(grid.x_nodes, 0.5), grid)
     # backward flow expands away from the root: exp(kappa t) * 0.5 >> m_max
-    with pytest.raises(LeftDomain):
-        backtrace(x=0.0, v_idx=0, m=1.2, t=2.0, s_hist=hist, spec=spec, grid=grid)
+    _, path = backtrace(1.2, 0.0, float(grid.velocities[0, 0]), 2.0, hist, spec)
+    assert leaves_m_range(path, grid)
+    _, inside = backtrace(1.2, 0.0, float(grid.velocities[0, 0]), 0.1, hist, spec)
+    assert not leaves_m_range(inside, grid)
 
 
 # -- Duhamel / Picard -----------------------------------------------------------
@@ -251,9 +256,9 @@ def test_duhamel_matches_brute_force_quadrature_free_grid():
     hist = SignalHistory.constant(s_field, grid)
     t, n_time, iters = 0.3, 4, 4
     for j in (0, grid.m_nodes - 1):
-        with pytest.raises(LeftDomain):
-            backtrace(x=float(x[0]), v_idx=0, m=float(grid.m_centers[j]), t=t,
-                      s_hist=hist, spec=spec, grid=grid)
+        _, path = backtrace(grid.m_centers[j], x[0], float(grid.velocities[0, 0]), t,
+                            hist, spec)
+        assert leaves_m_range(path, grid)
     rng = np.random.default_rng(11)
     p0 = rng.random(grid.field_shape)
     res = duhamel_solve(DensityField(p0), hist, spec, grid, t,
