@@ -165,7 +165,9 @@ def _verify_oracle(lines: list[str]) -> bool:
                        * grid.weights[:, None]) * grid.cell_volume * grid.dm)
     rel = gap / initial.mass
     return _check("oracle cross-validation", rel <= 0.05,
-                  f"relative L1 gap = {rel:.3e} <= 0.05 at 16x2x16", lines)
+                  f"relative L1 gap = {rel:.3e} <= 0.05 at 16x2x16, "
+                  f"check sweeps = {oracle.iterations}, fixed-point residual = "
+                  f"{oracle.sup_diffs[-1]:.1e}", lines)
 
 
 def _verify_envelopes(cfg: RunConfig, lines: list[str]) -> bool:

@@ -20,6 +20,11 @@ F_FAMILIES = ("linear", "cubic")
 T_FAMILIES = ("constant", "separable-uniform", "separable-angle")
 INITIAL_PROFILES = ("gaussian", "two-bumps", "uniform")
 
+#: Most output instants a run may schedule.  ``run`` writes one dump per
+#: instant, so a tiny output_every or a huge t_end would fill memory and
+#: disk; the shipped configs schedule at most 40.
+MAX_OUTPUT_TIMES = 10_000
+
 
 @dataclass
 class GridConfig:
@@ -232,3 +237,16 @@ def validate_config(cfg: RunConfig) -> None:
         raise BadConfig(f"[run] output_every must be positive, got {run.output_every}")
     if run.threads < 1:
         raise BadConfig(f"[run] threads must be >= 1, got {run.threads}")
+    check_output_schedule(run.t_end, run.output_every)
+
+
+def check_output_schedule(t_end: float, output_every: float) -> None:
+    """Reject a schedule of more than MAX_OUTPUT_TIMES output instants.
+
+    A run to t_end schedules about t_end/output_every instants; the ratio
+    is checked so the schedule itself is never built.
+    """
+    if t_end / output_every > MAX_OUTPUT_TIMES:
+        raise BadConfig(
+            f"t_end = {t_end} with output_every = {output_every} schedules "
+            f"more than {MAX_OUTPUT_TIMES} output instants")

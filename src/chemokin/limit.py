@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, check_output_schedule
 from .diagnostics import DiagnosticsReport
 from .elliptic import solve_signal
 from .errors import BadConfig, EmptyField
@@ -221,6 +221,7 @@ def eps_study(cfg: RunConfig, eps_list: list[float],
     t_end = cfg.run.t_end if t_end is None else t_end
     if not math.isfinite(t_end):
         raise BadConfig(f"t_end must be finite, got {t_end}")
+    check_output_schedule(t_end, cfg.run.output_every)
 
     grid, spec, initial = build_scenario(
         dc_replace(cfg, model=dc_replace(cfg.model, eps=min(eps_list))))

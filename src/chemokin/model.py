@@ -183,7 +183,8 @@ class AdaptationModel:
     def __post_init__(self) -> None:
         if self.kind not in ("linear", "cubic"):
             raise BadConfig(f"unknown adaptation family {self.kind!r}")
-        if self.kappa <= 0 or self.s_ref <= 0:
+        # "not x > 0" also rejects NaN, which passes every "<= 0" test.
+        if not (self.kappa > 0 and self.s_ref > 0):
             raise BadConfig("adaptation parameters kappa, S_ref must be positive")
         if not 0 < self.m_minus < self.m_plus:
             raise BadConfig("need 0 < m_minus < m_plus")
@@ -261,7 +262,7 @@ class TurningModel:
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "separable-uniform", "separable-angle"):
             raise BadConfig(f"unknown turning family {self.kind!r}")
-        if self.lambda0 <= 0 or self.delta <= 0:
+        if not (self.lambda0 > 0 and self.delta > 0):
             raise BadConfig("turning parameters lambda0, delta must be positive")
         if not -1.0 < self.angle_coeff < 1.0:
             raise BadConfig("angle anisotropy must lie in (-1, 1)")
@@ -319,7 +320,7 @@ class ModelSpec:
     s_sample_cap: float = field(default=10.0)
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise BadConfig(f"epsilon must be positive, got {self.epsilon}")
 
     @property
@@ -347,7 +348,7 @@ class ModelSpec:
         # Turning kernel sweep over (v, v') x m (centers and edges).
         m_all = np.concatenate([grid.m_centers, grid.m_edges])
         lam = self.turning.frequency(m_all)
-        if np.any(lam <= 0):
+        if not np.all(lam > 0):   # a NaN beta or m_c fails here too
             j = int(np.argmin(lam))
             raise AssumptionViolation(
                 f"turning frequency must be positive: lambda(m={m_all[j]:.6g}) = {lam[j]:.6g}")

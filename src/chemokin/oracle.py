@@ -4,10 +4,14 @@ With the signal history held fixed, the transport/adaptation/turning
 equation is linear and can be integrated along characteristics: positions
 stream affinely, the internal state follows its relaxation ODE, and the
 density satisfies an integral identity whose right-hand side collects the
-slope-damping term and the turning gain/loss, iterated here as a Picard
-fixed point.  The kinetic stepper is cross-validated against this solver;
-two independent routes agreeing under refinement is the numerical
-stand-in for uniqueness.
+slope-damping term and the turning gain/loss.  Discretized by the
+trapezoid rule on a time grid, the identity is a Volterra system: node
+tau_l reads only nodes tau_l' <= tau_l.  It is solved by a forward march,
+one node at a time, and then checked by Picard sweeps of the same
+quadrature (P. Linz, Analytical and Numerical Methods for Volterra
+Equations, SIAM 1985).  The kinetic stepper is cross-validated against
+this solver; two independent routes agreeing under refinement is the
+numerical stand-in for uniqueness.
 
 Densities are read off the grid by cubic Lagrange interpolation in (x, m),
 a tensor-product stencil.  Characteristic positions are the grid shifted
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import BadConfig, NoContraction
+from .errors import BadConfig, NoContraction, SolverFailure
 from .fields import DensityField
 from .model import ModelSpec, PhaseGrid
 
@@ -84,36 +88,45 @@ class SignalHistory:
 # Internal state along backward characteristics
 # ---------------------------------------------------------------------------
 
-def _rk4_backward(m_end, x_end, v, s_grid: np.ndarray, s_hist: SignalHistory,
-                  spec: ModelSpec, substeps: int):
-    """Integrate dM/ds = F(M, S(X(s), s))/eps backward along the s grid.
+def _rk4_backward(m_end, x_end, v, taus: np.ndarray, s_hist: SignalHistory,
+                  spec: ModelSpec, substeps: int) -> list[np.ndarray]:
+    """Integrate dM/ds = F(M, S(X(s), s))/eps backward from every node of ``taus``.
 
-    Returns M at every node of ``s_grid`` (which ends at the path's end
-    time).  Vectorized over arbitrary leading shape of ``m_end``/``x_end``.
+    The path ending at node l starts from ``m_end`` at taus[l] and runs back
+    to taus[0] along X(s) = x_end - v (taus[l] - s).  The paths share the
+    tau grid, so all of them that cross an interval [taus[i-1], taus[i]]
+    step it together with ``substeps`` RK4 steps: one signal evaluation per
+    stage, and per path the same arithmetic as stepping it alone.  Entry l
+    of the result holds M at taus[0..l], shape (l + 1,) + shape of m_end.
     """
     eps = spec.epsilon
-    t_end = s_grid[-1]
+    m_end = np.asarray(m_end, dtype=float)
+    n = taus.size - 1
+    paths = [np.empty((l + 1,) + m_end.shape) for l in range(n + 1)]
+    for l, path in enumerate(paths):
+        path[l] = m_end
+    ends = taus.reshape((-1,) + (1,) * np.ndim(x_end))
 
-    def rhs(m, s):
+    def rhs(m, s, t_end):
         x_s = x_end - v * (t_end - s)
         return spec.adaptation.rate(m, s_hist.eval(x_s, s)) / eps
 
-    out = np.empty((s_grid.size,) + np.shape(m_end))
-    out[-1] = m_end
-    m = np.asarray(m_end, dtype=float)
-    for idx in range(s_grid.size - 1, 0, -1):
-        s_hi, s_lo = s_grid[idx], s_grid[idx - 1]
-        h = (s_lo - s_hi) / substeps  # negative: backward in s
-        s = s_hi
+    m = np.empty((0,) + m_end.shape)   # states of the paths ending at idx..n
+    for idx in range(n, 0, -1):
+        m = np.concatenate([m_end[None], m])
+        t_end = ends[idx:]
+        h = (taus[idx - 1] - taus[idx]) / substeps  # negative: backward in s
+        s = taus[idx]
         for _ in range(substeps):
-            k1 = rhs(m, s)
-            k2 = rhs(m + 0.5 * h * k1, s + 0.5 * h)
-            k3 = rhs(m + 0.5 * h * k2, s + 0.5 * h)
-            k4 = rhs(m + h * k3, s + h)
+            k1 = rhs(m, s, t_end)
+            k2 = rhs(m + 0.5 * h * k1, s + 0.5 * h, t_end)
+            k3 = rhs(m + 0.5 * h * k2, s + 0.5 * h, t_end)
+            k4 = rhs(m + h * k3, s + h, t_end)
             m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             s += h
-        out[idx - 1] = m
-    return out
+        for l in range(idx, n + 1):
+            paths[l][idx - 1] = m[l - idx]
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -214,25 +227,145 @@ def contraction_coefficient(spec: ModelSpec, grid: PhaseGrid) -> float:
     return spec.slope_cap / spec.epsilon + 2.0 * grid.v_measure * spec.turning_cap
 
 
+@dataclass
+class _Characteristics:
+    """Backward characteristics of a frozen-signal problem on the tau grid.
+
+    Each one is indexed by (k, l, l'): target velocity k, end node tau_l and
+    quadrature node tau_l' <= tau_l.  Its positions are the grid shifted by
+    v_k (tau_l - tau_l'), so its x-stencil (rows, weights with the free-mode
+    ghost mask, and the signal there) is tabulated once.  ``m_tab[k][l]``
+    holds the internal states (l+1, nx, nm); ``x_sten[k][l]`` the x-stencil
+    rows and weights (4, l+1, nx) and the signal values (l+1, nx, 1).
+    States may wander outside [0, m_max]; density lookups there read zero,
+    the boundary data of the truncated problem.
+    """
+
+    grid: PhaseGrid
+    spec: ModelSpec
+    dtau: float
+    gain_w: np.ndarray      # (k, k''): kernel times source weight
+    col_norm: np.ndarray    # (k,): discrete loss kernel mass
+    m_tab: list
+    x_sten: list
+
+    @property
+    def n_time(self) -> int:
+        return len(self.m_tab[0]) - 1
+
+    def weight(self, l: int, lp: int) -> float:
+        """Trapezoid weight of node l' in the integral up to node l."""
+        return self.dtau if 0 < lp < l else 0.5 * self.dtau
+
+    def integrand(self, src: np.ndarray, k: int, l: int, lp: int) -> np.ndarray:
+        """Slope damping plus turning gain/loss along characteristic (k, l, l').
+
+        ``src`` is the density at node l', (nx, nv, nm) m-padded by _pad_m.
+        Returns the integrand on (nx, nm).
+        """
+        rows, wx, s_at = self.x_sten[k][l]
+        ms = self.m_tab[k][l][lp]
+        gathered = _interp_xm(src, rows[:, lp], wx[:, lp], ms, self.grid)
+        own = gathered[:, k, :]
+        gain = np.einsum("j,xjm->xm", self.gain_w[k], gathered)
+        lam = self.spec.turning.frequency(ms)
+        slope = self.spec.adaptation.rate_m(ms, s_at[lp])
+        return (-slope / self.spec.epsilon) * own + lam * (gain - self.col_norm[k] * own)
+
+
+def _characteristics(s_hist: SignalHistory, spec: ModelSpec, grid: PhaseGrid,
+                     t: float, n_time: int, rk_substeps: int) -> _Characteristics:
+    """Tabulate every backward characteristic of the tau grid on [0, t]."""
+    taus = np.linspace(0.0, t, n_time + 1)
+    x_col = grid.x_centers[:, None]                  # broadcasts against m
+    mq0 = np.ones((grid.x_nodes, 1)) * grid.m_centers[None, :]
+    kernel = spec.turning.kernel_matrix(grid)
+
+    m_tab, x_sten = [], []
+    for k in range(grid.n_v):
+        vx = float(grid.velocities[k, 0])
+        m_tab.append(_rk4_backward(mq0, x_col, vx, taus, s_hist, spec, rk_substeps))
+        sten_k = []
+        for l in range(n_time + 1):
+            xs = grid.x_centers[None, :] - vx * (taus[l] - taus[:l + 1])[:, None]
+            rows, wx = _x_stencil(xs, grid)
+            s_at = np.stack([s_hist.eval(xs[lp], taus[lp]) for lp in range(l + 1)])
+            sten_k.append((rows, wx, s_at[..., None]))
+        x_sten.append(sten_k)
+    return _Characteristics(grid=grid, spec=spec, dtau=t / n_time,
+                            gain_w=kernel * grid.weights[None, :],
+                            col_norm=grid.weights @ kernel, m_tab=m_tab, x_sten=x_sten)
+
+
+def _pullback(ch: _Characteristics, p0: np.ndarray) -> np.ndarray:
+    """Initial data carried to every node along the characteristics, (L+1, nx, nv, nm)."""
+    grid = ch.grid
+    p0_pad = _pad_m(p0)
+    out = np.empty((ch.n_time + 1,) + p0.shape)
+    for k in range(grid.n_v):
+        for l in range(ch.n_time + 1):
+            rows, wx, _ = ch.x_sten[k][l]
+            out[l, :, k, :] = _interp_xm(p0_pad[:, k:k + 1], rows[:, 0], wx[:, 0],
+                                         ch.m_tab[k][l][0], grid)[:, 0, :]
+    return out
+
+
+def _sweep(ch: _Characteristics, pullback: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    """One application of the Picard map: pull-back plus the quadrature of ``prev``."""
+    src = _pad_m(prev)
+    nxt = pullback.copy()
+    for l in range(1, ch.n_time + 1):
+        for k in range(ch.grid.n_v):
+            for lp in range(l + 1):
+                nxt[l, :, k, :] += ch.weight(l, lp) * ch.integrand(src[lp], k, l, lp)
+    return nxt
+
+
+def _march(ch: _Characteristics, pullback: np.ndarray) -> np.ndarray:
+    """Fixed point of the Picard map, solved forward node by node.
+
+    Node l reads only nodes l' <= l.  The l' < l terms are already known.
+    At l' = l the shift is zero and the state is the grid's own, so that
+    term is a (V, V) matrix A_l per (x, m) cell, and the node solves
+    (I - w_l A_l) p_l = rhs in one batched call.
+    """
+    grid, spec = ch.grid, ch.spec
+    nv = grid.n_v
+    lam = spec.turning.frequency(grid.m_centers)[:, None]        # (nm, 1)
+    eye = np.eye(nv)
+    out = pullback.copy()
+    src = _pad_m(out)   # node l's interior is rewritten once it is solved
+    for l in range(1, ch.n_time + 1):
+        for k in range(nv):
+            for lp in range(l):
+                out[l, :, k, :] += ch.weight(l, lp) * ch.integrand(src[lp], k, l, lp)
+        s_l = ch.x_sten[0][l][2][l]          # S on the grid at tau_l, (nx, 1)
+        slope = spec.adaptation.rate_m(grid.m_centers[None, :], s_l)   # (nx, nm)
+        diag = slope[..., None] / spec.epsilon + lam * ch.col_norm    # (nx, nm, k)
+        a_l = lam[..., None] * ch.gain_w - diag[..., None] * eye      # (nx, nm, k, j)
+        w_l = ch.weight(l, l)
+        rhs = out[l].transpose(0, 2, 1)[..., None]                   # (nx, nm, k, 1)
+        out[l] = np.linalg.solve(eye - w_l * a_l, rhs)[..., 0].transpose(0, 2, 1)
+        src[l, ..., _M_GHOSTS:-_M_GHOSTS] = out[l]
+    return out
+
+
 def duhamel_solve(p0: DensityField, s_hist: SignalHistory, spec: ModelSpec,
                   grid: PhaseGrid, t: float, picard_iters: int,
                   n_time: int = 32, rk_substeps: int = 4,
                   tol: float = 1e-10) -> DuhamelResult:
     """Fixed point of the characteristic integral identity on a frozen signal.
 
-    Iterates the representation (pull-back of the initial data plus the
-    time integral of slope damping and turning gain/loss along each
-    backward characteristic) until successive iterates differ by at most
-    ``tol`` in sup norm, or ``picard_iters`` sweeps.  Requires the horizon
-    to contract: t * (slope_cap/eps + 2 V_d turning_cap) < 1.
-
-    The characteristics are fixed before the first sweep.  Each one is
-    indexed by (k, l, l'): target velocity k, end node tau_l and quadrature
-    node tau_l' <= tau_l.  Its positions are the grid shifted by
-    v_k (tau_l - tau_l'), so its x-stencil (rows, weights with the free-mode
-    ghost mask, and the signal there) is tabulated once.  A sweep applies it
-    to every source velocity at once, then the m-stencil of the tabulated
-    internal states, rebuilt per sweep; see _interp_xm.
+    The representation is the pull-back of the initial data plus the time
+    integral of slope damping and turning gain/loss along each backward
+    characteristic, by the trapezoid rule on ``n_time`` intervals.  It is
+    lower-triangular in time, so a forward march solves it in one pass
+    (_march).  ``picard_iters`` caps the check sweeps: with one or more, a
+    single Picard sweep is applied to the marched field, and if it moves
+    the field by more than ``tol`` in sup norm, SolverFailure is raised;
+    with zero the check is skipped.  ``iterations`` counts the sweeps run,
+    and the returned field is the marched one either way.  Requires the
+    horizon to contract: t * (slope_cap/eps + 2 V_d turning_cap) < 1.
     """
     if grid.dim != 1:
         raise BadConfig("the Duhamel oracle is one-dimensional")
@@ -243,77 +376,21 @@ def duhamel_solve(p0: DensityField, s_hist: SignalHistory, spec: ModelSpec,
         raise NoContraction(
             f"horizon t = {t} gives contraction factor {t * coef:.3f} >= 1")
 
-    nx, nv, nm = grid.x_nodes, grid.n_v, grid.m_nodes
-    lt = max(1, n_time)
-    taus = np.linspace(0.0, t, lt + 1)
-    dtau = t / lt
-    eps = spec.epsilon
-    x_col = grid.x_centers[:, None]                  # broadcasts against m
-    mq0 = np.ones((nx, 1)) * grid.m_centers[None, :]
-
-    kernel = spec.turning.kernel_matrix(grid)
-    gain_w = kernel * grid.weights[None, :]          # (k, k'')
-    col_norm = grid.weights @ kernel                 # (k,) discrete loss kernel mass
-
-    # Characteristic tables for each target velocity k and end index l,
-    # stacked over the earlier nodes l' <= l: internal states m_tab
-    # (l+1, nx, nm); x-stencil rows and weights (4, l+1, nx); signal values
-    # (l+1, nx, 1).  States may wander outside [0, m_max]; density lookups
-    # there read zero, the boundary data of the truncated problem.
-    m_tab = [[None] * (lt + 1) for _ in range(nv)]
-    x_sten = [[None] * (lt + 1) for _ in range(nv)]
-    for k in range(nv):
-        vx = float(grid.velocities[k, 0])
-        for l in range(lt + 1):
-            s_grid = taus[: l + 1]
-            if l == 0:
-                m_tab[k][l] = mq0[None, :, :].copy()
-            else:
-                m_tab[k][l] = _rk4_backward(mq0, x_col, vx, s_grid, spec=spec,
-                                            s_hist=s_hist, substeps=rk_substeps)
-            xs = grid.x_centers[None, :] - vx * (taus[l] - s_grid)[:, None]
-            rows, wx = _x_stencil(xs, grid)
-            s_at = np.stack([s_hist.eval(xs[lp], s_grid[lp]) for lp in range(l + 1)])
-            x_sten[k][l] = (rows, wx, s_at[..., None])
-
-    # Pull-back of the initial data (node l' = 0): iterate zero.
-    p0_pad = _pad_m(p0.values)
-    pullback = np.empty((lt + 1, nx, nv, nm))
-    for k in range(nv):
-        for l in range(lt + 1):
-            rows, wx, _ = x_sten[k][l]
-            pullback[l, :, k, :] = _interp_xm(p0_pad[:, k:k + 1], rows[:, 0], wx[:, 0],
-                                              m_tab[k][l][0], grid)[:, 0, :]
+    ch = _characteristics(s_hist, spec, grid, t, max(1, n_time), rk_substeps)
+    pullback = _pullback(ch, p0.values)
+    marched = _march(ch, pullback)
 
     sup_diffs: list[float] = []
     l1_diffs: list[float] = []
-    cell = grid.cell_volume * grid.dm
+    if picard_iters >= 1:
+        diff = np.abs(_sweep(ch, pullback, marched) - marched)
+        sup_diffs.append(float(diff.max()))
+        l1_diffs.append(float(np.einsum("lxvm,v->l", diff, grid.weights).max())
+                        * grid.cell_volume * grid.dm)
+        if sup_diffs[0] > tol:
+            raise SolverFailure(
+                f"Duhamel fixed-point residual {sup_diffs[0]:.3e} > tol = {tol:.3e}: "
+                "one Picard sweep moves the marched field")
 
-    prev = pullback
-    done = 0
-    for it in range(picard_iters):
-        src = _pad_m(prev)
-        nxt = pullback.copy()
-        for l in range(1, lt + 1):
-            for k in range(nv):
-                rows, wx, s_at = x_sten[k][l]
-                for lp in range(l + 1):
-                    ms = m_tab[k][l][lp]
-                    gathered = _interp_xm(src[lp], rows[:, lp], wx[:, lp], ms, grid)
-                    own = gathered[:, k, :]
-                    gain = np.einsum("j,xjm->xm", gain_w[k], gathered)
-                    lam = spec.turning.frequency(ms)
-                    slope = spec.adaptation.rate_m(ms, s_at[lp])
-                    integ = (-slope / eps) * own + lam * (gain - col_norm[k] * own)
-                    nxt[l, :, k, :] += (dtau if 0 < lp < l else 0.5 * dtau) * integ
-        diff = nxt - prev
-        sup_diffs.append(float(np.abs(diff).max()))
-        l1_per_node = np.einsum("lxvm,v->l", np.abs(diff), grid.weights) * cell
-        l1_diffs.append(float(l1_per_node.max()))
-        prev = nxt
-        done = it + 1
-        if sup_diffs[-1] <= tol:
-            break
-
-    return DuhamelResult(field=DensityField(prev[lt], t), iterations=done,
+    return DuhamelResult(field=DensityField(marched[-1], t), iterations=len(sup_diffs),
                          sup_diffs=sup_diffs, l1_diffs=l1_diffs)

@@ -107,6 +107,23 @@ def test_infinite_t_end_rejected(tmp_path):
         parse_config(write_config(tmp_path, t_end="inf"))
 
 
+def test_unbounded_output_schedule_rejected(tmp_path):
+    # 1e5 output instants, each a dump: rejected from the ratio alone,
+    # before any schedule is built.  10^4 instants is the most allowed.
+    path = write_config(tmp_path, t_end="1.0")
+    path.write_text(path.read_text().replace("output_every = 0.1", "output_every = 1e-5"))
+    with pytest.raises(BadConfig, match="output instants"):
+        parse_config(path)
+    path.write_text(path.read_text().replace("output_every = 1e-5", "output_every = 2e-4"))
+    assert parse_config(path).run.output_every == 2e-4
+
+
+def test_unbounded_study_t_end_is_bad_config(tmp_path, capsys):
+    argv = ["study-eps", str(write_config(tmp_path)), "--eps", "0.2", "--t-end", "1e4"]
+    assert main(argv) == 2
+    assert "output instants" in capsys.readouterr().err
+
+
 def test_missing_config_is_io_error(tmp_path):
     assert main(["run", str(tmp_path / "nope.cfg")]) == 3
 
@@ -221,8 +238,17 @@ def test_verify_passes_on_small_scenario(tmp_path, capsys):
     assert "PASS free-space delta" in out
     assert "PASS kernel mass" in out
     assert "PASS oracle cross-validation" in out
+    assert "check sweeps = 1, fixed-point residual" in out
     assert "PASS envelopes" in out
     assert (tmp_path / "out" / "kernel_check.csv").exists()
+
+
+def test_verify_oracle_residual_failure_exits_4(tmp_path, monkeypatch, capsys):
+    # A march that stops at the pull-back leaves a residual the check sweep sees.
+    from chemokin import oracle
+    monkeypatch.setattr(oracle, "_march", lambda ch, pullback: pullback)
+    assert main(["verify", str(write_config(tmp_path))]) == 4
+    assert "fixed-point residual" in capsys.readouterr().err
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

@@ -4,7 +4,7 @@ import pytest
 
 from chemokin.config import GridConfig, RunConfig, validate_config
 from chemokin.errors import AssumptionViolation, BadConfig
-from chemokin.model import (AdaptationModel, PhaseGrid, TurningModel,
+from chemokin.model import (AdaptationModel, ModelSpec, PhaseGrid, TurningModel,
                             build_scenario, package_initial, velocity_set)
 from chemokin.fields import DensityField
 
@@ -93,6 +93,26 @@ def test_unknown_families_rejected():
     cfg.model.kappa = -1.0
     with pytest.raises(BadConfig):
         validate_config(cfg)
+
+
+@pytest.mark.parametrize("name", ["kappa", "s_ref", "lambda0", "delta", "epsilon"])
+def test_nan_model_parameter_rejected(name):
+    # Built through the Python API, so no config check runs first.
+    adaptation = dict(kind="linear", kappa=1.0, s_ref=0.5, m_minus=0.2, m_plus=1.2)
+    turning = dict(kind="separable-uniform", lambda0=0.5, beta=0.4, m_c=0.7, delta=0.25)
+    for params in (adaptation, turning):
+        if name in params:
+            params[name] = float("nan")
+    with pytest.raises(BadConfig):
+        ModelSpec(adaptation=AdaptationModel(**adaptation), turning=TurningModel(**turning),
+                  epsilon=float("nan") if name == "epsilon" else 0.5)
+
+
+@pytest.mark.parametrize("name", ["beta", "m_c"])
+def test_nan_turning_shape_fails_the_sweep(name):
+    cfg = small_config(t_family="separable-uniform", **{name: float("nan")})
+    with pytest.raises(AssumptionViolation, match="turning frequency"):
+        ModelSpec.from_config(cfg).validate_on(PhaseGrid.from_config(cfg, m_max=1.7))
 
 
 # -- coefficient evaluation ---------------------------------------------------

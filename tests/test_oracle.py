@@ -3,22 +3,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chemokin.errors import NoContraction
+from chemokin import oracle
+from chemokin.errors import NoContraction, SolverFailure
 from chemokin.fields import DensityField
 from chemokin.kinetic import StepperState, macro_step, total_mass
 from chemokin.model import (AdaptationModel, ModelSpec, PhaseGrid, TurningModel,
                             package_initial, velocity_set)
-from chemokin.oracle import (SignalHistory, _interp_xm, _pad_m, _rk4_backward, _x_stencil,
+from chemokin.oracle import (SignalHistory, _characteristics, _interp_xm, _march, _pad_m,
+                             _pullback, _rk4_backward, _sweep, _x_stencil,
                              contraction_coefficient, duhamel_solve)
 
 
 def make_setup(nx=16, nm=16, extent=4.0, kappa=1.0, lambda0=0.5, eps=1.0,
-               t_family="constant", nv=2, topology="periodic"):
+               t_family="constant", nv=2, topology="periodic", f_family="linear"):
     v, w = velocity_set(1, nv)
     grid = PhaseGrid(dim=1, x_nodes=nx, x_extent=extent, x_topology=topology,
                      velocities=v, weights=w, m_nodes=nm, m_max=1.7)
     spec = ModelSpec(
-        adaptation=AdaptationModel(kind="linear", kappa=kappa, s_ref=0.5,
+        adaptation=AdaptationModel(kind=f_family, kappa=kappa, s_ref=0.5,
                                    m_minus=0.2, m_plus=1.2),
         turning=TurningModel(kind=t_family, lambda0=lambda0, beta=0.4,
                              m_c=0.7, delta=0.25),
@@ -30,11 +32,11 @@ def make_setup(nx=16, nm=16, extent=4.0, kappa=1.0, lambda0=0.5, eps=1.0,
 # -- backward characteristics ---------------------------------------------------
 
 def backtrace(m_end, x_end, v, t, hist, spec, n_intervals=16, substeps=4):
-    """Internal state along the backward characteristic, on a uniform s grid."""
+    """Internal state along the backward characteristic ending at t, on a uniform s grid."""
     s_grid = np.linspace(0.0, t, n_intervals + 1)
-    path = _rk4_backward(np.float64(m_end), np.float64(x_end), v, s_grid, hist, spec,
-                         substeps=substeps)
-    return s_grid, path
+    paths = _rk4_backward(np.float64(m_end), np.float64(x_end), v, s_grid, hist, spec,
+                          substeps=substeps)
+    return s_grid, paths[-1]
 
 
 def leaves_m_range(path, grid):
@@ -85,6 +87,54 @@ def test_backtrace_leaves_m_range():
     assert not leaves_m_range(inside, grid)
 
 
+def rk4_backward_per_path(m_end, x_end, v, s_grid, s_hist, spec, substeps):
+    """Reference: one backward RK4 path ending at s_grid[-1], stepped alone."""
+    eps = spec.epsilon
+    t_end = s_grid[-1]
+
+    def rhs(m, s):
+        x_s = x_end - v * (t_end - s)
+        return spec.adaptation.rate(m, s_hist.eval(x_s, s)) / eps
+
+    out = np.empty((s_grid.size,) + np.shape(m_end))
+    out[-1] = m_end
+    m = np.asarray(m_end, dtype=float)
+    for idx in range(s_grid.size - 1, 0, -1):
+        h = (s_grid[idx - 1] - s_grid[idx]) / substeps
+        s = s_grid[idx]
+        for _ in range(substeps):
+            k1 = rhs(m, s)
+            k2 = rhs(m + 0.5 * h * k1, s + 0.5 * h)
+            k3 = rhs(m + 0.5 * h * k2, s + 0.5 * h)
+            k4 = rhs(m + h * k3, s + h)
+            m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            s += h
+        out[idx - 1] = m
+    return out
+
+
+@pytest.mark.parametrize("f_family", ["linear", "cubic"])
+@pytest.mark.parametrize("topology", ["periodic", "free"])
+def test_batched_rk4_equals_per_path_bitwise(f_family, topology):
+    # A signal varying in x and in time, so every path reads its own values.
+    grid, spec = make_setup(nx=12, nm=10, kappa=0.5, eps=0.8, topology=topology,
+                            f_family=f_family)
+    x = grid.x_centers
+    hist = SignalHistory(times=np.array([0.0, 0.2, 0.7]), grid=grid,
+                         fields=np.stack([0.3 + 0.4 * np.exp(-x ** 2),
+                                          0.5 + 0.2 * np.sin(x),
+                                          0.2 + 0.1 * x ** 2]))
+    taus = np.linspace(0.0, 0.4, 8)
+    m_end = np.ones((grid.x_nodes, 1)) * grid.m_centers[None, :]
+    for k in range(grid.n_v):
+        v = float(grid.velocities[k, 0])
+        batched = _rk4_backward(m_end, x[:, None], v, taus, hist, spec, substeps=3)
+        assert len(batched) == taus.size
+        for l, path in enumerate(batched):
+            ref = rk4_backward_per_path(m_end, x[:, None], v, taus[:l + 1], hist, spec, 3)
+            assert np.array_equal(path, ref), (k, l)
+
+
 # -- Duhamel / Picard -----------------------------------------------------------
 
 def test_no_contraction_guard():
@@ -96,6 +146,22 @@ def test_no_contraction_guard():
         duhamel_solve(p0, hist, spec, grid, t_bad, picard_iters=3)
 
 
+def picard_iterates(p0, hist, spec, grid, t, iters, n_time, rk_substeps=4, tol=None):
+    """Picard sweeps from the pull-back: the pull-back, then each iterate after it.
+
+    With ``tol`` the sweeps stop once one moves the field by at most tol in
+    sup norm.
+    """
+    ch = _characteristics(hist, spec, grid, t, n_time, rk_substeps)
+    pullback = _pullback(ch, p0)
+    iterates = [pullback]
+    for _ in range(iters):
+        iterates.append(_sweep(ch, pullback, iterates[-1]))
+        if tol is not None and np.abs(iterates[-1] - iterates[-2]).max() <= tol:
+            break
+    return iterates
+
+
 def test_zero_iterations_is_pure_pullback():
     # Vanishing rates: the pull-back is a plain translate by v*t.
     grid, spec = make_setup(nx=16, nm=8, kappa=1e-12, lambda0=0.5)
@@ -103,12 +169,11 @@ def test_zero_iterations_is_pure_pullback():
     rng = np.random.default_rng(2)
     p0 = rng.random(grid.field_shape)
     t = 2.0 * grid.dx  # v = +-0.5: exactly one cell each way
-    res = duhamel_solve(DensityField(p0), hist, spec, grid, t, picard_iters=0)
+    (pullback,) = picard_iterates(p0, hist, spec, grid, t, iters=0, n_time=32)
     expected = np.empty_like(p0)
     expected[:, 0, :] = np.roll(p0[:, 0, :], -1, axis=0)
     expected[:, 1, :] = np.roll(p0[:, 1, :], 1, axis=0)
-    assert np.max(np.abs(res.field.values - expected)) <= 1e-8
-    assert res.iterations == 0
+    assert np.max(np.abs(pullback[-1] - expected)) <= 1e-8
 
 
 def _cubic_w(frac):
@@ -157,8 +222,13 @@ def _scalar_s(s_field, xq, grid):
     return (1 - fx) * s_field[i0] + fx * s_field[(i0 + 1) % grid.x_nodes]
 
 
-def brute_force_duhamel(p0, s_field, spec, grid, t, iters, n_time, rk_substeps):
-    """Nested-loop mirror of the Picard iteration on a frozen signal."""
+def brute_force_map(p0, s_field, spec, grid, t, n_time, rk_substeps):
+    """Nested-loop mirror of the Picard map on a frozen signal.
+
+    Returns the pull-back of p0 at every node, (n_time+1, nx, nv, nm), and
+    the map taking a field at every node to the pull-back plus the
+    trapezoid quadrature of its integrand.
+    """
     nx, nv, nm = grid.x_nodes, grid.n_v, grid.m_nodes
     taus = np.linspace(0.0, t, n_time + 1)
     dtau = t / n_time
@@ -190,7 +260,7 @@ def brute_force_duhamel(p0, s_field, spec, grid, t, iters, n_time, rk_substeps):
             ms[idx - 1] = m
         return ms
 
-    cur = np.empty((n_time + 1, nx, nv, nm))
+    pullback = np.empty((n_time + 1, nx, nv, nm))
     paths = {}
     for l in range(n_time + 1):
         for i in range(nx):
@@ -200,10 +270,9 @@ def brute_force_duhamel(p0, s_field, spec, grid, t, iters, n_time, rk_substeps):
                     ms = back_m(grid.m_centers[j], grid.x_centers[i], v, l)
                     paths[(l, i, k, j)] = ms
                     x0 = grid.x_centers[i] - v * taus[l]
-                    cur[l, i, k, j] = _scalar_interp(p0[:, k, :], x0, ms[0], grid)
-    pullback = cur.copy()
+                    pullback[l, i, k, j] = _scalar_interp(p0[:, k, :], x0, ms[0], grid)
 
-    for _ in range(iters):
+    def apply(field):
         nxt = pullback.copy()
         for l in range(1, n_time + 1):
             for i in range(nx):
@@ -217,15 +286,24 @@ def brute_force_duhamel(p0, s_field, spec, grid, t, iters, n_time, rk_substeps):
                             lam = float(spec.turning.frequency(m_lp))
                             slope = float(spec.adaptation.rate_m(
                                 m_lp, _scalar_s(s_field, x_lp, grid)))
-                            own = _scalar_interp(cur[lp][:, k, :], x_lp, m_lp, grid)
+                            own = _scalar_interp(field[lp][:, k, :], x_lp, m_lp, grid)
                             gain = 0.0
                             for kk in range(nv):
                                 gain += kernel[k, kk] * w[kk] * _scalar_interp(
-                                    cur[lp][:, kk, :], x_lp, m_lp, grid)
+                                    field[lp][:, kk, :], x_lp, m_lp, grid)
                             acc[j] = (-slope / eps) * own + lam * (gain - col[k] * own)
                         weight = dtau if 0 < lp < l else 0.5 * dtau
                         nxt[l, i, k, :] += weight * acc
-        cur = nxt
+        return nxt
+
+    return pullback, apply
+
+
+def brute_force_duhamel(p0, s_field, spec, grid, t, iters, n_time, rk_substeps):
+    """``iters`` mirrored Picard sweeps from the pull-back, at the final node."""
+    cur, apply = brute_force_map(p0, s_field, spec, grid, t, n_time, rk_substeps)
+    for _ in range(iters):
+        cur = apply(cur)
     return cur[n_time]
 
 
@@ -237,12 +315,10 @@ def test_duhamel_matches_brute_force_quadrature():
     rng = np.random.default_rng(9)
     p0 = rng.random(grid.field_shape)
     t, n_time, iters = 0.3, 4, 4
-    res = duhamel_solve(DensityField(p0), hist, spec, grid, t,
-                        picard_iters=iters, n_time=n_time, rk_substeps=2,
-                        tol=0.0)
+    swept = picard_iterates(p0, hist, spec, grid, t, iters, n_time, rk_substeps=2)[-1]
     brute = brute_force_duhamel(p0, s_field, spec, grid, t, iters, n_time,
                                 rk_substeps=2)
-    assert np.max(np.abs(res.field.values - brute)) <= 1e-10
+    assert np.max(np.abs(swept[-1] - brute)) <= 1e-10
 
 
 def test_duhamel_matches_brute_force_quadrature_free_grid():
@@ -261,12 +337,55 @@ def test_duhamel_matches_brute_force_quadrature_free_grid():
         assert leaves_m_range(path, grid)
     rng = np.random.default_rng(11)
     p0 = rng.random(grid.field_shape)
-    res = duhamel_solve(DensityField(p0), hist, spec, grid, t,
-                        picard_iters=iters, n_time=n_time, rk_substeps=2,
-                        tol=0.0)
+    swept = picard_iterates(p0, hist, spec, grid, t, iters, n_time, rk_substeps=2)[-1]
     brute = brute_force_duhamel(p0, s_field, spec, grid, t, iters, n_time,
                                 rk_substeps=2)
-    assert np.max(np.abs(res.field.values - brute)) <= 1e-10
+    assert np.max(np.abs(swept[-1] - brute)) <= 1e-10
+
+
+@st.composite
+def march_cases(draw):
+    topology = draw(st.sampled_from(["periodic", "free"]))
+    f_family = draw(st.sampled_from(["linear", "cubic"]))
+    t_family = draw(st.sampled_from(["constant", "separable-uniform"]))
+    grid, spec = make_setup(nx=draw(st.integers(3, 5)), nm=draw(st.integers(2, 4)),
+                            extent=2.0, kappa=draw(st.sampled_from([0.5, 1.0])),
+                            lambda0=draw(st.sampled_from([0.3, 0.8])), t_family=t_family,
+                            nv=draw(st.integers(1, 4)), topology=topology,
+                            f_family=f_family)
+    return grid, spec, draw(st.integers(1, 4)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(march_cases())
+def test_march_is_a_fixed_point_of_the_brute_force_map(case):
+    # n_time intervals give 2-5 time nodes; one application of the
+    # independent nested-loop map must leave the marched field in place.
+    grid, spec, n_time, seed = case
+    rng = np.random.default_rng(seed)
+    s_field = 0.2 + 0.6 * rng.random(grid.x_nodes)
+    p0 = rng.random(grid.field_shape)
+    t = 0.25
+    ch = _characteristics(SignalHistory.constant(s_field, grid), spec, grid, t, n_time, 2)
+    marched = _march(ch, _pullback(ch, p0))
+    _, apply = brute_force_map(p0, s_field, spec, grid, t, n_time, rk_substeps=2)
+    assert np.max(np.abs(apply(marched) - marched)) <= 1e-12 * np.abs(marched).max()
+
+
+def test_residual_sweep_rejects_an_unsolved_march(monkeypatch):
+    grid, spec = make_setup(nx=8, nm=8, kappa=0.8, lambda0=0.4)
+    hist = SignalHistory.constant(0.3 + 0.2 * np.cos(grid.x_centers), grid)
+    p0 = DensityField(np.random.default_rng(5).random(grid.field_shape))
+    t = 0.3 / contraction_coefficient(spec, grid)
+    res = duhamel_solve(p0, hist, spec, grid, t, picard_iters=1, n_time=6)
+    assert res.iterations == 1 and res.sup_diffs[0] <= 1e-10
+    # A march that returns the pull-back is far from the fixed point: the
+    # one check sweep moves it by more than tol.
+    monkeypatch.setattr(oracle, "_march", lambda ch, pullback: pullback)
+    with pytest.raises(SolverFailure, match="residual"):
+        duhamel_solve(p0, hist, spec, grid, t, picard_iters=1, n_time=6)
+    # picard_iters = 0 runs no check sweep.
+    assert duhamel_solve(p0, hist, spec, grid, t, picard_iters=0, n_time=6).iterations == 0
 
 
 @st.composite
@@ -320,10 +439,12 @@ def test_picard_contraction_ratio():
     rng = np.random.default_rng(4)
     p0 = rng.random(grid.field_shape)
     t = 0.45 / contraction_coefficient(spec, grid)
-    res = duhamel_solve(DensityField(p0), hist, spec, grid, t,
-                        picard_iters=25, n_time=24)
+    iterates = picard_iterates(p0, hist, spec, grid, t, iters=25, n_time=24, tol=1e-10)
+    cell = grid.cell_volume * grid.dm
+    l1_diffs = [float(np.einsum("lxvm,v->l", np.abs(b - a), grid.weights).max()) * cell
+                for a, b in zip(iterates, iterates[1:])]
     bound = t * contraction_coefficient(spec, grid)
-    diffs = [d for d in res.l1_diffs if d > 1e-13]
+    diffs = [d for d in l1_diffs if d > 1e-13]
     ratios = [b / a for a, b in zip(diffs, diffs[1:])]
     assert ratios, "expected at least two meaningful Picard sweeps"
     assert all(r <= bound * 1.15 for r in ratios), (bound, ratios)
