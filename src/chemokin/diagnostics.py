@@ -62,24 +62,30 @@ def reduce_norms(p: np.ndarray, s: np.ndarray, grid: PhaseGrid, m_plus: float,
     if p.shape != grid.field_shape:
         raise BadConfig(f"field shape {p.shape} != grid shape {grid.field_shape}")
     measure = grid.cell_volume * grid.dm
-    w = grid.weights[:, None]
-
+    m_c = grid.m_centers
     pbar = np.sum(p, axis=-1) * grid.dm
     n = np.sum(pbar * grid.weights, axis=-1)
-    m_c = grid.m_centers
-    tail = m_c > 2.0 * m_plus
+
+    # p*w is formed once.  The tail m_c > 2*m_plus is a suffix, copied
+    # tail-major as a boolean index lays it out, so its sum keeps its order.
+    pw = p * grid.weights[:, None]
+    mass = float(np.sum(pw) * measure)
+    tail = np.searchsorted(m_c, 2.0 * m_plus, side="right")
+    tail_pw = np.moveaxis(pw[..., tail:], -1, 0).copy()
+    tail_pw *= m_c[tail:].reshape((-1,) + (1,) * (p.ndim - 1))
+    pw *= m_c   # now p*w*m, for the m-moment
 
     return ReportRow(
         t=t,
-        mass=float(np.sum(p * w) * measure),
+        mass=mass,
         p_sup=float(np.max(p, initial=0.0)),
         pbar_sup=float(np.max(pbar, initial=0.0)),
         n_sup=float(np.max(n, initial=0.0)),
         s_l1=float(np.sum(np.abs(s)) * grid.cell_volume),
         s_sup=float(np.max(np.abs(s), initial=0.0)),
         x_moment=float(np.sum(grid.x_weight() * n) * grid.cell_volume),
-        m_moment=float(np.sum(p * w * m_c) * measure),
-        tail_moment=float(np.sum(p[..., tail] * w * m_c[tail]) * measure),
+        m_moment=float(np.sum(pw) * measure),
+        tail_moment=float(np.sum(tail_pw) * measure),
     )
 
 

@@ -1,29 +1,35 @@
 """Independent reference solvers for frozen-signal linear problems.
 
-With the signal history held fixed, the transport/adaptation/turning
-equation is linear and can be integrated along characteristics: positions
-stream affinely, the internal state follows its relaxation ODE, and the
-density satisfies an integral identity whose right-hand side collects the
+With the signal held fixed, the transport/adaptation/turning equation is
+linear and can be integrated along characteristics: positions stream
+affinely, the internal state follows its relaxation ODE, and the density
+satisfies an integral identity whose right-hand side collects the
 slope-damping term and the turning gain/loss.  Discretized by the
 trapezoid rule on a time grid, the identity is a Volterra system: node
 tau_l reads only nodes tau_l' <= tau_l.  It is solved by a forward march,
-one node at a time, and then checked by Picard sweeps of the same
+one node at a time, and then checked by a Picard sweep of the same
 quadrature (P. Linz, Analytical and Numerical Methods for Volterra
 Equations, SIAM 1985).  The kinetic stepper is cross-validated against
 this solver; two independent routes agreeing under refinement is the
 numerical stand-in for uniqueness.
 
+The signal does not change in time, so the backward characteristic that
+ends at tau_l and is read at tau_l' depends only on the lag tau_l - tau_l'
+(on a uniform grid, on l - l').  One backward path per velocity, over the
+lags of the grid, therefore serves every pair of nodes, and everything the
+integrand reads along it is tabulated once per (velocity, lag).
+
 Densities are read off the grid by cubic Lagrange interpolation in (x, m),
 a tensor-product stencil.  Characteristic positions are the grid shifted
-by a whole-row displacement, so each characteristic's x-stencil is
-tabulated once and gathers whole m columns of every source velocity in
-four row reads; the m-stencil then picks four taps per query from a
-zero-padded m axis.  This module shares no code with the kinetic stepper
-it checks.
+by a whole-row displacement, so each lag's x-stencil gathers whole m
+columns of every source velocity in four row reads; the m-stencil then
+picks four taps per query from a zero-padded m axis.  This module shares
+no code with the kinetic stepper it checks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,100 +39,81 @@ from .model import ModelSpec, PhaseGrid
 
 
 # ---------------------------------------------------------------------------
-# Frozen signal history
+# Frozen signal
 # ---------------------------------------------------------------------------
 
 @dataclass
 class SignalHistory:
-    """Signal samples S(x, t_k) interpolated bilinearly in (x, t)."""
+    """A signal frozen in time, S(x), interpolated linearly in x.
 
-    times: np.ndarray
-    fields: np.ndarray  # (n_times, x_nodes)
+    The oracle's problems hold the signal fixed over the whole horizon; that
+    is what makes a characteristic depend on its lag alone.  Build one with
+    ``SignalHistory.constant``.
+    """
+
+    values: np.ndarray  # (x_nodes,)
     grid: PhaseGrid
 
     def __post_init__(self) -> None:
         if self.grid.dim != 1:
             raise BadConfig("signal histories are one-dimensional")
-        self.times = np.asarray(self.times, dtype=float)
-        self.fields = np.atleast_2d(np.asarray(self.fields, dtype=float))
-        if self.fields.shape != (self.times.size, self.grid.x_nodes):
-            raise BadConfig(
-                f"history shape {self.fields.shape} != (n_times, x_nodes)")
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.shape != (self.grid.x_nodes,):
+            raise BadConfig(f"signal shape {self.values.shape} != (x_nodes,)")
 
     @classmethod
     def constant(cls, s_values: np.ndarray, grid: PhaseGrid) -> "SignalHistory":
-        s = np.asarray(s_values, dtype=float)
-        return cls(times=np.array([0.0, 1.0]), fields=np.stack([s, s]), grid=grid)
+        return cls(values=s_values, grid=grid)
 
-    def _interp_x(self, field: np.ndarray, x: np.ndarray) -> np.ndarray:
-        g = self.grid
-        u = (x + 0.5 * g.x_extent) / g.dx - 0.5
+    def eval(self, x: np.ndarray) -> np.ndarray:
+        """S at positions ``x``: periodic, or clamped to the end values on a free grid."""
+        g, s = self.grid, self.values
+        u = (np.asarray(x, dtype=float) + 0.5 * g.x_extent) / g.dx - 0.5
         if g.x_topology == "periodic":
             i0 = np.floor(u).astype(int)
             frac = u - i0
             i0 %= g.x_nodes
             i1 = (i0 + 1) % g.x_nodes
-            return (1.0 - frac) * field[i0] + frac * field[i1]
+            return (1.0 - frac) * s[i0] + frac * s[i1]
         u = np.clip(u, 0.0, g.x_nodes - 1.0)
         i0 = np.minimum(np.floor(u).astype(int), g.x_nodes - 2)
         frac = u - i0
-        return (1.0 - frac) * field[i0] + frac * field[i0 + 1]
-
-    def eval(self, x: np.ndarray, s: float) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        t = float(np.clip(s, self.times[0], self.times[-1]))
-        k = int(np.clip(np.searchsorted(self.times, t, side="right") - 1, 0,
-                        self.times.size - 2))
-        t0, t1 = self.times[k], self.times[k + 1]
-        w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-        lo = self._interp_x(self.fields[k], x)
-        hi = self._interp_x(self.fields[k + 1], x)
-        return (1.0 - w) * lo + w * hi
+        return (1.0 - frac) * s[i0] + frac * s[i0 + 1]
 
 
 # ---------------------------------------------------------------------------
 # Internal state along backward characteristics
 # ---------------------------------------------------------------------------
 
-def _rk4_backward(m_end, x_end, v, taus: np.ndarray, s_hist: SignalHistory,
-                  spec: ModelSpec, substeps: int) -> list[np.ndarray]:
-    """Integrate dM/ds = F(M, S(X(s), s))/eps backward from every node of ``taus``.
+def _rk4_backward(m_end, x_end, v, lags: np.ndarray, s_hist: SignalHistory,
+                  spec: ModelSpec, substeps: int) -> np.ndarray:
+    """Internal state at every lag of the backward characteristic from (x_end, m_end).
 
-    The path ending at node l starts from ``m_end`` at taus[l] and runs back
-    to taus[0] along X(s) = x_end - v (taus[l] - s).  The paths share the
-    tau grid, so all of them that cross an interval [taus[i-1], taus[i]]
-    step it together with ``substeps`` RK4 steps: one signal evaluation per
-    stage, and per path the same arithmetic as stepping it alone.  Entry l
-    of the result holds M at taus[0..l], shape (l + 1,) + shape of m_end.
+    Along X(s) = x_end - v (t - s), dM/ds = F(M, S(X(s)))/eps depends on s
+    only through the lag t - s, so one path, stepped back from lag 0 with
+    ``substeps`` RK4 steps per interval of ``lags``, serves every end time.
+    ``x_end - v`` must broadcast against ``m_end``; an array of velocities
+    steps one path per velocity together.  The signal at every RK4 stage is
+    read in one call.  Returns M at lags[0..], (lags.size,) + m_end.shape.
     """
     eps = spec.epsilon
-    m_end = np.asarray(m_end, dtype=float)
-    n = taus.size - 1
-    paths = [np.empty((l + 1,) + m_end.shape) for l in range(n + 1)]
-    for l, path in enumerate(paths):
-        path[l] = m_end
-    ends = taus.reshape((-1,) + (1,) * np.ndim(x_end))
+    h = np.diff(lags) / substeps                      # one step back in time
+    stage_lags = lags[:-1, None] + 0.5 * h[:, None] * np.arange(2 * substeps + 1)
+    s_at = s_hist.eval(x_end - np.multiply.outer(stage_lags, v))
 
-    def rhs(m, s, t_end):
-        x_s = x_end - v * (t_end - s)
-        return spec.adaptation.rate(m, s_hist.eval(x_s, s)) / eps
-
-    m = np.empty((0,) + m_end.shape)   # states of the paths ending at idx..n
-    for idx in range(n, 0, -1):
-        m = np.concatenate([m_end[None], m])
-        t_end = ends[idx:]
-        h = (taus[idx - 1] - taus[idx]) / substeps  # negative: backward in s
-        s = taus[idx]
-        for _ in range(substeps):
-            k1 = rhs(m, s, t_end)
-            k2 = rhs(m + 0.5 * h * k1, s + 0.5 * h, t_end)
-            k3 = rhs(m + 0.5 * h * k2, s + 0.5 * h, t_end)
-            k4 = rhs(m + h * k3, s + h, t_end)
-            m = m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            s += h
-        for l in range(idx, n + 1):
-            paths[l][idx - 1] = m[l - idx]
-    return paths
+    m = np.asarray(m_end, dtype=float)
+    out = np.empty((lags.size,) + m.shape)
+    out[0] = m
+    for d in range(1, lags.size):
+        hd, s_d = h[d - 1], s_at[d - 1]
+        for j in range(0, 2 * substeps, 2):
+            k1 = spec.adaptation.rate(m, s_d[j]) / eps
+            k2 = spec.adaptation.rate(m - 0.5 * hd * k1, s_d[j + 1]) / eps
+            k3 = spec.adaptation.rate(m - 0.5 * hd * k2, s_d[j + 1]) / eps
+            k4 = spec.adaptation.rate(m - hd * k3, s_d[j + 2]) / eps
+            m = m - (hd / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[d] = m
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -153,64 +140,83 @@ def _lagrange_cubic_weights(frac: np.ndarray) -> tuple[np.ndarray, ...]:
 _M_GHOSTS = 4
 
 
-def _pad_m(values: np.ndarray) -> np.ndarray:
-    """Zero-pad the last (m) axis with the ghost cells _interp_xm reads."""
+def _as_sources(values: np.ndarray) -> np.ndarray:
+    """Densities (..., nx, nv, nm) as interpolation sources (..., nv, nx, nm + 8).
+
+    Velocity-major, so one source velocity is one contiguous block, and
+    zero-padded on the m axis with the ghost cells _interp_xm reads.
+    """
     pad = [(0, 0)] * (values.ndim - 1) + [(_M_GHOSTS, _M_GHOSTS)]
-    return np.pad(values, pad)
+    return np.pad(np.swapaxes(values, -2, -3), pad)
 
 
-def _x_stencil(xq: np.ndarray, grid: PhaseGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and weights of the cubic Lagrange x-stencil at positions ``xq``.
+class _Stencil(NamedTuple):
+    """A cubic Lagrange (x, m) stencil for Q query points.
 
-    Both have shape (4,) + xq.shape.  Periodic grids wrap the rows; free
-    grids clip them and zero the weights of taps outside the domain, so
-    the zero ghost cells never need storing.
+    ``rows`` (4,) + Q index the source's x axis and ``wx`` (4,) + Q + (1,)
+    weight them; ``taps`` Q + (m_nodes,) are flat indices of each query's
+    first m tap in one source velocity's x-gathered columns, and ``wm``
+    (4,) + Q + (m_nodes,) weight the four taps.
+    """
+
+    rows: np.ndarray
+    wx: np.ndarray
+    taps: np.ndarray
+    wm: np.ndarray
+
+
+def _stencil(xq: np.ndarray, mq: np.ndarray, grid: PhaseGrid) -> _Stencil:
+    """The stencil at positions ``xq`` (shape Q) and internal states ``mq`` (Q + (m_nodes,)).
+
+    Periodic grids wrap the x rows; free grids clip them and zero the
+    weights of taps outside the domain, so the zero ghost cells never need
+    storing.
     """
     u = (xq + 0.5 * grid.x_extent) / grid.dx - 0.5
     ix = np.floor(u)
     wx = np.stack(_lagrange_cubic_weights(u - ix))
     rows = ix.astype(int) + np.arange(-1, 3).reshape((4,) + (1,) * np.ndim(u))
     if grid.x_topology == "periodic":
-        return rows % grid.x_nodes, wx
-    inside = (rows >= 0) & (rows < grid.x_nodes)
-    return np.clip(rows, 0, grid.x_nodes - 1), wx * inside
-
-
-def _interp_xm(src: np.ndarray, rows: np.ndarray, wx: np.ndarray,
-               mq: np.ndarray, grid: PhaseGrid) -> np.ndarray:
-    """Cubic Lagrange interpolation of every source velocity at (x, m) queries.
-
-    ``src`` is (n_rows, n_src, m_nodes + 8): grid functions of (x, m), one
-    per source velocity, m-padded by _pad_m.  ``rows`` and ``wx`` are an
-    x-stencil of shape (4,) + Q whose rows index ``src``; ``mq`` has shape
-    Q + (m_nodes,).  The stencil is a tensor product, so the x-stencil is
-    applied first as four row gathers of whole m columns, then the
-    m-stencil as four gathers along the padded m axis.  Returns
-    Q + (n_src, m_nodes).  Cubic order keeps the oracle's own error far
-    below the first-order scheme it checks.
-    """
-    cols = np.take(src, rows[0], axis=0)
-    cols *= wx[0][..., None, None]
-    for r, wr in zip(rows[1:], wx[1:]):
-        part = np.take(src, r, axis=0)
-        part *= wr[..., None, None]
-        cols += part
+        rows %= grid.x_nodes
+    else:
+        wx *= (rows >= 0) & (rows < grid.x_nodes)
+        rows = np.clip(rows, 0, grid.x_nodes - 1)
     w = mq / grid.dm - 0.5
     jm = np.floor(w)
-    wm = _lagrange_cubic_weights(w - jm)
-    # Flat index of each query's first m-tap in ``cols``; mode="clip" only
-    # skips numpy's bounds check, as every tap is on the padded axis.
-    n_col = cols.shape[-1]
-    first = np.arange(0, cols.size, n_col).reshape(cols.shape[:-1] + (1,))
-    tap = first + (np.clip(jm.astype(int), -3, grid.m_nodes + 1)
-                   + (_M_GHOSTS - 1))[..., None, :]
-    cols = cols.reshape(-1)
-    out = np.take(cols, tap, mode="clip")
-    out *= wm[0][..., None, :]
-    for b in range(1, 4):
-        part = np.take(cols[b:], tap, mode="clip")   # cols[b:][i] is cols[i + b]
-        part *= wm[b][..., None, :]
-        out += part
+    n_col = grid.m_nodes + 2 * _M_GHOSTS
+    first = np.arange(0, np.size(u) * n_col, n_col).reshape(np.shape(u) + (1,))
+    taps = first + np.clip(jm.astype(int), -3, grid.m_nodes + 1) + (_M_GHOSTS - 1)
+    return _Stencil(rows, wx[..., None], taps, np.stack(_lagrange_cubic_weights(w - jm)))
+
+
+def _interp_xm(src: np.ndarray, sten: _Stencil) -> np.ndarray:
+    """Cubic Lagrange interpolation of every source velocity at a stencil's queries.
+
+    ``src`` is (n_src, nx, m_nodes + 8), from _as_sources: grid functions of
+    (x, m), one per source velocity.  The stencil is a tensor product, so
+    the x-stencil is applied first as four row gathers of whole m columns,
+    then the m-stencil as four gathers along the padded m axis.  Returns
+    (n_src,) + Q + (m_nodes,).  Cubic order keeps the oracle's own error far
+    below the first-order scheme it checks.
+    """
+    rows, wx, taps, wm = sten
+    cols = np.take(src, rows[0], axis=1)
+    cols *= wx[0]
+    for r, wr in zip(rows[1:], wx[1:]):
+        part = np.take(src, r, axis=1)
+        part *= wr
+        cols += part
+    # mode="clip" only skips numpy's bounds check, as every tap is on the
+    # padded axis.  cols[k][b:] read at a tap is the tap's b-th neighbour.
+    out = np.empty((src.shape[0],) + taps.shape)
+    part = np.empty(taps.shape)
+    for col, o in zip(cols.reshape(src.shape[0], -1), out):
+        np.take(col, taps, mode="clip", out=o)
+        o *= wm[0]
+        for b in range(1, 4):
+            np.take(col[b:], taps, mode="clip", out=part)
+            part *= wm[b]
+            o += part
     return out
 
 
@@ -229,95 +235,84 @@ def contraction_coefficient(spec: ModelSpec, grid: PhaseGrid) -> float:
 
 @dataclass
 class _Characteristics:
-    """Backward characteristics of a frozen-signal problem on the tau grid.
+    """Backward characteristics of a frozen-signal problem, tabulated by lag.
 
-    Each one is indexed by (k, l, l'): target velocity k, end node tau_l and
-    quadrature node tau_l' <= tau_l.  Its positions are the grid shifted by
-    v_k (tau_l - tau_l'), so its x-stencil (rows, weights with the free-mode
-    ghost mask, and the signal there) is tabulated once.  ``m_tab[k][l]``
-    holds the internal states (l+1, nx, nm); ``x_sten[k][l]`` the x-stencil
-    rows and weights (4, l+1, nx) and the signal values (l+1, nx, 1).
-    States may wander outside [0, m_max]; density lookups there read zero,
-    the boundary data of the truncated problem.
+    The characteristic of target velocity k that ends at tau_l is read at
+    tau_l' <= tau_l at positions x - v_k (tau_l - tau_l') with internal
+    state M_k(tau_l - tau_l'), so all it reads there depends on d = l - l'
+    alone: ``stencils[d]`` is the cubic (x, m) stencil of every target
+    velocity's characteristic (queries (nv, nx)), and on (nv, nx, nm),
+    ``lam[d]`` is the turning frequency and ``loss[d]`` the rate at which
+    the density is lost, slope damping rate_m/eps plus turning loss
+    lam * col_norm.  States may wander outside [0, m_max]; density lookups
+    there read zero, the boundary data of the truncated problem.
     """
 
     grid: PhaseGrid
-    spec: ModelSpec
     dtau: float
     gain_w: np.ndarray      # (k, k''): kernel times source weight
-    col_norm: np.ndarray    # (k,): discrete loss kernel mass
-    m_tab: list
-    x_sten: list
+    stencils: list          # [d]
+    lam: np.ndarray         # (d, k, nx, nm)
+    loss: np.ndarray        # (d, k, nx, nm)
 
     @property
     def n_time(self) -> int:
-        return len(self.m_tab[0]) - 1
+        return self.lam.shape[0] - 1
 
     def weight(self, l: int, lp: int) -> float:
         """Trapezoid weight of node l' in the integral up to node l."""
         return self.dtau if 0 < lp < l else 0.5 * self.dtau
 
-    def integrand(self, src: np.ndarray, k: int, l: int, lp: int) -> np.ndarray:
-        """Slope damping plus turning gain/loss along characteristic (k, l, l').
+    def integrand(self, src: np.ndarray, l: int, lp: int) -> np.ndarray:
+        """Slope damping plus turning gain/loss along the characteristics (l, l').
 
-        ``src`` is the density at node l', (nx, nv, nm) m-padded by _pad_m.
-        Returns the integrand on (nx, nm).
+        ``src`` is the density at node l' as sources, (nv, nx, nm + 8).
+        Returns the integrand of every target velocity, (nx, nv, nm).
         """
-        rows, wx, s_at = self.x_sten[k][l]
-        ms = self.m_tab[k][l][lp]
-        gathered = _interp_xm(src, rows[:, lp], wx[:, lp], ms, self.grid)
-        own = gathered[:, k, :]
-        gain = np.einsum("j,xjm->xm", self.gain_w[k], gathered)
-        lam = self.spec.turning.frequency(ms)
-        slope = self.spec.adaptation.rate_m(ms, s_at[lp])
-        return (-slope / self.spec.epsilon) * own + lam * (gain - self.col_norm[k] * own)
+        d = l - lp
+        gathered = _interp_xm(src, self.stencils[d])       # (source j, target k, nx, nm)
+        own = np.einsum("kkxm->kxm", gathered)
+        gain = np.einsum("kj,jkxm->kxm", self.gain_w, gathered)
+        return (self.lam[d] * gain - self.loss[d] * own).swapaxes(0, 1)
 
 
 def _characteristics(s_hist: SignalHistory, spec: ModelSpec, grid: PhaseGrid,
                      t: float, n_time: int, rk_substeps: int) -> _Characteristics:
-    """Tabulate every backward characteristic of the tau grid on [0, t]."""
-    taus = np.linspace(0.0, t, n_time + 1)
-    x_col = grid.x_centers[:, None]                  # broadcasts against m
-    mq0 = np.ones((grid.x_nodes, 1)) * grid.m_centers[None, :]
+    """Tabulate every velocity's backward characteristic at every lag of the tau grid."""
+    lags = np.linspace(0.0, t, n_time + 1)
+    nv, nx, nm = grid.n_v, grid.x_nodes, grid.m_nodes
+    vx = grid.velocities[:, 0]
+    ms = _rk4_backward(np.broadcast_to(grid.m_centers, (nv, nx, nm)), grid.x_centers[:, None],
+                       vx[:, None, None], lags, s_hist, spec, rk_substeps)  # (d, k, nx, nm)
+    xq = grid.x_centers - np.multiply.outer(lags, vx)[..., None]            # (d, k, nx)
     kernel = spec.turning.kernel_matrix(grid)
-
-    m_tab, x_sten = [], []
-    for k in range(grid.n_v):
-        vx = float(grid.velocities[k, 0])
-        m_tab.append(_rk4_backward(mq0, x_col, vx, taus, s_hist, spec, rk_substeps))
-        sten_k = []
-        for l in range(n_time + 1):
-            xs = grid.x_centers[None, :] - vx * (taus[l] - taus[:l + 1])[:, None]
-            rows, wx = _x_stencil(xs, grid)
-            s_at = np.stack([s_hist.eval(xs[lp], taus[lp]) for lp in range(l + 1)])
-            sten_k.append((rows, wx, s_at[..., None]))
-        x_sten.append(sten_k)
-    return _Characteristics(grid=grid, spec=spec, dtau=t / n_time,
-                            gain_w=kernel * grid.weights[None, :],
-                            col_norm=grid.weights @ kernel, m_tab=m_tab, x_sten=x_sten)
+    lam = spec.turning.frequency(ms)
+    slope = spec.adaptation.rate_m(ms, s_hist.eval(xq)[..., None])
+    col_norm = (grid.weights @ kernel)[:, None, None]
+    return _Characteristics(grid=grid, dtau=t / n_time, gain_w=kernel * grid.weights[None, :],
+                            stencils=[_stencil(xq[d], ms[d], grid) for d in range(n_time + 1)],
+                            lam=lam, loss=slope / spec.epsilon + lam * col_norm)
 
 
 def _pullback(ch: _Characteristics, p0: np.ndarray) -> np.ndarray:
-    """Initial data carried to every node along the characteristics, (L+1, nx, nv, nm)."""
-    grid = ch.grid
-    p0_pad = _pad_m(p0)
+    """Initial data carried to every node along the characteristics, (L+1, nx, nv, nm).
+
+    Node l reads the initial data at lag l.
+    """
+    p0_src = _as_sources(p0)
     out = np.empty((ch.n_time + 1,) + p0.shape)
-    for k in range(grid.n_v):
-        for l in range(ch.n_time + 1):
-            rows, wx, _ = ch.x_sten[k][l]
-            out[l, :, k, :] = _interp_xm(p0_pad[:, k:k + 1], rows[:, 0], wx[:, 0],
-                                         ch.m_tab[k][l][0], grid)[:, 0, :]
+    for l in range(ch.n_time + 1):
+        out[l] = np.einsum("kkxm->xkm", _interp_xm(p0_src, ch.stencils[l]))
     return out
 
 
 def _sweep(ch: _Characteristics, pullback: np.ndarray, prev: np.ndarray) -> np.ndarray:
     """One application of the Picard map: pull-back plus the quadrature of ``prev``."""
-    src = _pad_m(prev)
+    src = _as_sources(prev)
     nxt = pullback.copy()
     for l in range(1, ch.n_time + 1):
-        for k in range(ch.grid.n_v):
-            for lp in range(l + 1):
-                nxt[l, :, k, :] += ch.weight(l, lp) * ch.integrand(src[lp], k, l, lp)
+        for lp in range(l + 1):
+            nxt[l] += ch.weight(l, lp) * ch.integrand(src[lp], l, lp)
     return nxt
 
 
@@ -325,28 +320,21 @@ def _march(ch: _Characteristics, pullback: np.ndarray) -> np.ndarray:
     """Fixed point of the Picard map, solved forward node by node.
 
     Node l reads only nodes l' <= l.  The l' < l terms are already known.
-    At l' = l the shift is zero and the state is the grid's own, so that
-    term is a (V, V) matrix A_l per (x, m) cell, and the node solves
-    (I - w_l A_l) p_l = rhs in one batched call.
+    At l' = l the lag is zero and the state is the grid's own, for every
+    node alike, so that term is one (V, V) matrix A per (x, m) cell, and
+    node l solves (I - w A) p_l = rhs with the one inverse.
     """
-    grid, spec = ch.grid, ch.spec
-    nv = grid.n_v
-    lam = spec.turning.frequency(grid.m_centers)[:, None]        # (nm, 1)
-    eye = np.eye(nv)
+    eye = np.eye(ch.grid.n_v)
+    loss = np.moveaxis(ch.loss[0], 0, -1)                          # (nx, nm, k)
+    a = ch.lam[0, 0][..., None, None] * ch.gain_w - loss[..., None] * eye
+    inv = np.moveaxis(np.linalg.inv(eye - ch.weight(1, 1) * a), 1, -1).copy()  # (nx, k, j, nm)
     out = pullback.copy()
-    src = _pad_m(out)   # node l's interior is rewritten once it is solved
+    src = _as_sources(out)   # node l's interior is rewritten once it is solved
     for l in range(1, ch.n_time + 1):
-        for k in range(nv):
-            for lp in range(l):
-                out[l, :, k, :] += ch.weight(l, lp) * ch.integrand(src[lp], k, l, lp)
-        s_l = ch.x_sten[0][l][2][l]          # S on the grid at tau_l, (nx, 1)
-        slope = spec.adaptation.rate_m(grid.m_centers[None, :], s_l)   # (nx, nm)
-        diag = slope[..., None] / spec.epsilon + lam * ch.col_norm    # (nx, nm, k)
-        a_l = lam[..., None] * ch.gain_w - diag[..., None] * eye      # (nx, nm, k, j)
-        w_l = ch.weight(l, l)
-        rhs = out[l].transpose(0, 2, 1)[..., None]                   # (nx, nm, k, 1)
-        out[l] = np.linalg.solve(eye - w_l * a_l, rhs)[..., 0].transpose(0, 2, 1)
-        src[l, ..., _M_GHOSTS:-_M_GHOSTS] = out[l]
+        for lp in range(l):
+            out[l] += ch.weight(l, lp) * ch.integrand(src[lp], l, lp)
+        out[l] = np.einsum("xkjm,xjm->xkm", inv, out[l])
+        src[l, ..., _M_GHOSTS:-_M_GHOSTS] = out[l].swapaxes(0, 1)
     return out
 
 
@@ -369,6 +357,9 @@ def duhamel_solve(p0: DensityField, s_hist: SignalHistory, spec: ModelSpec,
     """
     if grid.dim != 1:
         raise BadConfig("the Duhamel oracle is one-dimensional")
+    if n_time < 1 or rk_substeps < 1:
+        raise BadConfig(f"oracle resolution needs n_time >= 1 and rk_substeps >= 1, "
+                        f"got n_time = {n_time}, rk_substeps = {rk_substeps}")
     if spec.slope_cap <= 0 or spec.turning_cap <= 0:
         raise BadConfig("spec must be validated on a grid before oracle use")
     coef = contraction_coefficient(spec, grid)
@@ -376,14 +367,16 @@ def duhamel_solve(p0: DensityField, s_hist: SignalHistory, spec: ModelSpec,
         raise NoContraction(
             f"horizon t = {t} gives contraction factor {t * coef:.3f} >= 1")
 
-    ch = _characteristics(s_hist, spec, grid, t, max(1, n_time), rk_substeps)
+    ch = _characteristics(s_hist, spec, grid, t, n_time, rk_substeps)
     pullback = _pullback(ch, p0.values)
     marched = _march(ch, pullback)
 
     sup_diffs: list[float] = []
     l1_diffs: list[float] = []
     if picard_iters >= 1:
-        diff = np.abs(_sweep(ch, pullback, marched) - marched)
+        diff = _sweep(ch, pullback, marched)
+        diff -= marched
+        np.abs(diff, out=diff)
         sup_diffs.append(float(diff.max()))
         l1_diffs.append(float(np.einsum("lxvm,v->l", diff, grid.weights).max())
                         * grid.cell_volume * grid.dm)

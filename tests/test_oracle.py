@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chemokin import oracle
-from chemokin.errors import NoContraction, SolverFailure
+from chemokin.errors import BadConfig, NoContraction, SolverFailure
 from chemokin.fields import DensityField
 from chemokin.kinetic import StepperState, macro_step, total_mass
 from chemokin.model import (AdaptationModel, ModelSpec, PhaseGrid, TurningModel,
                             package_initial, velocity_set)
-from chemokin.oracle import (SignalHistory, _characteristics, _interp_xm, _march, _pad_m,
-                             _pullback, _rk4_backward, _sweep, _x_stencil,
+from chemokin.oracle import (SignalHistory, _as_sources, _characteristics, _interp_xm,
+                             _march, _pullback, _rk4_backward, _stencil, _sweep,
                              contraction_coefficient, duhamel_solve)
 
 
@@ -32,11 +32,14 @@ def make_setup(nx=16, nm=16, extent=4.0, kappa=1.0, lambda0=0.5, eps=1.0,
 # -- backward characteristics ---------------------------------------------------
 
 def backtrace(m_end, x_end, v, t, hist, spec, n_intervals=16, substeps=4):
-    """Internal state along the backward characteristic ending at t, on a uniform s grid."""
+    """Internal state along the backward characteristic ending at t, on a uniform s grid.
+
+    The lag table holds the state at lags t - s, so it is read in reverse.
+    """
     s_grid = np.linspace(0.0, t, n_intervals + 1)
-    paths = _rk4_backward(np.float64(m_end), np.float64(x_end), v, s_grid, hist, spec,
-                          substeps=substeps)
-    return s_grid, paths[-1]
+    lag_states = _rk4_backward(np.float64(m_end), np.float64(x_end), v, s_grid, hist, spec,
+                               substeps=substeps)
+    return s_grid, lag_states[::-1]
 
 
 def leaves_m_range(path, grid):
@@ -71,7 +74,7 @@ def test_backtrace_zero_velocity_stationary_position():
     x = grid.x_centers
     hist = SignalHistory.constant(0.3 + 0.5 * np.exp(-x ** 2), grid)
     i = 5
-    m0 = float(spec.adaptation.equilibrium(hist.fields[0, i]))
+    m0 = float(spec.adaptation.equilibrium(hist.values[i]))
     _, path = backtrace(0.9, x[i], 0.0, 0.5, hist, spec)
     exact0 = m0 + (0.9 - m0) * np.exp(1.0 * 0.5)
     assert path[0] == pytest.approx(exact0, abs=1e-8)
@@ -94,7 +97,7 @@ def rk4_backward_per_path(m_end, x_end, v, s_grid, s_hist, spec, substeps):
 
     def rhs(m, s):
         x_s = x_end - v * (t_end - s)
-        return spec.adaptation.rate(m, s_hist.eval(x_s, s)) / eps
+        return spec.adaptation.rate(m, s_hist.eval(x_s)) / eps
 
     out = np.empty((s_grid.size,) + np.shape(m_end))
     out[-1] = m_end
@@ -115,24 +118,37 @@ def rk4_backward_per_path(m_end, x_end, v, s_grid, s_hist, spec, substeps):
 
 @pytest.mark.parametrize("f_family", ["linear", "cubic"])
 @pytest.mark.parametrize("topology", ["periodic", "free"])
-def test_batched_rk4_equals_per_path_bitwise(f_family, topology):
-    # A signal varying in x and in time, so every path reads its own values.
+def test_lag_tables_match_per_path_rk4(f_family, topology):
+    # A signal varying in x, so every path reads its own values.  Frozen in
+    # time, the path ending at node l, read at node l - d, is the lag-d path.
     grid, spec = make_setup(nx=12, nm=10, kappa=0.5, eps=0.8, topology=topology,
-                            f_family=f_family)
+                            f_family=f_family, t_family="separable-uniform", nv=4)
     x = grid.x_centers
-    hist = SignalHistory(times=np.array([0.0, 0.2, 0.7]), grid=grid,
-                         fields=np.stack([0.3 + 0.4 * np.exp(-x ** 2),
-                                          0.5 + 0.2 * np.sin(x),
-                                          0.2 + 0.1 * x ** 2]))
-    taus = np.linspace(0.0, 0.4, 8)
+    hist = SignalHistory.constant(0.3 + 0.4 * np.exp(-x ** 2) + 0.1 * np.sin(x), grid)
+    t, n_time, substeps = 0.4, 7, 3
+    taus = np.linspace(0.0, t, n_time + 1)
+    ch = _characteristics(hist, spec, grid, t, n_time, substeps)
+    vx = grid.velocities[:, 0]
+    m_ends = np.broadcast_to(grid.m_centers, (grid.n_v, grid.x_nodes, grid.m_nodes))
+    states = _rk4_backward(m_ends, x[:, None], vx[:, None, None], taus, hist, spec, substeps)
     m_end = np.ones((grid.x_nodes, 1)) * grid.m_centers[None, :]
-    for k in range(grid.n_v):
-        v = float(grid.velocities[k, 0])
-        batched = _rk4_backward(m_end, x[:, None], v, taus, hist, spec, substeps=3)
-        assert len(batched) == taus.size
-        for l, path in enumerate(batched):
-            ref = rk4_backward_per_path(m_end, x[:, None], v, taus[:l + 1], hist, spec, 3)
-            assert np.array_equal(path, ref), (k, l)
+    col_norm = grid.weights @ spec.turning.kernel_matrix(grid)
+
+    def rel(a, b):
+        return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+    for k, v in enumerate(vx):
+        for l in range(n_time + 1):
+            ref = rk4_backward_per_path(m_end, x[:, None], v, taus[:l + 1], hist, spec,
+                                        substeps)
+            for d in range(l + 1):
+                m_ref = ref[l - d]
+                s_ref = hist.eval(x - v * (taus[l] - taus[l - d]))[:, None]
+                lam = spec.turning.frequency(m_ref)
+                loss = spec.adaptation.rate_m(m_ref, s_ref) / spec.epsilon + lam * col_norm[k]
+                assert rel(states[d, k], m_ref) <= 1e-14, (k, l, d)
+                assert rel(ch.lam[d, k], lam) <= 1e-14, (k, l, d)
+                assert rel(ch.loss[d, k], loss) <= 1e-14, (k, l, d)
 
 
 # -- Duhamel / Picard -----------------------------------------------------------
@@ -144,6 +160,19 @@ def test_no_contraction_guard():
     t_bad = 1.1 / contraction_coefficient(spec, grid)
     with pytest.raises(NoContraction):
         duhamel_solve(p0, hist, spec, grid, t_bad, picard_iters=3)
+
+
+@pytest.mark.parametrize("n_time, rk_substeps", [(0, 4), (-1, 4), (8, 0), (8, -2)])
+def test_unresolved_oracle_is_a_bad_config(n_time, rk_substeps):
+    # With no RK4 steps the characteristics never move, and with no time
+    # interval there is no quadrature: both are refused, not run.
+    grid, spec = make_setup()
+    hist = SignalHistory.constant(np.full(grid.x_nodes, 0.5), grid)
+    p0 = DensityField(np.ones(grid.field_shape))
+    t = 0.3 / contraction_coefficient(spec, grid)
+    with pytest.raises(BadConfig, match="n_time >= 1 and rk_substeps >= 1"):
+        duhamel_solve(p0, hist, spec, grid, t, picard_iters=1, n_time=n_time,
+                      rk_substeps=rk_substeps)
 
 
 def picard_iterates(p0, hist, spec, grid, t, iters, n_time, rk_substeps=4, tol=None):
@@ -422,15 +451,14 @@ def test_shared_stencil_gather_matches_scalar_reference(case):
     # m queries from well below 0 to well above m_max
     mq = rng.uniform(-0.6, 1.6, (len(shifts), nx, nm)) * grid.m_max
     mq[..., ::3] = np.round(mq[..., ::3] / grid.dm) * grid.dm  # on cell edges
-    rows, wx = _x_stencil(xq, grid)
-    got = _interp_xm(_pad_m(field), rows, wx, mq, grid)
-    assert got.shape == (len(shifts), nx, nv, nm)
+    got = _interp_xm(_as_sources(field), _stencil(xq, mq, grid))
+    assert got.shape == (nv, len(shifts), nx, nm)
     for b in range(len(shifts)):
         for i in range(nx):
             for k in range(nv):
                 want = [_scalar_interp(field[:, k, :], xq[b, i], mq[b, i, j], grid)
                         for j in range(nm)]
-                assert np.max(np.abs(got[b, i, k] - want)) <= 1e-13 * np.abs(field).max()
+                assert np.max(np.abs(got[k, b, i] - want)) <= 1e-13 * np.abs(field).max()
 
 
 def test_picard_contraction_ratio():
