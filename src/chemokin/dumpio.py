@@ -124,6 +124,11 @@ def read_dump(path: str | Path) -> Dump:
         )
     except (KeyError, ValueError) as exc:
         raise BadConfig(f"{path}: malformed dump header ({exc})") from exc
+    if not (dim in (1, 2) and min(x_nodes, v_count, m_nodes) >= 1
+            and 0.0 < dump.x_extent < np.inf and 0.0 < dump.m_max < np.inf):
+        raise BadConfig(f"{path}: grid out of range (dim = {dim}, x_nodes = {x_nodes}, "
+                        f"v_count = {v_count}, m_nodes = {m_nodes}, "
+                        f"x_extent = {dump.x_extent}, m_max = {dump.m_max})")
     if dump.steps < 0 or not 0.0 <= dump.max_mass_defect < np.inf:
         raise BadConfig(f"{path}: bookkeeping out of range (steps = {dump.steps}, "
                         f"max_mass_defect = {dump.max_mass_defect})")

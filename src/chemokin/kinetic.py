@@ -268,7 +268,6 @@ class StepperState:
     tensors: TurningTensors
     mass0: float
     step_count: int = 0
-    mass_defect: float = 0.0
     max_mass_defect: float = 0.0
     freeze_signal: bool = False
 
@@ -323,8 +322,8 @@ def finish_step(state: StepperState, p: np.ndarray, dt: float) -> StepperState:
 
     Positivity is asserted on the result: a negative or NaN cell is a
     scheme bug, never something to clip.  The signal is then re-solved
-    from ``p`` (unless the state freezes it) and the relative mass defect
-    against ``mass0`` is recorded.
+    from ``p`` (unless the state freezes it) and the largest relative mass
+    defect against ``mass0`` so far is kept.
     """
     pmin = float(p.min())
     if not pmin >= 0.0:  # also catches NaN, which compares false
@@ -341,7 +340,6 @@ def finish_step(state: StepperState, p: np.ndarray, dt: float) -> StepperState:
         field=DensityField(p, state.t + dt),
         signal=signal,
         step_count=state.step_count + 1,
-        mass_defect=defect,
         max_mass_defect=max(state.max_mass_defect, abs(defect)),
     )
 

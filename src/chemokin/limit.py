@@ -12,13 +12,15 @@ lambda taken at m0 of the lagged signal), the shared step epilogue and
 the ``kinetic.run`` scheduler.  The module also quantifies how far a
 kinetic solution is from the Dirac profile (Wasserstein-1 width of the
 normalized m-marginal), and runs the eps-family experiment tabulating
-concentration width and the L1 gap to the reduced solution.
+concentration width and the L1 gap to the reduced solution; the family
+shares one scenario, each member swapping its eps into the one spec.
 """
 from __future__ import annotations
 
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field as dc_field, replace as dc_replace
 from pathlib import Path
 
@@ -93,25 +95,15 @@ def oda_run(grid: PhaseGrid, spec: ModelSpec, initial: InitialData, t_end: float
 # Concentration metrics
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ConcentrationMetrics:
+def concentration_metrics(p: np.ndarray, s: np.ndarray, spec: ModelSpec,
+                          grid: PhaseGrid) -> float:
     """Distance of the normalized m-marginals from the adapted Dirac profile.
 
-    ``w1_aggregate`` is the Wasserstein-1 distance of each spatial cell's
-    normalized m-marginal to the Dirac at m0(S(x)) (the first absolute
-    moment about it, equivalently the integral of |CDF - step|),
-    mass-weighted over the cells above the vacuum floor; the cells and
-    mass below that floor are counted in ``excluded_cells`` and
-    ``excluded_mass``.
+    Returns the Wasserstein-1 distance of each spatial cell's normalized
+    m-marginal to the Dirac at m0(S(x)) (the first absolute moment about
+    it, equivalently the integral of |CDF - step|), mass-weighted over the
+    cells above the vacuum floor.
     """
-
-    w1_aggregate: float
-    excluded_cells: int
-    excluded_mass: float
-
-
-def concentration_metrics(p: np.ndarray, s: np.ndarray, spec: ModelSpec,
-                          grid: PhaseGrid) -> ConcentrationMetrics:
     marginal = np.einsum("...vm,v->...m", p, grid.weights) * grid.dm
     marginal = marginal.reshape(-1, grid.m_nodes)
     n_x = np.sum(marginal, axis=1)
@@ -129,11 +121,7 @@ def concentration_metrics(p: np.ndarray, s: np.ndarray, spec: ModelSpec,
 
     weight = np.where(included, n_x, 0.0)
     wsum = float(np.sum(weight))
-    return ConcentrationMetrics(
-        w1_aggregate=float(np.sum(w1 * weight) / wsum) if wsum > 0 else np.nan,
-        excluded_cells=int(np.sum(~included)),
-        excluded_mass=float(np.sum(n_x[~included]) * grid.cell_volume),
-    )
+    return float(np.sum(w1 * weight) / wsum) if wsum > 0 else np.nan
 
 
 # ---------------------------------------------------------------------------
@@ -177,42 +165,36 @@ class StudyReport:
                 writer.writerow([repr(getattr(r, c)) for c in STUDY_COLUMNS])
 
 
-def _run_one_eps(cfg: RunConfig, eps: float, t_end: float,
-                 oda_bars: list[np.ndarray]) -> list[StudyRow]:
-    cfg_eps = dc_replace(cfg, model=dc_replace(cfg.model, eps=eps))
-    grid, spec, initial = build_scenario(cfg_eps)
+def _run_one_eps(grid: PhaseGrid, spec: ModelSpec, initial: InitialData, t_end: float,
+                 output_every: float, oda_bars: list[np.ndarray]) -> list[StudyRow]:
+    """Rows of one member: w1 and the L1 gap observed, the rest from its diagnostics."""
     state = StepperState.create(grid, spec, initial)
     report = DiagnosticsReport(initial, spec, grid)
-
-    rows: list[StudyRow] = []
-    prev = {"t": state.t, "xm": None}
+    w1_gaps: list[tuple[float, float]] = []
 
     def observer(st: StepperState) -> None:
-        row = report.rows[-1]
-        metrics = concentration_metrics(st.field.values, st.signal.values, spec, grid)
-        idx = len(rows)
-        gap = float(np.sum(np.abs(pbar_of(st.field.values, grid) - oda_bars[idx])
-                           * grid.weights) * grid.cell_volume)
-        rate = 0.0
-        if prev["xm"] is not None and row.t > prev["t"]:
-            rate = (row.x_moment - prev["xm"]) / (row.t - prev["t"])
-        prev["t"], prev["xm"] = row.t, row.x_moment
-        rows.append(StudyRow(
-            eps=eps, t=row.t, w1=metrics.w1_aggregate, l1_gap=gap, mass=row.mass,
-            env_pbar_margin=row.margin_pbar, env_n_margin=row.margin_n,
-            tail_moment=row.tail_moment, xmoment_rate=rate))
+        p = st.field.values
+        gap = float(np.sum(np.abs(pbar_of(p, grid) - oda_bars[len(w1_gaps)]) * grid.weights)
+                    * grid.cell_volume)
+        w1_gaps.append((concentration_metrics(p, st.signal.values, spec, grid), gap))
 
-    kinetic_run(state, t_end, cfg.run.output_every, report=report, observer=observer)
-    return rows
+    kinetic_run(state, t_end, output_every, report=report, observer=observer)
+    rates = [0.0] + [float(r) for r in report.x_moment_rates()]
+    return [StudyRow(eps=spec.epsilon, t=row.t, w1=w1, l1_gap=gap, mass=row.mass,
+                     env_pbar_margin=row.margin_pbar, env_n_margin=row.margin_n,
+                     tail_moment=row.tail_moment, xmoment_rate=rate)
+            for row, (w1, gap), rate in zip(report.rows, w1_gaps, rates)]
 
 
 def eps_study(cfg: RunConfig, eps_list: list[float],
               t_end: float | None = None) -> StudyReport:
     """Run the kinetic solver per eps and the reduced model once; tabulate.
 
-    Rows hold the aggregate Wasserstein-1 concentration width, the L1 gap
-    to the reduced solution, mass, envelope margins, the m-tail moment and
-    the <x>-moment rate at every output time, per eps.
+    The family is one scenario, built once at the first eps and shared by
+    all runs; each member swaps only eps into the spec (the certificates and
+    the initial data do not depend on it).  Rows hold the Wasserstein-1
+    concentration width, the L1 gap to the reduced solution, mass, envelope
+    margins, m-tail moment and <x>-moment rate per output time and eps.
     """
     if not eps_list or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise BadConfig("eps_list must be non-empty and strictly decreasing")
@@ -224,19 +206,16 @@ def eps_study(cfg: RunConfig, eps_list: list[float],
     check_output_schedule(t_end, cfg.run.output_every)
 
     grid, spec, initial = build_scenario(
-        dc_replace(cfg, model=dc_replace(cfg.model, eps=min(eps_list))))
+        dc_replace(cfg, model=dc_replace(cfg.model, eps=eps_list[0])))
+    specs = [dc_replace(spec, epsilon=eps) for eps in eps_list]
     oda_bars: list[np.ndarray] = []
     oda_run(grid, spec, initial, t_end, cfg.run.output_every,
             observer=lambda st: oda_bars.append(pbar_of(st.field.values, st.grid)))
 
-    report = StudyReport(t_end=t_end)
-    if cfg.run.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.run.threads) as pool:
-            futures = [pool.submit(_run_one_eps, cfg, eps, t_end, oda_bars)
-                       for eps in eps_list]
-            for fut in futures:
-                report.rows.extend(fut.result())
-    else:
-        for eps in eps_list:
-            report.rows.extend(_run_one_eps(cfg, eps, t_end, oda_bars))
-    return report
+    def run_one(spec_eps: ModelSpec) -> list[StudyRow]:
+        return _run_one_eps(grid, spec_eps, initial, t_end, cfg.run.output_every, oda_bars)
+
+    threads = cfg.run.threads
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        members = list((pool.map if pool else map)(run_one, specs))
+    return StudyReport(rows=[row for rows in members for row in rows], t_end=t_end)

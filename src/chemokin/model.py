@@ -42,6 +42,8 @@ def velocity_set(dim: int, v_count: int) -> tuple[np.ndarray, np.ndarray]:
     the velocity set vanish, which the turning operator's exact mass
     cancellation relies on.
     """
+    if v_count < 1:
+        raise BadConfig(f"v_count must be positive, got {v_count}")
     if dim == 1:
         dv = 2.0 / v_count
         v = (-1.0 + (np.arange(v_count) + 0.5) * dv)[:, None]
@@ -416,7 +418,6 @@ class InitialData:
 
     p0: DensityField
     mass: float
-    x_moment: float
     m_moment: float
     p0_sup: float
     pbar0_sup: float
@@ -478,13 +479,10 @@ def package_initial(p0: DensityField, grid: PhaseGrid) -> InitialData:
     measure = grid.cell_volume * grid.dm
     mass = float(np.sum(v * grid.weights[:, None]) * measure)
     pbar0 = np.sum(v, axis=-1) * grid.dm
-    n0 = np.sum(pbar0 * grid.weights, axis=-1)
-    x_moment = float(np.sum(grid.x_weight() * n0) * grid.cell_volume)
     m_moment = float(np.sum(v * grid.weights[:, None] * grid.m_centers) * measure)
     return InitialData(
         p0=p0,
         mass=mass,
-        x_moment=x_moment,
         m_moment=m_moment,
         p0_sup=float(v.max(initial=0.0)),
         pbar0_sup=float(pbar0.max(initial=0.0)),

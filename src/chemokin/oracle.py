@@ -225,7 +225,6 @@ class DuhamelResult:
     field: DensityField
     iterations: int
     sup_diffs: list[float] = dc_field(default_factory=list)
-    l1_diffs: list[float] = dc_field(default_factory=list)
 
 
 def contraction_coefficient(spec: ModelSpec, grid: PhaseGrid) -> float:
@@ -372,18 +371,14 @@ def duhamel_solve(p0: DensityField, s_hist: SignalHistory, spec: ModelSpec,
     marched = _march(ch, pullback)
 
     sup_diffs: list[float] = []
-    l1_diffs: list[float] = []
     if picard_iters >= 1:
         diff = _sweep(ch, pullback, marched)
         diff -= marched
-        np.abs(diff, out=diff)
-        sup_diffs.append(float(diff.max()))
-        l1_diffs.append(float(np.einsum("lxvm,v->l", diff, grid.weights).max())
-                        * grid.cell_volume * grid.dm)
+        sup_diffs.append(float(np.abs(diff, out=diff).max()))
         if sup_diffs[0] > tol:
             raise SolverFailure(
                 f"Duhamel fixed-point residual {sup_diffs[0]:.3e} > tol = {tol:.3e}: "
                 "one Picard sweep moves the marched field")
 
     return DuhamelResult(field=DensityField(marched[-1], t), iterations=len(sup_diffs),
-                         sup_diffs=sup_diffs, l1_diffs=l1_diffs)
+                         sup_diffs=sup_diffs)

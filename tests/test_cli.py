@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import chemokin
@@ -204,6 +205,31 @@ def test_compare_distinct_dumps(tmp_path, capsys):
 def test_compare_rejects_non_dump(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     assert main(["compare", str(cfg_path), str(cfg_path)]) == 2
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dim", "0"), ("dim", "3"), ("x_nodes", "0"), ("v_count", "0"), ("v_count", "-1"),
+    ("m_nodes", "0"), ("m_nodes", "-2"), ("x_extent", "0.0"), ("x_extent", "inf"),
+    ("x_extent", "nan"), ("m_max", "-1.0"), ("m_max", "inf"),
+])
+def test_compare_rejects_out_of_range_grid_header(tmp_path, capsys, key, value):
+    # The velocity list and the payload are resized to what the edited
+    # header promises, so the dump is refused for its range alone.
+    cfg_path = write_config(tmp_path)
+    assert main(["run", str(cfg_path)]) == 0
+    raw = (tmp_path / "out" / "final.chk").read_bytes()
+    cut = raw.index(b"END_HEADER\n")
+    fields = dict(line.split("=", 1) for line in raw[:cut].decode().splitlines()[1:])
+    fields[key] = value
+    dim, v_count = int(fields["dim"]), int(fields["v_count"])
+    fields["v"] = ",".join(["0.5"] * max(v_count * dim, 1))
+    fields["w"] = ",".join(["1.0"] * max(v_count, 1))
+    size = int(fields["x_nodes"]) ** dim * v_count * int(fields["m_nodes"])
+    header = "\n".join(["CHKIN1"] + [f"{k}={v}" for k, v in fields.items()] + ["END_HEADER\n"])
+    bad = tmp_path / "bad.chk"
+    bad.write_bytes(header.encode() + np.zeros(max(size, 0)).tobytes())
+    assert main(["compare", str(bad), str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("bad-config:")
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):

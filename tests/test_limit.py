@@ -1,17 +1,19 @@
 """Adapted state, reduced velocity-jump model, concentration metrics, study."""
-from dataclasses import replace as dc_replace
+from dataclasses import astuple, replace as dc_replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chemokin.config import GridConfig, RunConfig
+from chemokin.config import GridConfig, RunConfig, parse_config
 from chemokin.errors import AssumptionViolation, BadConfig, EmptyField, PositivityError
 from chemokin.fields import DensityField
 from chemokin.kinetic import StepperState, pbar_of, run as kinetic_run, total_mass
 from chemokin.limit import concentration_metrics, eps_study, oda_run, oda_state, oda_step
 from chemokin.model import AdaptationModel, build_scenario, package_initial
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 def scenario(**overrides):
     cfg = RunConfig()
@@ -211,8 +213,8 @@ def test_w1_single_cell_within_dm():
     s_val = s_for_root(spec, m_target)
     p = np.zeros(grid.field_shape)
     p[:, :, 12] = 1.0
-    metrics = concentration_metrics(p, np.full(grid.x_shape, s_val), spec, grid)
-    assert metrics.w1_aggregate <= grid.dm
+    w1 = concentration_metrics(p, np.full(grid.x_shape, s_val), spec, grid)
+    assert w1 <= grid.dm
 
 
 def test_w1_symmetric_two_cell_split_equals_offset():
@@ -225,13 +227,13 @@ def test_w1_symmetric_two_cell_split_equals_offset():
     p = np.zeros(grid.field_shape)
     p[:, :, j_lo] = 1.0
     p[:, :, j_hi] = 1.0
-    metrics = concentration_metrics(p, np.full(grid.x_shape, s_val), spec, grid)
-    assert metrics.w1_aggregate == pytest.approx(h, rel=1e-10)
+    w1 = concentration_metrics(p, np.full(grid.x_shape, s_val), spec, grid)
+    assert w1 == pytest.approx(h, rel=1e-10)
     # cross-check against the CDF-step integral oracle
     masses = np.zeros(grid.m_nodes)
     masses[j_lo] = masses[j_hi] = 1.0
     oracle = cdf_step_distance(masses, grid.m_centers, m0, grid.m_max)
-    assert metrics.w1_aggregate == pytest.approx(oracle, rel=1e-4)
+    assert w1 == pytest.approx(oracle, rel=1e-4)
 
 
 def test_w1_uniform_marginal_closed_form():
@@ -239,11 +241,11 @@ def test_w1_uniform_marginal_closed_form():
     m0 = 0.62
     s_val = s_for_root(spec, m0)
     p = np.ones(grid.field_shape)
-    metrics = concentration_metrics(p, np.full(grid.x_shape, s_val), spec, grid)
+    w1 = concentration_metrics(p, np.full(grid.x_shape, s_val), spec, grid)
     masses = np.ones(grid.m_nodes)
     oracle = cdf_step_distance(masses, grid.m_centers,
                                float(spec.adaptation.equilibrium(s_val)), grid.m_max)
-    assert metrics.w1_aggregate == pytest.approx(oracle, rel=1e-3)
+    assert w1 == pytest.approx(oracle, rel=1e-3)
 
 
 def test_concentration_empty_field_raises():
@@ -257,10 +259,10 @@ def test_vacuum_cells_excluded():
     cfg, grid, spec, init = scenario()
     p = np.zeros(grid.field_shape)
     p[0, :, 10] = 1.0  # all mass in one x-cell
-    metrics = concentration_metrics(p, np.full(grid.x_shape, 0.4), spec, grid)
-    assert metrics.excluded_cells == grid.x_nodes - 1
-    assert metrics.excluded_mass == 0.0
-    assert np.isfinite(metrics.w1_aggregate)
+    w1 = concentration_metrics(p, np.full(grid.x_shape, 0.4), spec, grid)
+    # The empty cells carry no weight: the width is that one cell's own.
+    m0 = float(spec.adaptation.equilibrium(0.4))
+    assert w1 == pytest.approx(abs(grid.m_centers[10] - m0), rel=1e-12)
 
 
 # -- eps study ----------------------------------------------------------------------
@@ -287,6 +289,14 @@ def test_eps_study_requires_decreasing_list():
         eps_study(cfg, [0.1, 0.2])
 
 
+@pytest.mark.parametrize("last", [0.0, -0.1])
+def test_eps_study_rejects_non_positive_member(last):
+    # The scenario is built at the first eps; a later member's spec still
+    # refuses a non-positive eps, before any member runs.
+    with pytest.raises(BadConfig, match="epsilon must be positive"):
+        eps_study(RunConfig(), [0.1, last])
+
+
 def test_eps_study_threads_match_serial():
     cfg = RunConfig()
     cfg.grid = GridConfig(x_nodes=16, x_extent=6.0, v_count=2, m_nodes=16)
@@ -295,8 +305,25 @@ def test_eps_study_threads_match_serial():
     serial = eps_study(cfg, [0.4, 0.2])
     cfg.run.threads = 2
     threaded = eps_study(cfg, [0.4, 0.2])
-    for a, b in zip(serial.rows, threaded.rows):
-        assert (a.eps, a.t, a.w1, a.l1_gap, a.mass) == (b.eps, b.t, b.w1, b.l1_gap, b.mass)
+    assert len(serial.rows) == 6
+    assert [astuple(r) for r in threaded.rows] == [astuple(r) for r in serial.rows]
+
+
+def test_vanishing_eps_keeps_step_count_mass_and_positivity():
+    # The adaptation remap follows the exact flow, so eps = 1e-9 costs no
+    # extra steps and stays conservative and positive (asymptotic preservation).
+    cfg = parse_config(CONFIG_DIR / "study.cfg")
+    grid, spec, init = build_scenario(cfg)
+    runs = {}
+    for eps in (1.0, 1e-9):
+        mins = []
+        state = StepperState.create(grid, dc_replace(spec, epsilon=eps), init)
+        state, _ = kinetic_run(state, cfg.run.t_end, cfg.run.output_every,
+                               observer=lambda st: mins.append(float(st.field.values.min())))
+        runs[eps] = (state.step_count, state.max_mass_defect, min(mins))
+    assert runs[1e-9][0] == runs[1.0][0]
+    assert runs[1e-9][1] <= 1e-12
+    assert runs[1e-9][2] >= 0.0
 
 
 def test_tail_moment_never_exceeds_initial_m_moment():

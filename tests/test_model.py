@@ -38,6 +38,12 @@ def test_velocity_set_1d_symmetric_midpoints():
     assert abs(float(v.ravel() @ w)) < 1e-15  # first moment cancels
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_velocity_set_without_velocities_is_a_bad_config(dim):
+    with pytest.raises(BadConfig):
+        velocity_set(dim, 0)
+
+
 def test_velocity_set_2d_unit_circle():
     v, w = velocity_set(2, 8)
     assert np.allclose(np.linalg.norm(v, axis=1), 1.0)
@@ -194,7 +200,7 @@ def test_initial_metadata_consistency():
     grid, spec, init = build_scenario(cfg)
     assert init.mass == pytest.approx(cfg.initial.mass, rel=1e-12)
     assert init.p0_sup > 0 and init.pbar0_sup > 0
-    assert np.isfinite(init.x_moment) and np.isfinite(init.m_moment)
+    assert np.isfinite(init.m_moment)
     assert np.all(init.p0.values >= 0)
 
 
