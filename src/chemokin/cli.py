@@ -206,10 +206,9 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_compare(path_a: str, path_b: str) -> int:
     a = dumpio.read_dump(path_a)
     b = dumpio.read_dump(path_b)
-    if a.field_shape != b.field_shape:
-        print(f"incomparable dumps: shapes {a.field_shape} vs {b.field_shape}",
-              file=sys.stderr)
-        return EXIT_IO
+    # Dumps of two scenarios on one grid (say two eps) compare; two grids do not.
+    if not dumpio.same_grid(a, b):
+        raise BadConfig(f"incomparable dumps: {path_a} and {path_b} differ in grid signature")
     diff = a.values - b.values
     meas = (a.x_extent / a.x_nodes) ** a.dim * (a.m_max / a.m_nodes)
     l1 = float(np.sum(np.abs(diff) * a.weights[:, None]) * meas)

@@ -143,17 +143,21 @@ def read_dump(path: str | Path) -> Dump:
     return dump
 
 
+def same_grid(a: Dump | PhaseGrid, b: Dump | PhaseGrid) -> bool:
+    """Whether two dumps or grids share a grid signature (the scenario may differ)."""
+    return (
+        a.dim == b.dim and a.x_nodes == b.x_nodes
+        and a.x_topology == b.x_topology and a.m_nodes == b.m_nodes
+        and a.x_extent == b.x_extent and a.m_max == b.m_max
+        and np.array_equal(a.velocities, b.velocities)
+        and np.array_equal(a.weights, b.weights)
+    )
+
+
 def check_compatible(dump: Dump, grid: PhaseGrid, scenario_hash: str) -> None:
     """Reject restarts whose dump does not match the configured scenario."""
     if dump.scenario != scenario_hash:
         raise BadConfig(
             f"dump scenario hash {dump.scenario} != configured scenario {scenario_hash}")
-    same = (
-        dump.dim == grid.dim and dump.x_nodes == grid.x_nodes
-        and dump.x_topology == grid.x_topology and dump.m_nodes == grid.m_nodes
-        and dump.x_extent == grid.x_extent and dump.m_max == grid.m_max
-        and np.array_equal(dump.velocities, grid.velocities)
-        and np.array_equal(dump.weights, grid.weights)
-    )
-    if not same:
+    if not same_grid(dump, grid):
         raise BadConfig("dump grid signature differs from the configured grid")

@@ -51,27 +51,43 @@ def _origin_cell_average_2d(dx: float) -> float:
     return (8.0 * val) / (2.0 * np.pi) / dx ** 2
 
 
-def _cell_average_2d(cx: np.ndarray, cy: np.ndarray, dx: float, n_gauss: int = 8) -> np.ndarray:
-    """Cell averages of K0(r)/(2pi) on a grid of cell centers.
+def _cell_average_2d(offs: np.ndarray, dx: float, n_gauss: int = 8) -> np.ndarray:
+    """Cell averages of K0(r)/(2pi) on the grid of cell centers offs x offs.
 
     The cell containing the origin is handled by analytic radial
     integration; all others by tensor Gauss-Legendre quadrature (the
     integrand is smooth away from r = 0).
+
+    A quadrature point (x, y) = (offs[a] + node[i], offs[b] + node[j]) has
+    r = sqrt(x^2 + y^2), which depends only on |x| and |y|: squaring is
+    exact in sign, and x^2 + y^2 == y^2 + x^2 in IEEE arithmetic.  So K0 is
+    evaluated once per pair of distinct |x| values, on the upper triangle
+    of a table (in blocks of rows, mirrored below), and the table is
+    gathered back into the (a, b, i, j) array that evaluating every point
+    would give.  Each entry carries the bits of its direct evaluation, and
+    the einsum sums the same array in the same order, so the averages are
+    bitwise those of the point-by-point tabulation.
     """
     nodes, wts = np.polynomial.legendre.leggauss(n_gauss)
     nodes = 0.5 * dx * nodes
     wts = 0.5 * wts  # scaled so the 1-d weights sum to 1/2 * 2 = 1
 
-    xx = cx[:, None, None, None] + nodes[None, None, :, None]
-    yy = cy[None, :, None, None] + nodes[None, None, None, :]
-    r = np.sqrt(xx ** 2 + yy ** 2)
-    vals = np.where(r > 0, special.k0(np.where(r > 0, r, 1.0)), 0.0) / (2.0 * np.pi)
+    ax, inv = np.unique(np.abs(offs[:, None] + nodes), return_inverse=True)
+    sq = ax ** 2
+    tab = np.empty((ax.size, ax.size))
+    for lo in range(0, ax.size, 64):
+        hi = lo + 64
+        r = np.sqrt(sq[lo:hi, None] + sq[lo:])
+        tab[lo:hi, lo:] = np.where(r > 0, special.k0(np.where(r > 0, r, 1.0)), 0.0) / (2.0 * np.pi)
+        tab[hi:, lo:hi] = tab[lo:hi, hi:].T
+
+    inv = inv.reshape(offs.size, n_gauss)
+    vals = tab[inv[:, None, :, None], inv[None, :, None, :]]
     avg = np.einsum("abij,i,j->ab", vals, wts, wts)
 
-    i0 = np.argmin(np.abs(cx))
-    j0 = np.argmin(np.abs(cy))
-    if abs(cx[i0]) < 0.5 * dx and abs(cy[j0]) < 0.5 * dx:
-        avg[i0, j0] = _origin_cell_average_2d(dx)
+    i0 = np.argmin(np.abs(offs))
+    if abs(offs[i0]) < 0.5 * dx:
+        avg[i0, i0] = _origin_cell_average_2d(dx)
     return avg
 
 
@@ -96,7 +112,7 @@ class GreenKernel:
             if self.dim == 1:
                 self.values = _cell_average_1d(offs, self.dx)
             elif self.dim == 2:
-                self.values = _cell_average_2d(offs, offs, self.dx)
+                self.values = _cell_average_2d(offs, self.dx)
             else:
                 raise BadConfig(f"Green kernel supports dim 1 or 2, got {self.dim}")
 

@@ -477,9 +477,11 @@ def package_initial(p0: DensityField, grid: PhaseGrid) -> InitialData:
             f"initial density must be non-negative: p0{idx} = {v[idx]:.6g}")
 
     measure = grid.cell_volume * grid.dm
-    mass = float(np.sum(v * grid.weights[:, None]) * measure)
+    pw = v * grid.weights[:, None]
+    mass = float(np.sum(pw) * measure)
     pbar0 = np.sum(v, axis=-1) * grid.dm
-    m_moment = float(np.sum(v * grid.weights[:, None] * grid.m_centers) * measure)
+    pw *= grid.m_centers   # now p*w*m, for the m-moment
+    m_moment = float(np.sum(pw) * measure)
     return InitialData(
         p0=p0,
         mass=mass,

@@ -202,6 +202,41 @@ def test_compare_distinct_dumps(tmp_path, capsys):
     assert "bitwise equal: False" in capsys.readouterr().out
 
 
+def test_compare_same_grid_is_symmetric(tmp_path, capsys):
+    # Dumps of one grid at different times compare in either order, with
+    # the same distance.
+    cfg_path = write_config(tmp_path)
+    assert main(["run", str(cfg_path)]) == 0
+    a = str(tmp_path / "out" / "dump_0.chk")
+    b = str(tmp_path / "out" / "final.chk")
+    l1 = []
+    for pair in ((a, b), (b, a)):
+        assert main(["compare", *pair]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        l1 += [line for line in lines if line.startswith("L1 distance:")]
+    assert len(l1) == 2 and l1[0] == l1[1]
+
+
+@pytest.mark.parametrize("key, other", [("x_extent = 8.0", "x_extent = 80.0"),
+                                        ("x_nodes = 32", "x_nodes = 16")])
+def test_compare_rejects_other_grid_in_both_orders(tmp_path, capsys, key, other):
+    # Same array shape (x_extent) or not (x_nodes): a grid mismatch is a
+    # bad config, never a distance measured in one dump's cell size.
+    dumps = []
+    for name, text in (("a", key), ("b", other)):
+        sub = tmp_path / name
+        sub.mkdir()
+        cfg_path = write_config(sub)
+        cfg_path.write_text(cfg_path.read_text().replace(key, text))
+        assert main(["run", str(cfg_path)]) == 0
+        dumps.append(str(sub / "out" / "final.chk"))
+    for pair in (dumps, dumps[::-1]):
+        assert main(["compare", *pair]) == 2
+        captured = capsys.readouterr()
+        assert "L1 distance" not in captured.out
+        assert captured.err.startswith("bad-config:")
+
+
 def test_compare_rejects_non_dump(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     assert main(["compare", str(cfg_path), str(cfg_path)]) == 2

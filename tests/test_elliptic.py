@@ -1,9 +1,10 @@
 """Signal solver fidelity: spectral residual, kernel properties, Young bounds."""
 import numpy as np
 import pytest
+from scipy import special
 
-from chemokin.elliptic import (green_kernel, kernel_check, solve_signal,
-                               stencil_residual)
+from chemokin.elliptic import (_cell_average_2d, _origin_cell_average_2d, green_kernel,
+                               kernel_check, solve_signal, stencil_residual)
 from chemokin.errors import BadConfig, NonFiniteInput
 from chemokin.model import PhaseGrid, velocity_set
 
@@ -150,6 +151,44 @@ def test_kernel_2d_mass_and_pointwise_values():
         point = k0(r) / (2 * np.pi)
         corrected = point * (1.0 + 0.25 ** 2 / 24.0)
         assert kern.values[c + di, c + dj] == pytest.approx(corrected, rel=2e-4)
+
+
+def brute_force_cell_average_2d(offs, dx, n_gauss):
+    """Reference tabulation: K0/(2pi) at every Gauss point of every cell."""
+    nodes, wts = np.polynomial.legendre.leggauss(n_gauss)
+    nodes = 0.5 * dx * nodes
+    wts = 0.5 * wts
+    xx = offs[:, None, None, None] + nodes[None, None, :, None]
+    yy = offs[None, :, None, None] + nodes[None, None, None, :]
+    r = np.sqrt(xx ** 2 + yy ** 2)
+    vals = np.where(r > 0, special.k0(np.where(r > 0, r, 1.0)), 0.0) / (2.0 * np.pi)
+    avg = np.einsum("abij,i,j->ab", vals, wts, wts)
+    i0 = np.argmin(np.abs(offs))
+    if abs(offs[i0]) < 0.5 * dx:
+        avg[i0, i0] = _origin_cell_average_2d(dx)
+    return avg
+
+
+@pytest.mark.parametrize("n_gauss", [4, 8])
+@pytest.mark.parametrize("dx, n_offsets", [(0.25, 63), (0.5, 32), (1.0 / 3.0, 47)])
+def test_kernel_2d_table_equals_brute_force_bitwise(dx, n_offsets, n_gauss):
+    # K0 is evaluated once per distinct (|x|, |y|) pair; the table must be
+    # bit for bit the point-by-point one, origin cell included.
+    offs = np.arange(-n_offsets, n_offsets + 1) * dx
+    ref = brute_force_cell_average_2d(offs, dx, n_gauss)
+    assert np.array_equal(_cell_average_2d(offs, dx, n_gauss), ref)
+    if n_gauss == 8:
+        assert np.array_equal(green_kernel(2, dx, n_offsets).values, ref)
+
+
+@pytest.mark.parametrize("n_gauss", [4, 8])
+def test_kernel_2d_table_equals_brute_force_without_origin_cell(n_gauss):
+    # Even width: the cell centres straddle the origin, so no cell holds it.
+    dx = 0.25
+    offs = (np.arange(-20, 20) + 0.5) * dx
+    ref = brute_force_cell_average_2d(offs, dx, n_gauss)
+    assert np.all(np.abs(offs) >= 0.5 * dx)
+    assert np.array_equal(_cell_average_2d(offs, dx, n_gauss), ref)
 
 
 def test_free_space_solve_2d_young():

@@ -326,6 +326,25 @@ def test_vanishing_eps_keeps_step_count_mass_and_positivity():
     assert runs[1e-9][2] >= 0.0
 
 
+def test_distance_to_vanishing_eps_limit_falls_at_every_halving():
+    # The scheme's own fast-adaptation limit is its eps = 1e-9 run.  On
+    # study.cfg the final pbar approaches it at every halving of eps from
+    # 0.2 down to 0.003125, by a ratio of at least 1.3 each time.
+    cfg = parse_config(CONFIG_DIR / "study.cfg")
+    grid, spec, init = build_scenario(cfg)
+    ladder = [0.2 / 2 ** k for k in range(7)]
+    final = {}
+    for eps in ladder + [1e-9]:
+        state = StepperState.create(grid, dc_replace(spec, epsilon=eps), init)
+        state, _ = kinetic_run(state, cfg.run.t_end, cfg.run.output_every)
+        final[eps] = (state.step_count, pbar_of(state.field.values, grid))
+    limit_steps, limit_bar = final[1e-9]
+    gaps = [float(np.sum(np.abs(final[eps][1] - limit_bar) * grid.weights) * grid.cell_volume)
+            for eps in ladder]
+    assert all(final[eps][0] == limit_steps for eps in ladder)
+    assert all(a >= 1.3 * b > 0.0 for a, b in zip(gaps, gaps[1:])), gaps
+
+
 def test_tail_moment_never_exceeds_initial_m_moment():
     # Nontrivial tail: mic truncation far above 2*m_plus and a uniform
     # m-slab putting real mass beyond it.
