@@ -1,10 +1,11 @@
 """Deterministic kinetic chemotaxis simulator with internal-state adaptation.
 
-Core pieces: a validated phase-space scenario builder (`model`), a
-spectral/Green-kernel signal solver (`elliptic`), an operator-split
-kinetic stepper (`kinetic`), characteristic/Picard reference solvers
-(`oracle`), the fast-adaptation limit model and eps study (`limit`),
-norm/envelope monitors (`diagnostics`) and a CLI (`cli`).
+Core pieces: the phase-space layout and its integrals (`fields`), a
+validated scenario builder (`model`), a spectral/Green-kernel signal
+solver (`elliptic`), an operator-split kinetic stepper (`kinetic`),
+characteristic/Picard reference solvers (`oracle`), the fast-adaptation
+limit model and eps study (`limit`), norm/envelope monitors
+(`diagnostics`) and a CLI (`cli`).
 """
 
 from .config import RunConfig, parse_config

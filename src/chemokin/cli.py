@@ -21,8 +21,8 @@ from .config import RunConfig, parse_config
 from .diagnostics import DiagnosticsReport
 from .elliptic import kernel_check, solve_signal, stencil_residual
 from .errors import BadConfig, ChemokinError, SolverFailure
-from .fields import DensityField
-from .kinetic import StepperState, number_density, run as kinetic_run
+from .fields import DensityField, number_density, total_mass
+from .kinetic import StepperState, run as kinetic_run
 from .limit import eps_study
 from .model import PhaseGrid, build_scenario, package_initial, velocity_set
 from .oracle import SignalHistory, duhamel_solve
@@ -161,9 +161,7 @@ def _verify_oracle(lines: list[str]) -> bool:
         state = macro_step(state, dt)
     oracle = duhamel_solve(initial.p0, s_hist, spec, grid, t_end,
                            picard_iters=60, n_time=24)
-    gap = float(np.sum(np.abs(state.field.values - oracle.field.values)
-                       * grid.weights[:, None]) * grid.cell_volume * grid.dm)
-    rel = gap / initial.mass
+    rel = total_mass(np.abs(state.field.values - oracle.field.values), grid) / initial.mass
     return _check("oracle cross-validation", rel <= 0.05,
                   f"relative L1 gap = {rel:.3e} <= 0.05 at 16x2x16, "
                   f"check sweeps = {oracle.iterations}, fixed-point residual = "

@@ -1,15 +1,16 @@
 """Scenario configuration: dataclasses plus strict INI parsing.
 
 The on-disk format is a sectioned key=value file with four sections,
-``[grid]``, ``[model]``, ``[initial]`` and ``[run]``.  The key schema is
-frozen; unknown sections or keys are rejected so that a config file fully
-determines a run.
+``[grid]``, ``[model]``, ``[initial]`` and ``[run]``.  Their keys and types
+are read off the four section dataclasses; unknown sections or keys are
+rejected so that a config file fully determines a run.
 """
 from __future__ import annotations
 
 import configparser
 import hashlib
 import math
+import typing
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 
@@ -91,45 +92,25 @@ class RunConfig:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-# File keys -> (section dataclass attribute, converter).  The config file
-# uses the historical key spellings (F_family, S_ref, ...).
+# The config file keeps the historical spellings of three model keys.
+_FILE_KEYS = {"f_family": "F_family", "s_ref": "S_ref", "t_family": "T_family"}
+
+
+def _key_schema(section: type) -> dict[str, tuple[str, type]]:
+    """File key -> (attribute, converter) for one section dataclass; the
+    converter is the field's annotated type (``float`` for ``float | None``)."""
+    hints = typing.get_type_hints(section)
+    schema = {}
+    for f in dc_fields(section):
+        kinds = [k for k in typing.get_args(hints[f.name]) if k is not type(None)]
+        schema[_FILE_KEYS.get(f.name, f.name)] = (f.name, kinds[0] if kinds else hints[f.name])
+    return schema
+
+
 _SCHEMA: dict[str, dict[str, tuple[str, type]]] = {
-    "grid": {
-        "dim": ("dim", int),
-        "x_nodes": ("x_nodes", int),
-        "x_extent": ("x_extent", float),
-        "x_topology": ("x_topology", str),
-        "v_count": ("v_count", int),
-        "m_nodes": ("m_nodes", int),
-        "m_max": ("m_max", float),
-        "m_max_auto": ("m_max_auto", bool),
-    },
-    "model": {
-        "F_family": ("f_family", str),
-        "kappa": ("kappa", float),
-        "S_ref": ("s_ref", float),
-        "m_minus": ("m_minus", float),
-        "m_plus": ("m_plus", float),
-        "T_family": ("t_family", str),
-        "lambda0": ("lambda0", float),
-        "beta": ("beta", float),
-        "m_c": ("m_c", float),
-        "delta": ("delta", float),
-        "eps": ("eps", float),
-    },
-    "initial": {
-        "profile": ("profile", str),
-        "center": ("center", float),
-        "width": ("width", float),
-        "mass": ("mass", float),
-    },
-    "run": {
-        "t_end": ("t_end", float),
-        "output_every": ("output_every", float),
-        "threads": ("threads", int),
-        "out_dir": ("out_dir", str),
-    },
-}
+    name: _key_schema(kind) for name, kind in typing.get_type_hints(RunConfig).items()}
+# A file-only flag: m_max stays None, which selects the auto rule.
+_SCHEMA["grid"]["m_max_auto"] = ("m_max_auto", bool)
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
@@ -164,11 +145,10 @@ def parse_config(path: str | Path) -> RunConfig:
         raise BadConfig(f"cannot parse {path}: {exc}") from exc
 
     cfg = RunConfig()
-    sections = {"grid": cfg.grid, "model": cfg.model, "initial": cfg.initial, "run": cfg.run}
-    grid_extra: dict[str, object] = {}
+    m_max_auto = False
 
     for sec_name in parser.sections():
-        if sec_name not in sections:
+        if sec_name not in _SCHEMA:
             raise BadConfig(f"unknown section [{sec_name}]")
         schema = _SCHEMA[sec_name]
         for key, raw in parser.items(sec_name):
@@ -176,12 +156,12 @@ def parse_config(path: str | Path) -> RunConfig:
                 raise BadConfig(f"unknown key [{sec_name}] {key}")
             attr, kind = schema[key]
             value = _convert(sec_name, key, raw, kind)
-            if sec_name == "grid" and attr == "m_max_auto":
-                grid_extra["m_max_auto"] = value
+            if attr == "m_max_auto":
+                m_max_auto = value
             else:
-                setattr(sections[sec_name], attr, value)
+                setattr(getattr(cfg, sec_name), attr, value)
 
-    if grid_extra.get("m_max_auto") and cfg.grid.m_max is not None:
+    if m_max_auto and cfg.grid.m_max is not None:
         raise BadConfig("[grid] give either m_max or m_max_auto=true, not both")
 
     validate_config(cfg)

@@ -14,22 +14,17 @@ same field are bitwise identical.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import BadConfig
+from .fields import mass_moments, pbar_of
 from .model import InitialData, ModelSpec, PhaseGrid
 
 #: Relative slack allowed on envelope margins before a run is flagged.
 ENVELOPE_TOL = 1e-8
-
-CSV_COLUMNS = (
-    "t", "mass", "p_sup", "pbar_sup", "n_sup", "s_l1", "s_sup",
-    "x_moment", "m_moment", "tail_moment",
-    "margin_pbar", "margin_n", "margin_s_l1", "margin_s_sup", "margin_p",
-)
 
 
 @dataclass
@@ -61,19 +56,9 @@ def reduce_norms(p: np.ndarray, s: np.ndarray, grid: PhaseGrid, m_plus: float,
     """
     if p.shape != grid.field_shape:
         raise BadConfig(f"field shape {p.shape} != grid shape {grid.field_shape}")
-    measure = grid.cell_volume * grid.dm
-    m_c = grid.m_centers
-    pbar = np.sum(p, axis=-1) * grid.dm
+    pbar = pbar_of(p, grid)
     n = np.sum(pbar * grid.weights, axis=-1)
-
-    # p*w is formed once.  The tail m_c > 2*m_plus is a suffix, copied
-    # tail-major as a boolean index lays it out, so its sum keeps its order.
-    pw = p * grid.weights[:, None]
-    mass = float(np.sum(pw) * measure)
-    tail = np.searchsorted(m_c, 2.0 * m_plus, side="right")
-    tail_pw = np.moveaxis(pw[..., tail:], -1, 0).copy()
-    tail_pw *= m_c[tail:].reshape((-1,) + (1,) * (p.ndim - 1))
-    pw *= m_c   # now p*w*m, for the m-moment
+    mass, m_moment, tail_moment = mass_moments(p, grid, m_tail=2.0 * m_plus)
 
     return ReportRow(
         t=t,
@@ -84,8 +69,8 @@ def reduce_norms(p: np.ndarray, s: np.ndarray, grid: PhaseGrid, m_plus: float,
         s_l1=float(np.sum(np.abs(s)) * grid.cell_volume),
         s_sup=float(np.max(np.abs(s), initial=0.0)),
         x_moment=float(np.sum(grid.x_weight() * n) * grid.cell_volume),
-        m_moment=float(np.sum(pw) * measure),
-        tail_moment=float(np.sum(tail_pw) * measure),
+        m_moment=m_moment,
+        tail_moment=tail_moment,
     )
 
 
@@ -131,12 +116,10 @@ def _margin_scales(row: ReportRow, initial: InitialData) -> dict[str, float]:
 class DiagnosticsReport:
     """Time series of monitored rows with envelope pass/fail tracking."""
 
-    def __init__(self, initial: InitialData, spec: ModelSpec, grid: PhaseGrid,
-                 tol_env: float = ENVELOPE_TOL):
+    def __init__(self, initial: InitialData, spec: ModelSpec, grid: PhaseGrid):
         self.initial = initial
         self.spec = spec
         self.grid = grid
-        self.tol_env = tol_env
         self.rows: list[ReportRow] = []
         self.failures: list[str] = []
 
@@ -153,9 +136,9 @@ class DiagnosticsReport:
         scales = _margin_scales(row, self.initial)
         for name, scale in scales.items():
             margin = getattr(row, name)
-            if np.isfinite(scale) and margin < -self.tol_env * abs(scale):
+            if np.isfinite(scale) and margin < -ENVELOPE_TOL * abs(scale):
                 self.failures.append(
-                    f"t={row.t:g}: {name} = {margin:.3e} below -{self.tol_env:g} * {scale:.3e}")
+                    f"t={row.t:g}: {name} = {margin:.3e} below -{ENVELOPE_TOL:g} * {scale:.3e}")
         self.rows.append(row)
 
     @property
@@ -182,8 +165,14 @@ class DiagnosticsReport:
         return bool(np.all(rates <= cap)) if rates.size else True
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for row in self.rows:
-                writer.writerow([repr(getattr(row, c)) for c in CSV_COLUMNS])
+        write_rows_csv(path, ReportRow, self.rows)
+
+
+def write_rows_csv(path: str | Path, row_type: type, rows) -> None:
+    """Dataclass rows as CSV: one column per field in declaration order, ``repr`` values."""
+    names = [f.name for f in dc_fields(row_type)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for row in rows:
+            writer.writerow([repr(getattr(row, name)) for name in names])

@@ -129,6 +129,9 @@ def read_dump(path: str | Path) -> Dump:
         raise BadConfig(f"{path}: grid out of range (dim = {dim}, x_nodes = {x_nodes}, "
                         f"v_count = {v_count}, m_nodes = {m_nodes}, "
                         f"x_extent = {dump.x_extent}, m_max = {dump.m_max})")
+    if not (0.0 <= dump.t < np.inf and 0.0 < dump.eps < np.inf):
+        raise BadConfig(f"{path}: time stamp or eps out of range "
+                        f"(t = {dump.t}, eps = {dump.eps})")
     if dump.steps < 0 or not 0.0 <= dump.max_mass_defect < np.inf:
         raise BadConfig(f"{path}: bookkeeping out of range (steps = {dump.steps}, "
                         f"max_mass_defect = {dump.max_mass_defect})")

@@ -224,16 +224,16 @@ class KernelReport:
                 writer.writerow([c.name, repr(c.value), c.expected, int(c.passed)])
 
 
-def kernel_check(grid: PhaseGrid, radius: float | None = None) -> KernelReport:
+def kernel_check(grid: PhaseGrid) -> KernelReport:
     """Tabulate the free-space kernel and compare against its invariants.
 
-    Reports the discrete mass, minimum, total variation (1-d) and the
-    weighted tail integrals that the concentration estimates lean on.
+    The table reaches max(FULL_MASS_RADIUS, x_extent).  Reports the
+    discrete mass, minimum, total variation (1-d) and the weighted tail
+    integrals that the concentration estimates lean on.
     """
     if grid.x_topology != "free":
         raise BadConfig("kernel_check requires free-space topology")
-    radius = radius if radius is not None else max(FULL_MASS_RADIUS, grid.x_extent)
-    n_off = int(np.ceil(radius / grid.dx))
+    n_off = int(np.ceil(max(FULL_MASS_RADIUS, grid.x_extent) / grid.dx))
     kern = green_kernel(grid.dim, grid.dx, n_off)
     meas = grid.dx ** grid.dim
 

@@ -16,7 +16,9 @@ integrand is antisymmetric under swapping the two velocities, and the
 remap's cell masses telescope to the full m-integral because the
 adaptation rate points inward at both ends of the truncated m-interval).
 The step epilogue (``finish_step``) and the output scheduler (``run``)
-also serve the reduced model of ``limit``, a state on one m-cell.
+also serve the reduced model of ``limit``, a state on one m-cell.  The
+epilogue takes n and the mass from ``fields``, whose ``total_mass`` also
+gave the initial mass, so a step that changes nothing has zero defect.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ import numpy as np
 from .diagnostics import DiagnosticsReport
 from .elliptic import solve_signal
 from .errors import BadConfig, CflViolation, PositivityError, SpecViolation
-from .fields import DensityField, SignalField
+from .fields import DensityField, SignalField, number_density, total_mass
 from .model import InitialData, ModelSpec, PhaseGrid
 
 #: Relative slack when comparing a step against its CFL bound.
@@ -36,20 +38,6 @@ CFL_SLACK = 1e-9
 #: Density elements (128 KiB) remapped per block of x-cells, so the
 #: adaptation remap's temporaries stay in cache.
 REMAP_BLOCK = 1 << 14
-
-
-def pbar_of(p: np.ndarray, grid: PhaseGrid) -> np.ndarray:
-    """m-integrated density over (x, v)."""
-    return np.sum(p, axis=-1) * grid.dm
-
-
-def number_density(p: np.ndarray, grid: PhaseGrid) -> np.ndarray:
-    """Macroscopic density n(x), the (v, m) integral of p."""
-    return np.sum(pbar_of(p, grid) * grid.weights, axis=-1)
-
-
-def total_mass(p: np.ndarray, grid: PhaseGrid) -> float:
-    return float(np.sum(p * grid.weights[:, None]) * grid.cell_volume * grid.dm)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ shares one scenario, each member swapping its eps into the one spec.
 """
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -27,16 +26,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, check_output_schedule
-from .diagnostics import DiagnosticsReport
+from .diagnostics import DiagnosticsReport, write_rows_csv
 from .elliptic import solve_signal
 from .errors import BadConfig, EmptyField
-from .fields import DensityField
-from .kinetic import (StepperState, TurningTensors, finish_step, number_density, pbar_of,
-                      run as kinetic_run, transport_apply, turning_apply)
+from .fields import DensityField, number_density, pbar_of
+from .kinetic import (StepperState, TurningTensors, finish_step, run as kinetic_run,
+                      transport_apply, turning_apply)
 from .model import InitialData, ModelSpec, PhaseGrid, build_scenario
-
-STUDY_COLUMNS = ("eps", "t", "w1", "l1_gap", "mass",
-                 "env_pbar_margin", "env_n_margin", "tail_moment", "xmoment_rate")
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +154,7 @@ class StudyReport:
         return [a / b if b > 0 else np.inf for a, b in zip(g, g[1:])]
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(STUDY_COLUMNS)
-            for r in self.rows:
-                writer.writerow([repr(getattr(r, c)) for c in STUDY_COLUMNS])
+        write_rows_csv(path, StudyRow, self.rows)
 
 
 def _run_one_eps(grid: PhaseGrid, spec: ModelSpec, initial: InitialData, t_end: float,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import AssumptionViolation, BadConfig
-from .fields import DensityField
+from .fields import DensityField, mass_moments, pbar_of, total_mass
 
 #: Relative clamp keeping the adapted state strictly inside (m_minus, m_plus).
 EQUILIBRIUM_CLAMP = 1e-6
@@ -27,6 +27,12 @@ EQUILIBRIUM_CLAMP = 1e-6
 #: float maximum, and any gap above m_max*exp(-700) is pulled back out of
 #: [0, m_max] already, so the cap only keeps eps -> 0 finite.
 FLOW_EXPONENT_CAP = 700.0
+
+#: Anisotropy a of the ``separable-angle`` turning kernel (1 + a*cos)/V_d.
+ANGLE_ANISOTROPY = 0.5
+
+#: Signal levels in [0, s_sample_cap] at which ``validate_on`` sweeps the rate.
+S_SAMPLES = 33
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +256,8 @@ class TurningModel:
     ``separable-uniform``: frequency lambda0*(1 + beta*tanh((m_c - m)/delta)),
     uniform kernel.
     ``separable-angle``: same frequency, kernel (1 + a*cos(angle))/V_d with
-    a fixed anisotropy a = 0.5 (kept out of the config schema; the kernel
-    normalizes exactly on symmetric velocity sets).
+    the fixed anisotropy a = ``ANGLE_ANISOTROPY`` (kept out of the config
+    schema; the kernel normalizes exactly on symmetric velocity sets).
     """
 
     kind: str
@@ -259,15 +265,12 @@ class TurningModel:
     beta: float = 0.0
     m_c: float = 0.0
     delta: float = 1.0
-    angle_coeff: float = 0.5
 
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "separable-uniform", "separable-angle"):
             raise BadConfig(f"unknown turning family {self.kind!r}")
         if not (self.lambda0 > 0 and self.delta > 0):
             raise BadConfig("turning parameters lambda0, delta must be positive")
-        if not -1.0 < self.angle_coeff < 1.0:
-            raise BadConfig("angle anisotropy must lie in (-1, 1)")
 
     def frequency(self, m):
         """Turning frequency lambda(m)."""
@@ -292,12 +295,12 @@ class TurningModel:
         denom = np.outer(norms, norms)
         with np.errstate(invalid="ignore", divide="ignore"):
             cos = np.where(denom > 0, dots / np.where(denom > 0, denom, 1.0), 0.0)
-        return (1.0 + self.angle_coeff * cos) / vd
+        return (1.0 + ANGLE_ANISOTROPY * cos) / vd
 
     def kernel_bound(self, grid: PhaseGrid) -> float:
         if self.kind in ("constant", "separable-uniform"):
             return 1.0 / grid.v_measure
-        return (1.0 + abs(self.angle_coeff)) / grid.v_measure
+        return (1.0 + ANGLE_ANISOTROPY) / grid.v_measure
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +339,7 @@ class ModelSpec:
     def adaptation_rate(self, m, s):
         return self.adaptation.rate(m, s)
 
-    def validate_on(self, grid: PhaseGrid, n_s_samples: int = 33) -> None:
+    def validate_on(self, grid: PhaseGrid) -> None:
         """Certify kernel positivity/boundedness and the rate sign structure.
 
         Raises AssumptionViolation naming the failed inequality and the
@@ -367,7 +370,7 @@ class ModelSpec:
         self.turning_cap = cap
 
         # Adaptation rate sign structure over sampled (m, S).
-        s_samples = np.linspace(0.0, self.s_sample_cap, n_s_samples)
+        s_samples = np.linspace(0.0, self.s_sample_cap, S_SAMPLES)
         m_c = grid.m_centers
         for s in s_samples:
             root = float(self.adaptation.equilibrium(s))
@@ -456,7 +459,7 @@ def build_initial(cfg: RunConfig, grid: PhaseGrid, spec: ModelSpec) -> InitialDa
     hm = np.exp(-0.5 * ((grid.m_centers - m_mid) / m_sig) ** 2)
 
     values = gx[..., None, None] * np.ones(grid.n_v)[:, None] * hm[None, :]
-    raw_mass = float(np.sum(values * grid.weights[:, None]) * grid.cell_volume * grid.dm)
+    raw_mass = total_mass(values, grid)
     if raw_mass <= 0 or not math.isfinite(raw_mass):
         raise AssumptionViolation(f"initial profile has non-positive mass {raw_mass}")
     values *= cfg.initial.mass / raw_mass
@@ -476,18 +479,13 @@ def package_initial(p0: DensityField, grid: PhaseGrid) -> InitialData:
         raise AssumptionViolation(
             f"initial density must be non-negative: p0{idx} = {v[idx]:.6g}")
 
-    measure = grid.cell_volume * grid.dm
-    pw = v * grid.weights[:, None]
-    mass = float(np.sum(pw) * measure)
-    pbar0 = np.sum(v, axis=-1) * grid.dm
-    pw *= grid.m_centers   # now p*w*m, for the m-moment
-    m_moment = float(np.sum(pw) * measure)
+    mass, m_moment, _ = mass_moments(v, grid)
     return InitialData(
         p0=p0,
         mass=mass,
         m_moment=m_moment,
         p0_sup=float(v.max(initial=0.0)),
-        pbar0_sup=float(pbar0.max(initial=0.0)),
+        pbar0_sup=float(pbar_of(v, grid).max(initial=0.0)),
     )
 
 

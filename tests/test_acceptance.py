@@ -16,8 +16,8 @@ from chemokin.cli import main as cli_main
 from chemokin.config import GridConfig, RunConfig, parse_config
 from chemokin.diagnostics import DiagnosticsReport
 from chemokin.elliptic import kernel_check, solve_signal, stencil_residual
-from chemokin.fields import DensityField
-from chemokin.kinetic import StepperState, macro_step, pbar_of, run as kinetic_run
+from chemokin.fields import DensityField, pbar_of
+from chemokin.kinetic import StepperState, macro_step, run as kinetic_run
 from chemokin.limit import eps_study
 from chemokin.model import (AdaptationModel, ModelSpec, PhaseGrid, build_scenario,
                             package_initial, velocity_set, TurningModel)

@@ -53,11 +53,75 @@ def test_python_m_chemokin_help():
     assert "study-eps" in proc.stdout
 
 
+EVERY_KEY_CONFIG = """\
+[grid]
+dim = 2
+x_nodes = 24
+x_extent = 6.5
+x_topology = free
+v_count = 6
+m_nodes = 20
+m_max = 2.5
+m_max_auto = false
+
+[model]
+F_family = cubic
+kappa = 1.5
+S_ref = 0.3
+m_minus = 0.25
+m_plus = 1.1
+T_family = separable-angle
+lambda0 = 0.8
+beta = 0.3
+m_c = 0.6
+delta = 0.2
+eps = 0.05
+
+[initial]
+profile = two-bumps
+center = 0.5
+width = 0.9
+mass = 2.0
+
+[run]
+t_end = 0.5
+output_every = 0.05
+threads = 2
+out_dir = elsewhere
+"""
+
+
 def test_parse_config_roundtrip(tmp_path):
+    from dataclasses import fields
+
+    from chemokin.config import GridConfig, InitialConfig, ModelConfig, RunConfig, RunSettings
     cfg = parse_config(write_config(tmp_path))
     assert cfg.grid.x_nodes == 32
     assert cfg.model.eps == 0.2
     assert cfg.run.t_end == 0.2
+
+    # Every key of every section, each off its default, reads back as typed.
+    expected = RunConfig(
+        grid=GridConfig(dim=2, x_nodes=24, x_extent=6.5, x_topology="free", v_count=6,
+                        m_nodes=20, m_max=2.5),
+        model=ModelConfig(f_family="cubic", kappa=1.5, s_ref=0.3, m_minus=0.25, m_plus=1.1,
+                          t_family="separable-angle", lambda0=0.8, beta=0.3, m_c=0.6,
+                          delta=0.2, eps=0.05),
+        initial=InitialConfig(profile="two-bumps", center=0.5, width=0.9, mass=2.0),
+        run=RunSettings(t_end=0.5, output_every=0.05, threads=2, out_dir="elsewhere"),
+    )
+    path = tmp_path / "every_key.cfg"
+    path.write_text(EVERY_KEY_CONFIG)
+    parsed = parse_config(path)
+    assert parsed == expected
+    for name in ("grid", "model", "initial", "run"):
+        got, want, default = (getattr(c, name) for c in (parsed, expected, RunConfig()))
+        for f in fields(want):
+            assert getattr(want, f.name) != getattr(default, f.name), f.name
+            assert type(getattr(got, f.name)) is type(getattr(want, f.name)), f.name
+
+    # Old dumps restart only while the shipped scenario keeps its hash.
+    assert parse_config(CONFIG_DIR / "default.cfg").scenario_hash() == "a1f338b0dd837b93"
 
 
 def test_unknown_key_rejected_naming_it(tmp_path, capsys):
@@ -246,6 +310,7 @@ def test_compare_rejects_non_dump(tmp_path, capsys):
     ("dim", "0"), ("dim", "3"), ("x_nodes", "0"), ("v_count", "0"), ("v_count", "-1"),
     ("m_nodes", "0"), ("m_nodes", "-2"), ("x_extent", "0.0"), ("x_extent", "inf"),
     ("x_extent", "nan"), ("m_max", "-1.0"), ("m_max", "inf"),
+    ("t", "nan"), ("t", "inf"), ("t", "-0.5"), ("eps", "nan"), ("eps", "0.0"),
 ])
 def test_compare_rejects_out_of_range_grid_header(tmp_path, capsys, key, value):
     # The velocity list and the payload are resized to what the edited
@@ -378,6 +443,12 @@ def test_restart_rejects_non_finite_dump(tmp_path, capsys):
     dumpio.write_dump(poisoned, values, dump.t, grid, dump.eps, dump.scenario)
     assert main(["run", str(cfg_path), "--restart", str(poisoned)]) == 2
     assert "non-finite" in capsys.readouterr().err
+    # So is a time stamp the output schedule cannot start from.
+    for t in (float("nan"), -0.5):
+        stamped = tmp_path / "stamped.chk"
+        dumpio.write_dump(stamped, dump.values, t, grid, dump.eps, dump.scenario)
+        assert main(["run", str(cfg_path), "--restart", str(stamped)]) == 2
+        assert "time stamp" in capsys.readouterr().err
 
 
 def test_cfl_violation_mid_run_is_verification_failure(tmp_path, monkeypatch, capsys):

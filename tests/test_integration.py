@@ -4,7 +4,8 @@ import pytest
 
 from chemokin.config import GridConfig, RunConfig
 from chemokin.diagnostics import DiagnosticsReport
-from chemokin.kinetic import StepperState, macro_step, run as kinetic_run, total_mass
+from chemokin.fields import total_mass
+from chemokin.kinetic import StepperState, macro_step, run as kinetic_run
 from chemokin.limit import concentration_metrics, oda_run
 from chemokin.model import build_scenario
 

@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from chemokin import kinetic
 from chemokin.config import GridConfig, RunConfig
 from chemokin.errors import CflViolation, PositivityError, SpecViolation
-from chemokin.fields import DensityField
+from chemokin.fields import DensityField, total_mass
 from chemokin.kinetic import (StepperState, TurningTensors, adaptation_apply,
-                              adaptation_feet, adaptation_plan, macro_step, pbar_of,
-                              run, total_mass, transport_apply, turning_apply)
+                              adaptation_feet, adaptation_plan, macro_step, run,
+                              transport_apply, turning_apply)
 from chemokin.model import (AdaptationModel, ModelSpec, PhaseGrid, TurningModel,
                             build_scenario, package_initial, velocity_set)
 
@@ -518,6 +518,20 @@ def test_hundred_steps_mass_and_positivity():
         state = macro_step(state, dt)
     assert state.max_mass_defect <= 1e-12
     assert state.field.values.min() >= 0.0
+
+
+@pytest.mark.parametrize("dim, x_nodes, v_count", [(1, 16, 2), (1, 32, 2), (2, 16, 8)])
+def test_initial_mass_and_step_defect_share_one_measure(dim, x_nodes, v_count):
+    # dx = 1.6/16 or 1.6/32 is not a power of two, so (S*dx)*dm and
+    # S*(dx*dm) can round apart: initial data and the step's defect must
+    # weigh the density with the same product, bit for bit.
+    cfg = RunConfig(grid=GridConfig(dim=dim, x_nodes=x_nodes, x_extent=1.6,
+                                    v_count=v_count, m_nodes=16))
+    grid, spec, init = build_scenario(cfg)
+    assert total_mass(init.p0.values, grid) == init.mass
+    state = StepperState.create(grid, spec, init)
+    unchanged = kinetic.finish_step(state, state.field.values.copy(), 0.01)
+    assert unchanged.max_mass_defect == 0.0
 
 
 def test_nan_density_raises_positivity_error():

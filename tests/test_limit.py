@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from chemokin.config import GridConfig, RunConfig, parse_config
 from chemokin.errors import AssumptionViolation, BadConfig, EmptyField, PositivityError
-from chemokin.fields import DensityField
-from chemokin.kinetic import StepperState, pbar_of, run as kinetic_run, total_mass
+from chemokin.fields import DensityField, pbar_of, total_mass
+from chemokin.kinetic import StepperState, run as kinetic_run
 from chemokin.limit import concentration_metrics, eps_study, oda_run, oda_state, oda_step
 from chemokin.model import AdaptationModel, build_scenario, package_initial
 

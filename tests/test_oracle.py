@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from chemokin import oracle
 from chemokin.errors import BadConfig, NoContraction, SolverFailure
-from chemokin.fields import DensityField
-from chemokin.kinetic import StepperState, macro_step, total_mass
+from chemokin.fields import DensityField, total_mass
+from chemokin.kinetic import StepperState, macro_step
 from chemokin.model import (AdaptationModel, ModelSpec, PhaseGrid, TurningModel,
                             package_initial, velocity_set)
 from chemokin.oracle import (SignalHistory, _as_sources, _characteristics, _interp_xm,
