@@ -207,6 +207,9 @@ def cmd_compare(path_a: str, path_b: str) -> int:
     # Dumps of two scenarios on one grid (say two eps) compare; two grids do not.
     if not dumpio.same_grid(a, b):
         raise BadConfig(f"incomparable dumps: {path_a} and {path_b} differ in grid signature")
+    for path, dump in ((path_a, a), (path_b, b)):
+        if not np.all(np.isfinite(dump.values)):
+            raise BadConfig(f"{path}: dump holds non-finite density values")
     diff = a.values - b.values
     meas = (a.x_extent / a.x_nodes) ** a.dim * (a.m_max / a.m_nodes)
     l1 = float(np.sum(np.abs(diff) * a.weights[:, None]) * meas)
@@ -214,8 +217,13 @@ def cmd_compare(path_a: str, path_b: str) -> int:
     print(f"t: {a.t!r} vs {b.t!r}")
     print(f"L1 distance:   {l1!r}")
     print(f"Linf distance: {linf!r}")
-    print(f"bitwise equal: {bool(np.array_equal(a.values, b.values) and a.t == b.t)}")
+    print(f"bitwise equal: {_dump_bytes(a) == _dump_bytes(b)}")
     return EXIT_OK
+
+
+def _dump_bytes(dump: dumpio.Dump) -> bytes:
+    """The time stamp and the payload as CHKIN1 stores them, x outermost."""
+    return np.float64(dump.t).tobytes() + np.ascontiguousarray(dump.values).tobytes()
 
 
 # ---------------------------------------------------------------------------

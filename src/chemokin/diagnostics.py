@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadConfig
-from .fields import mass_moments, pbar_of
+from .fields import density_of_pbar, m_moments, pbar_of, x_integral
 from .model import InitialData, ModelSpec, PhaseGrid
 
 #: Relative slack allowed on envelope margins before a run is flagged.
@@ -52,23 +52,25 @@ def reduce_norms(p: np.ndarray, s: np.ndarray, grid: PhaseGrid, m_plus: float,
 
     L1 sums weight cells by dx^dim * w_v * dm; sup norms are plain maxima.
     The tail moment integrates m*p over m > 2*m_plus, the region whose
-    initial-moment domination justifies the m-grid truncation.
+    initial-moment domination justifies the m-grid truncation.  p is read
+    by one pbar pass (n, mass and x-moment follow from pbar), one
+    m-weighted sum and its maximum.
     """
     if p.shape != grid.field_shape:
         raise BadConfig(f"field shape {p.shape} != grid shape {grid.field_shape}")
     pbar = pbar_of(p, grid)
-    n = np.sum(pbar * grid.weights, axis=-1)
-    mass, m_moment, tail_moment = mass_moments(p, grid, m_tail=2.0 * m_plus)
+    n = density_of_pbar(pbar, grid)
+    m_moment, tail_moment = m_moments(p, grid, m_tail=2.0 * m_plus)
 
     return ReportRow(
         t=t,
-        mass=mass,
+        mass=x_integral(n, grid),
         p_sup=float(np.max(p, initial=0.0)),
         pbar_sup=float(np.max(pbar, initial=0.0)),
         n_sup=float(np.max(n, initial=0.0)),
-        s_l1=float(np.sum(np.abs(s)) * grid.cell_volume),
+        s_l1=x_integral(np.abs(s), grid),
         s_sup=float(np.max(np.abs(s), initial=0.0)),
-        x_moment=float(np.sum(grid.x_weight() * n) * grid.cell_volume),
+        x_moment=x_integral(grid.x_weight() * n, grid),
         m_moment=m_moment,
         tail_moment=tail_moment,
     )

@@ -7,8 +7,9 @@ run's bookkeeping: macro steps taken and the largest mass defect so far.
 The two bookkeeping keys are optional on reading (0 and 0.0), so dumps
 written without them still read.  Floats are
 written with ``repr`` so they round-trip bit-exactly; the payload is the
-density array in row-major order, x outermost and m innermost.  Restart
-reads the same format.
+density array in row-major order, x outermost and m innermost, whatever
+the layout in memory: the solver's x-innermost (v, m, *x) buffer is
+transposed on write and on read.  Restart reads the same format.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadConfig
+from .fields import in_layout
 from .model import PhaseGrid
 
 MAGIC = "CHKIN1"
@@ -74,7 +76,7 @@ def write_dump(path: str | Path, values: np.ndarray, t: float, grid: PhaseGrid,
         f"max_mass_defect={float(max_mass_defect)!r}",
         _END,
     ]
-    payload = np.ascontiguousarray(values, dtype="<f8").tobytes()
+    payload = np.ascontiguousarray(values, dtype="<f8")  # x outermost
     # Write a sibling file and rename it over the target, so a reader (or a
     # restart after a crash) sees either the old dump or the complete new one.
     path = Path(path)
@@ -142,7 +144,7 @@ def read_dump(path: str | Path) -> Dump:
     if data.size != expected:
         raise BadConfig(
             f"{path}: payload holds {data.size} values, header promises {expected}")
-    dump.values = data.reshape(dump.field_shape).astype(float)
+    dump.values = in_layout(data.reshape(dump.field_shape))
     return dump
 
 

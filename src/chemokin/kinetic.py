@@ -7,8 +7,11 @@ step, so the adaptation drift dm/dt = F(m, S(x))/eps has a closed-form
 flow, and the adaptation half steps are one conservative remap along it:
 no eps-CFL, and a cost independent of eps.  Both half steps share the
 frozen signal and dt/2, so one plan (``adaptation_plan``: the feet of the
-m-edges) serves both, and the remap runs in the density's own (x, v, m)
-layout without transposing it.  Turning and transport are explicit and
+m-edges and the gather indices) serves both.  Every operator works on the
+(v, m, *x) view of the density (``fields``): the remap's prefix sums and
+gathers, turning's one GEMM and transport's per-velocity shifts run along
+contiguous x-rows, and each returns a density in that layout, whatever the
+strides of its input.  Turning and transport are explicit and
 written in non-negative-coefficient form, so positivity is preserved
 under their CFL bounds.  Every sub-operation conserves the
 discrete mass up to round-off (periodic transport telescopes, the turning
@@ -17,8 +20,9 @@ remap's cell masses telescope to the full m-integral because the
 adaptation rate points inward at both ends of the truncated m-interval).
 The step epilogue (``finish_step``) and the output scheduler (``run``)
 also serve the reduced model of ``limit``, a state on one m-cell.  The
-epilogue takes n and the mass from ``fields``, whose ``total_mass`` also
-gave the initial mass, so a step that changes nothing has zero defect.
+epilogue takes the mass from the n it computes for the signal, the way
+``fields.total_mass`` gave the initial mass, so a step that changes
+nothing has zero defect.
 """
 from __future__ import annotations
 
@@ -30,14 +34,14 @@ import numpy as np
 from .diagnostics import DiagnosticsReport
 from .elliptic import solve_signal
 from .errors import BadConfig, CflViolation, PositivityError, SpecViolation
-from .fields import DensityField, SignalField, number_density, total_mass
+from .fields import DensityField, SignalField, in_layout, number_density, vmx, x_integral, xvm
 from .model import InitialData, ModelSpec, PhaseGrid
 
 #: Relative slack when comparing a step against its CFL bound.
 CFL_SLACK = 1e-9
-#: Density elements (128 KiB) remapped per block of x-cells, so the
-#: adaptation remap's temporaries stay in cache.
-REMAP_BLOCK = 1 << 14
+#: Density elements (512 KiB) per block of x-cells in the adaptation
+#: remap's gathers, so their temporaries stay in cache.
+REMAP_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +55,8 @@ class TurningTensors:
     Every turning family is T(v, v', m) = lambda(m) * K(v, v'), so
     ``gain[k, k'] = w_k' * K(v_k, v_k')`` is one (V, V) matrix scaled by
     ``freq = lambda(m)``, and ``loss[k, ...] = freq * sum_k' w_k' *
-    K(v_k', v_k)``.  One explicit Euler update is
+    K(v_k', v_k)``.  ``freq`` and ``loss`` broadcast against the (v, m, *x)
+    view of the density.  One explicit Euler update is
     p <- p*(1 - dt*loss) + dt*freq*(gain @ p).
     """
 
@@ -68,16 +73,17 @@ class TurningTensors:
               m: np.ndarray | None = None) -> "TurningTensors":
         """Tensors with lambda evaluated at ``m``.
 
-        The default, the m-cell centers, gives ``freq`` shape (M,) and
-        ``loss`` shape (V, M).  Any ``m`` that broadcasts against the
-        density's trailing (V, M) axes works: the reduced model passes
-        m0(S(x))[..., None, None] for its single m-cell.
+        The default, the m-cell centers, gives ``freq`` shape (M, 1, ...)
+        and ``loss`` shape (V, M, 1, ...).  Any ``m`` that broadcasts
+        against the (m, *x) axes of the density's (v, m, *x) view works: the
+        reduced model passes m0(S(x))[None] for its single m-cell.
         """
-        m = grid.m_centers if m is None else m
+        m = grid.m_centers.reshape((-1,) + (1,) * grid.dim) if m is None else m
         ker = spec.turning.kernel_matrix(grid)
         w = grid.weights
         freq = np.asarray(spec.turning.frequency(m), dtype=float)
-        return cls(gain=ker * w[None, :], freq=freq, loss=(w @ ker)[:, None] * freq)
+        loss = (w @ ker).reshape((-1,) + (1,) * freq.ndim) * freq
+        return cls(gain=ker * w[None, :], freq=freq, loss=loss)
 
 
 def turning_apply(p: np.ndarray, spec: ModelSpec, grid: PhaseGrid, dt: float,
@@ -85,30 +91,44 @@ def turning_apply(p: np.ndarray, spec: ModelSpec, grid: PhaseGrid, dt: float,
     """One explicit Euler step of the velocity-jump operator.
 
     Positivity needs dt below the inverse of the largest total outflux
-    rate (at most V_d * turning_cap).
+    rate (at most V_d * turning_cap).  The gain is one (V, V) @ (V, M*X)
+    GEMM on the (v, m, x) view.
     """
     tensors = tensors or TurningTensors.build(spec, grid)
     if dt * tensors.max_loss > 1.0 + CFL_SLACK:
         raise CflViolation(
             f"turning step dt = {dt} exceeds positivity bound {1.0 / tensors.max_loss}")
-    out = np.matmul(tensors.gain, p)
+    q = vmx(p)
+    out = np.matmul(tensors.gain, np.ascontiguousarray(q).reshape(len(q), -1)).reshape(q.shape)
     out *= dt * tensors.freq
-    out += p * (1.0 - dt * tensors.loss)
-    return out
+    out += q * (1.0 - dt * tensors.loss)
+    return xvm(out)
 
 
 # ---------------------------------------------------------------------------
 # Transport
 # ---------------------------------------------------------------------------
 
-def _upwind_shift(arr: np.ndarray, axis: int, sign: int, periodic: bool) -> np.ndarray:
-    """Neighbor values entering a cell for flow direction ``sign`` on ``axis``."""
-    out = np.roll(arr, sign, axis=axis)
-    if not periodic:
-        sl = [slice(None)] * arr.ndim
-        sl[axis] = 0 if sign > 0 else -1
-        out[tuple(sl)] = 0.0
-    return out
+def _add_upwind(acc: np.ndarray, slab: np.ndarray, axis: int, cmag: float, sign: int,
+                periodic: bool) -> None:
+    """acc += cmag * the neighbour entering each cell for flow direction ``sign`` on ``axis``.
+
+    On a free grid nothing enters the first cell downstream of the boundary.
+    """
+    def at(start, stop):
+        index = [slice(None)] * slab.ndim
+        index[axis] = slice(start, stop)
+        return tuple(index)
+
+    last = slab.shape[axis] - 1
+    if sign > 0:
+        acc[at(1, None)] += cmag * slab[at(None, last)]
+        if periodic:
+            acc[at(0, 1)] += cmag * slab[at(last, None)]
+    else:
+        acc[at(None, last)] += cmag * slab[at(1, None)]
+        if periodic:
+            acc[at(last, None)] += cmag * slab[at(0, 1)]
 
 
 def transport_apply(p: np.ndarray, grid: PhaseGrid, dt: float) -> np.ndarray:
@@ -116,26 +136,29 @@ def transport_apply(p: np.ndarray, grid: PhaseGrid, dt: float) -> np.ndarray:
 
     Mass is conserved exactly on periodic grids; truncated grids lose only
     outflow through the boundary.  Positivity holds for per-axis Courant
-    numbers summing to at most one.
+    numbers summing to at most one.  Each velocity's (m, *x) slab of the
+    (v, m, *x) view is contiguous and shifts as a whole.
     """
     periodic = grid.x_topology == "periodic"
-    out = np.empty_like(p)
-    for k in range(grid.n_v):
-        slab = p[..., k, :]
+    q = vmx(p)
+    out = np.empty(q.shape)
+    acc = np.empty(q.shape[1:])
+    for k, slab in enumerate(q):
         courants = grid.velocities[k] * dt / grid.dx
         if np.sum(np.abs(courants)) > 1.0 + CFL_SLACK:
             raise CflViolation(
                 f"transport step dt = {dt} exceeds dx/|v| for velocity node {k}")
         stay = 1.0
-        acc = np.zeros_like(slab)
+        acc.fill(0.0)
         for axis, c in enumerate(courants):
             if c == 0.0:
                 continue
             cmag = min(abs(float(c)), 1.0)
             stay -= cmag
-            acc += cmag * _upwind_shift(slab, axis, 1 if c > 0 else -1, periodic)
-        out[..., k, :] = max(stay, 0.0) * slab + acc
-    return out
+            _add_upwind(acc, slab, 1 + axis, cmag, 1 if c > 0 else -1, periodic)
+        np.multiply(slab, max(stay, 0.0), out=out[k])
+        out[k] += acc
+    return xvm(out)
 
 
 # ---------------------------------------------------------------------------
@@ -160,17 +183,17 @@ def adaptation_feet(s: np.ndarray, spec: ModelSpec, grid: PhaseGrid,
 class AdaptationPlan:
     """Where the feet of one adaptation step fall, shared by its two uses.
 
-    ``idx`` and ``frac`` (shape (X, M+1)) locate each foot as cell index
-    plus fraction of a cell.  The remap runs over blocks of
-    ``len(offsets)`` x-cells; ``offsets`` (shape (block, V, 1)) holds the
-    block-local flat start ((x - lo)*V + v)*M of every (x, v) column.
-    Nothing of shape (X, V, M+1) is kept: each block builds its own gather
-    indices.
+    The foot of m-edge e above x-cell x lies in m-cell idx[e, x], a
+    fraction ``frac[e, x]`` (shape (M+1, X)) of a cell past its start.  The
+    remap gathers over consecutive blocks of x-cells, REMAP_BLOCK // (V*M)
+    cells each but the last.  ``gather[b]`` (shape (M+1, width of block b))
+    holds the flat index idx*X + x of every foot of block b into one
+    velocity's (m, x) slab; all velocities share it.  Nothing of shape
+    (V, M+1, X) is kept.
     """
 
-    idx: np.ndarray
     frac: np.ndarray
-    offsets: np.ndarray
+    gather: tuple[np.ndarray, ...]
 
 
 def adaptation_plan(s: np.ndarray, spec: ModelSpec, grid: PhaseGrid,
@@ -189,13 +212,15 @@ def adaptation_plan(s: np.ndarray, spec: ModelSpec, grid: PhaseGrid,
     if np.any(f_ends[..., 0] <= 0.0):
         raise SpecViolation("adaptation rate is non-positive at m = 0")
 
-    n_x, n_v, n_m = int(np.prod(grid.x_shape)), grid.n_v, grid.m_nodes
-    u = adaptation_feet(s, spec, grid, dt).reshape(n_x, n_m + 1) / grid.dm
+    n_x, n_m = int(np.prod(grid.x_shape)), grid.m_nodes
+    feet = adaptation_feet(s, spec, grid, dt).reshape(n_x, n_m + 1)
+    u = np.divide(feet.T, grid.dm, order="C")
     idx = np.minimum(np.floor(u), n_m - 1).astype(np.intp)
     frac = np.minimum(u - idx, 1.0)
-    step = min(n_x, max(1, REMAP_BLOCK // (n_v * n_m)))
-    offsets = np.arange(0, step * n_v * n_m, n_m, dtype=np.intp).reshape(step, n_v, 1)
-    return AdaptationPlan(idx=idx, frac=frac, offsets=offsets)
+    at = idx * n_x + np.arange(n_x)
+    step = min(n_x, max(1, REMAP_BLOCK // (grid.n_v * n_m)))
+    gather = tuple(np.ascontiguousarray(at[:, lo:lo + step]) for lo in range(0, n_x, step))
+    return AdaptationPlan(frac=frac, gather=gather)
 
 
 def adaptation_apply(p: np.ndarray, s: np.ndarray, spec: ModelSpec, grid: PhaseGrid,
@@ -216,29 +241,31 @@ def adaptation_apply(p: np.ndarray, s: np.ndarray, spec: ModelSpec, grid: PhaseG
 
     ``plan`` is ``adaptation_plan(s, spec, grid, dt)``, built here when not
     given; ``macro_step`` builds one per step for both half steps.  The
-    remap works in the density's own (x, v, m) layout, a block of x-cells
-    at a time: prefix sums run along the contiguous m axis, and every
-    (x, v) column gathers at its feet through flat block-local indices.
+    remap works on the (v, m, x) view.  The prefix sums fill the output
+    buffer, one add of whole (v, x) rows per m-cell.  A block of x-cells at
+    a time then gathers at its feet, every velocity through the block's one
+    index, and overwrites its own x-columns with the differences, which
+    only that block reads.
     """
     if plan is None:
         plan = adaptation_plan(s, spec, grid, dt)
-    idx, frac, step = plan.idx, plan.frac, len(plan.offsets)
-    n_x = idx.shape[0]
-    flat = p.reshape(n_x, grid.n_v, grid.m_nodes)
-    out = np.empty_like(flat)
-    for lo in range(0, n_x, step):
-        block = flat[lo:lo + step]
-        hi = lo + block.shape[0]
-        cum = np.empty_like(block)
-        cum[..., 0] = 0.0
-        np.cumsum(block[..., :-1], axis=-1, out=cum[..., 1:])
-        at = idx[lo:hi, None, :] + plan.offsets[:hi - lo]  # (x, v, edge)
-        at_feet = np.take(cum, at)
-        gathered = np.take(block, at)
-        gathered *= frac[lo:hi, None, :]
+    n_v, n_m = grid.n_v, grid.m_nodes
+    q = np.ascontiguousarray(vmx(p)).reshape(n_v, n_m, -1)
+    out = np.empty(q.shape)
+    cum_rows = np.moveaxis(out, 1, 0)
+    cum_rows[0] = 0.0
+    for prev, row, nxt in zip(cum_rows, np.moveaxis(q, 1, 0), cum_rows[1:]):
+        np.add(prev, row, out=nxt)
+    lo = 0
+    for at in plan.gather:
+        hi = lo + at.shape[1]
+        at_feet = np.take(out.reshape(n_v, -1), at, axis=1)  # (v, edge, x)
+        gathered = np.take(q.reshape(n_v, -1), at, axis=1)
+        gathered *= plan.frac[:, lo:hi]
         at_feet += gathered
-        np.subtract(at_feet[..., 1:], at_feet[..., :-1], out=out[lo:hi])
-    return out.reshape(p.shape)
+        np.subtract(at_feet[:, 1:], at_feet[:, :-1], out=out[:, :, lo:hi])
+        lo = hi
+    return xvm(out.reshape(vmx(p).shape))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +296,7 @@ class StepperState:
         p0 = initial.p0
         signal = solve_signal(number_density(p0.values, grid), grid)
         return cls(
-            field=DensityField(p0.values.copy(), p0.t),
+            field=DensityField(in_layout(p0.values), p0.t),
             signal=signal,
             spec=spec,
             grid=grid,
@@ -320,9 +347,9 @@ def finish_step(state: StepperState, p: np.ndarray, dt: float) -> StepperState:
             f"at t = {state.t + dt:.6g}")
 
     grid = state.grid
-    signal = state.signal if state.freeze_signal \
-        else solve_signal(number_density(p, grid), grid)
-    defect = (total_mass(p, grid) - state.mass0) / state.mass0 if state.mass0 else 0.0
+    n = number_density(p, grid)
+    signal = state.signal if state.freeze_signal else solve_signal(n, grid)
+    defect = (x_integral(n, grid) - state.mass0) / state.mass0 if state.mass0 else 0.0
     return replace(
         state,
         field=DensityField(p, state.t + dt),

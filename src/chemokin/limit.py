@@ -40,7 +40,7 @@ from .model import InitialData, ModelSpec, PhaseGrid, build_scenario
 # ---------------------------------------------------------------------------
 
 def _adapted_tensors(spec: ModelSpec, grid: PhaseGrid, s: np.ndarray) -> TurningTensors:
-    return TurningTensors.build(spec, grid, m=spec.adaptation.equilibrium(s)[..., None, None])
+    return TurningTensors.build(spec, grid, m=spec.adaptation.equilibrium(s)[None])
 
 
 def oda_state(grid: PhaseGrid, spec: ModelSpec, initial: InitialData) -> StepperState:

@@ -18,7 +18,8 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import AssumptionViolation, BadConfig
-from .fields import DensityField, mass_moments, pbar_of, total_mass
+from .fields import (DensityField, density_of_pbar, m_moments, pbar_of, total_mass,
+                     x_integral, xvm)
 
 #: Relative clamp keeping the adapted state strictly inside (m_minus, m_plus).
 EQUILIBRIUM_CLAMP = 1e-6
@@ -451,14 +452,17 @@ def build_initial(cfg: RunConfig, grid: PhaseGrid, spec: ModelSpec) -> InitialDa
     Shape: x-profile from the config, isotropic in v, and a fixed Gaussian
     m-profile centered mid-way between m_minus and m_plus (width one sixth
     of the gap) so the adaptation dynamics start visibly un-adapted.
-    Normalized to the requested total mass.
+    Normalized to the requested total mass.  Built in the solver's
+    (v, m, *x) layout, every cell the product hm(m) * gx(x).
     """
     gx = _x_profile(grid, cfg.initial.profile, cfg.initial.center, cfg.initial.width)
     m_mid = 0.5 * (spec.m_minus + spec.m_plus)
     m_sig = (spec.m_plus - spec.m_minus) / 6.0
     hm = np.exp(-0.5 * ((grid.m_centers - m_mid) / m_sig) ** 2)
 
-    values = gx[..., None, None] * np.ones(grid.n_v)[:, None] * hm[None, :]
+    buf = np.empty((grid.n_v, grid.m_nodes) + grid.x_shape)
+    buf[...] = hm.reshape((-1,) + (1,) * grid.dim) * gx
+    values = xvm(buf)
     raw_mass = total_mass(values, grid)
     if raw_mass <= 0 or not math.isfinite(raw_mass):
         raise AssumptionViolation(f"initial profile has non-positive mass {raw_mass}")
@@ -468,24 +472,29 @@ def build_initial(cfg: RunConfig, grid: PhaseGrid, spec: ModelSpec) -> InitialDa
 
 
 def package_initial(p0: DensityField, grid: PhaseGrid) -> InitialData:
-    """Validate a density as initial data and record its metadata."""
+    """Validate a density as initial data and record its metadata.
+
+    Mass and pbar0_sup come from one pbar pass, the m-moment from one
+    m-weighted sum.
+    """
     v = p0.values
     if v.shape != grid.field_shape:
         raise BadConfig(f"initial field shape {v.shape} != grid shape {grid.field_shape}")
-    if not np.all(np.isfinite(v)):
+    low, high = float(v.min()), float(v.max())
+    if not (math.isfinite(low) and math.isfinite(high)):
         raise AssumptionViolation("initial density contains non-finite values")
-    if np.any(v < 0):
+    if low < 0:
         idx = np.unravel_index(int(np.argmin(v)), v.shape)
         raise AssumptionViolation(
             f"initial density must be non-negative: p0{idx} = {v[idx]:.6g}")
 
-    mass, m_moment, _ = mass_moments(v, grid)
+    pbar = pbar_of(v, grid)
     return InitialData(
         p0=p0,
-        mass=mass,
-        m_moment=m_moment,
-        p0_sup=float(v.max(initial=0.0)),
-        pbar0_sup=float(pbar_of(v, grid).max(initial=0.0)),
+        mass=x_integral(density_of_pbar(pbar, grid), grid),
+        m_moment=m_moments(v, grid)[0],
+        p0_sup=high,
+        pbar0_sup=float(pbar.max(initial=0.0)),
     )
 
 

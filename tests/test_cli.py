@@ -301,6 +301,52 @@ def test_compare_rejects_other_grid_in_both_orders(tmp_path, capsys, key, other)
         assert captured.err.startswith("bad-config:")
 
 
+def test_compare_bitwise_sees_signed_zero(tmp_path, capsys):
+    # Dumps whose payloads differ only in the sign of a zero have distance
+    # 0 but are not bitwise equal.
+    from chemokin import dumpio
+    from chemokin.model import build_scenario
+    cfg_path = write_config(tmp_path)
+    assert main(["run", str(cfg_path)]) == 0
+    dump = dumpio.read_dump(tmp_path / "out" / "final.chk")
+    grid, _, _ = build_scenario(parse_config(cfg_path))
+    paths = []
+    for name, zero in (("plus.chk", 0.0), ("minus.chk", -0.0)):
+        values = dump.values.copy(order="K")
+        values[0, 0, 0] = zero
+        paths.append(str(tmp_path / name))
+        dumpio.write_dump(paths[-1], values, dump.t, grid, dump.eps, dump.scenario)
+    capsys.readouterr()
+    assert main(["compare", *paths]) == 0
+    out = capsys.readouterr().out
+    assert "L1 distance:   0.0" in out
+    assert "bitwise equal: False" in out
+    assert main(["compare", paths[1], paths[1]]) == 0
+    assert "bitwise equal: True" in capsys.readouterr().out
+
+
+def test_compare_rejects_non_finite_dump(tmp_path, capsys):
+    # As for --restart, a NaN in a dump is a bad config (exit 2), even when
+    # a dump is compared with itself.
+    from chemokin import dumpio
+    from chemokin.model import build_scenario
+    cfg_path = write_config(tmp_path)
+    assert main(["run", str(cfg_path)]) == 0
+    dump = dumpio.read_dump(tmp_path / "out" / "final.chk")
+    grid, _, _ = build_scenario(parse_config(cfg_path))
+    values = dump.values.copy(order="K")
+    values[1, 1, 1] = float("nan")
+    poisoned = str(tmp_path / "nan.chk")
+    dumpio.write_dump(poisoned, values, dump.t, grid, dump.eps, dump.scenario)
+    capsys.readouterr()
+    clean = str(tmp_path / "out" / "final.chk")
+    for pair in ((poisoned, poisoned), (clean, poisoned), (poisoned, clean)):
+        assert main(["compare", *pair]) == 2
+        captured = capsys.readouterr()
+        assert "bitwise equal" not in captured.out
+        assert "non-finite" in captured.err
+
+
 def test_compare_rejects_non_dump(tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     assert main(["compare", str(cfg_path), str(cfg_path)]) == 2

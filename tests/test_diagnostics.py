@@ -1,4 +1,6 @@
 """Norm reductions, envelope arithmetic and report bookkeeping."""
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from chemokin.config import GridConfig, RunConfig
 from chemokin.diagnostics import (DiagnosticsReport, envelope_check, growth_factor,
                                   reduce_norms)
 from chemokin.errors import BadConfig
+from chemokin.fields import in_layout
 from chemokin.kinetic import StepperState, run
 from chemokin.model import PhaseGrid, build_scenario, velocity_set
 
@@ -64,8 +67,10 @@ def test_reductions_bitwise_repeatable():
 
 @pytest.mark.parametrize("dim, nx, nv, nm", [(1, 24, 4, 16), (1, 7, 2, 33), (2, 9, 8, 12)])
 def test_moments_bitwise_equal_to_masked_sums(dim, nx, nv, nm):
-    # The shared p*w and the suffix copy of the tail must add in the order
-    # of the plain masked expressions, so diagnostics.csv keeps its bytes.
+    # The integrals add in one order whatever the density's layout, so
+    # diagnostics.csv keeps its bytes: the mass is sum_x n(x) dx^dim with n
+    # summed over the contiguous m and v axes of the x-outermost array, and
+    # the m-moments are m-weighted sums within round-off of the masked ones.
     v, w = velocity_set(dim, nv)
     grid = PhaseGrid(dim=dim, x_nodes=nx, x_extent=3.0, x_topology="periodic",
                      velocities=v, weights=w, m_nodes=nm, m_max=1.7)
@@ -76,10 +81,16 @@ def test_moments_bitwise_equal_to_masked_sums(dim, nx, nv, nm):
     for m_plus in (0.2, 0.5, 0.85, 1.2):
         p = rng.random(grid.field_shape) * 10.0 ** rng.integers(-6, 4, grid.field_shape)
         row = reduce_norms(p, np.zeros(grid.x_shape), grid, m_plus, t=0.0)
+        assert astuple(reduce_norms(in_layout(p), np.zeros(grid.x_shape), grid, m_plus,
+                                    t=0.0)) == astuple(row)
         tail = m_c > 2.0 * m_plus
-        assert row.mass == float(np.sum(p * wv) * measure)
-        assert row.m_moment == float(np.sum(p * wv * m_c) * measure)
-        assert row.tail_moment == float(np.sum(p[..., tail] * wv * m_c[tail]) * measure)
+        n = np.sum(np.sum(p, axis=-1) * grid.dm * grid.weights, axis=-1)
+        assert row.mass == float(np.sum(n) * grid.cell_volume)
+        assert row.m_moment == pytest.approx(float(np.sum(p * wv * m_c) * measure),
+                                             rel=1e-13)
+        assert row.tail_moment == pytest.approx(
+            float(np.sum(p[..., tail] * wv * m_c[tail]) * measure), rel=1e-13)
+        assert (row.tail_moment == 0.0) == (not tail.any())
 
 
 def test_growth_factor_arithmetic():

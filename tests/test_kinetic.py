@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from chemokin import kinetic
 from chemokin.config import GridConfig, RunConfig
 from chemokin.errors import CflViolation, PositivityError, SpecViolation
-from chemokin.fields import DensityField, total_mass
+from chemokin.fields import DensityField, in_layout, total_mass, vmx
 from chemokin.kinetic import (StepperState, TurningTensors, adaptation_apply,
                               adaptation_feet, adaptation_plan, macro_step, run,
                               transport_apply, turning_apply)
@@ -350,7 +350,7 @@ def test_blocked_remap_matches_unblocked_reference(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kinetic, "REMAP_BLOCK", block)
         plan = adaptation_plan(s, spec, grid, dt)
-        assert len(plan.offsets) == step
+        assert plan.gather[0].shape[1] == step
         planned = adaptation_apply(p, s, spec, grid, dt, plan)
         unplanned = adaptation_apply(p, s, spec, grid, dt)
     expected = remap_reference(p, s, spec, grid, dt)
@@ -378,6 +378,50 @@ def test_macro_step_is_strang_composition(case, topology):
         p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors)
         p = adaptation_apply(p, s, spec, grid, 0.5 * dt)
     assert np.array_equal(stepped, p)
+
+
+@st.composite
+def layout_cases(draw):
+    """Random grid (dim 1-2, periodic or free, two velocities and more), rate
+    family, REMAP_BLOCK and a density, for the layout-independence checks."""
+    dim = draw(st.sampled_from([1, 2]))
+    grid = custom_grid(*velocity_set(dim, draw(st.sampled_from([2, 3, 4, 8]))),
+                       x_nodes=draw(st.integers(1, 12 if dim == 1 else 6)),
+                       x_extent=draw(st.floats(1.0, 10.0)),
+                       topology=draw(st.sampled_from(["periodic", "free"])),
+                       dim=dim, m_nodes=draw(st.integers(1, 40)),
+                       m_max=draw(st.floats(1.25, 4.0)))
+    spec = make_spec(grid, t_family=draw(st.sampled_from(["constant", "separable-uniform",
+                                                           "separable-angle"])),
+                     f_family=draw(st.sampled_from(["linear", "cubic"])),
+                     kappa=draw(st.floats(0.1, 5.0)), eps=10.0 ** draw(st.floats(-6.0, 0.0)))
+    block = draw(st.integers(1, 4 * grid.n_v * grid.m_nodes))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return grid, spec, block, rng
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(layout_cases())
+def test_operators_give_the_same_bits_in_either_layout(case):
+    # A C-ordered (x, v, m) density and the same density backed by a
+    # (v, m, x) buffer give bit-identical results, and every operator
+    # returns its result in the (v, m, x) layout.
+    grid, spec, block, rng = case
+    p = rng.random(grid.field_shape) * (rng.random(grid.field_shape) < 0.8)
+    s = rng.uniform(0.0, 5.0, grid.x_shape)
+    state = StepperState.create(grid, spec, package_initial(DensityField(p), grid))
+    dt = float(rng.uniform(0.1, 1.0)) * state.cfl_dt()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kinetic, "REMAP_BLOCK", block)
+        results = [(adaptation_apply(dens, s, spec, grid, 0.5 * dt),
+                    turning_apply(dens, spec, grid, 0.5 * dt, state.tensors),
+                    transport_apply(dens, grid, dt),
+                    macro_step(replace(state, field=DensityField(dens)), dt).field.values)
+                   for dens in (p, in_layout(p))]
+    for c_ordered, vmx_backed in zip(*results):
+        assert c_ordered.tobytes() == vmx_backed.tobytes()
+        assert vmx(c_ordered).flags.c_contiguous and vmx(vmx_backed).flags.c_contiguous
+    assert np.array_equal(results[0][0], remap_reference(p, s, spec, grid, 0.5 * dt))
 
 
 def test_remap_positive_even_if_flow_rounds_out_of_order(monkeypatch):

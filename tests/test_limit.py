@@ -345,6 +345,24 @@ def test_distance_to_vanishing_eps_limit_falls_at_every_halving():
     assert all(a >= 1.3 * b > 0.0 for a, b in zip(gaps, gaps[1:])), gaps
 
 
+def test_vanishing_eps_gap_to_oda_is_first_order_under_joint_refinement():
+    # On study.cfg at t = 1 and eps = 1e-9, the L1 distance of pbar to the
+    # reduced (ODA) model falls at first order when x and m are refined
+    # together, 128 / 256 / 512 nodes, with dt at the CFL bound (one output).
+    base = parse_config(CONFIG_DIR / "study.cfg")
+    gaps = []
+    for nodes in (128, 256, 512):
+        cfg = dc_replace(base, grid=dc_replace(base.grid, x_nodes=nodes, m_nodes=nodes),
+                         model=dc_replace(base.model, eps=1e-9))
+        grid, spec, init = build_scenario(cfg)
+        state, _ = kinetic_run(StepperState.create(grid, spec, init), 1.0, 1.0)
+        oda = oda_run(grid, spec, init, 1.0, 1.0)
+        gap = np.abs(pbar_of(state.field.values, grid) - pbar_of(oda.field.values, oda.grid))
+        gaps.append(float(np.sum(gap * grid.weights) * grid.cell_volume))
+    orders = [float(np.log2(a / b)) for a, b in zip(gaps, gaps[1:])]
+    assert all(order >= 0.9 for order in orders), (gaps, orders)
+
+
 def test_tail_moment_never_exceeds_initial_m_moment():
     # Nontrivial tail: mic truncation far above 2*m_plus and a uniform
     # m-slab putting real mass beyond it.
