@@ -68,18 +68,18 @@ def in_layout(p: np.ndarray) -> np.ndarray:
     return xvm(np.array(vmx(p), dtype=float, order="C"))
 
 
-def pairwise_sum(a: np.ndarray, axis: int) -> np.ndarray:
-    """``np.sum(a, axis)`` in the order numpy adds a contiguous axis, for any strides.
+def pairwise_sum(a: np.ndarray) -> np.ndarray:
+    """``np.sum(a, axis=0)`` in the order numpy adds a contiguous axis, for any strides.
 
     numpy adds a contiguous run of fewer than 8 terms in sequence, a run of
     up to 128 in 8 interleaved partial sums joined as a tree, and splits a
     longer run in two at a multiple of 8; the reduction starts from +0.0.
     Here each step is a vector operation over the other axes: the 8 partial
     sums are one sum over the leading axis of a (k, 8, ...) view, which
-    numpy adds row after row.  So an axis that is not innermost sums to the
-    bits of a contiguous one.
+    numpy adds row after row.  So a leading axis sums to the bits of a
+    contiguous one.
     """
-    res = _pairwise(np.moveaxis(a, axis, 0))
+    res = _pairwise(a)
     res += 0.0   # the +0.0 start: a sum of -0.0 terms is +0.0
     return res
 
@@ -106,15 +106,15 @@ def _pairwise(a: np.ndarray) -> np.ndarray:
 
 def pbar_of(p: np.ndarray, grid: PhaseGrid) -> np.ndarray:
     """m-integrated density over (x, v): the (*x, v) view of a (v, *x) array."""
-    pbar = pairwise_sum(vmx(p), axis=1)
+    pbar = pairwise_sum(vmx(p).swapaxes(0, 1))
     pbar *= grid.dm
-    return np.moveaxis(pbar, 0, -1)
+    return pbar.transpose(*range(1, pbar.ndim), 0)
 
 
 def density_of_pbar(pbar: np.ndarray, grid: PhaseGrid) -> np.ndarray:
     """Macroscopic density n(x), the v-integral of an m-integrated density."""
     w = grid.weights.reshape((-1,) + (1,) * (pbar.ndim - 1))
-    return pairwise_sum(np.moveaxis(pbar, -1, 0) * w, axis=0)
+    return pairwise_sum(pbar.transpose(-1, *range(pbar.ndim - 1)) * w)
 
 
 def number_density(p: np.ndarray, grid: PhaseGrid) -> np.ndarray:

@@ -252,9 +252,9 @@ def adaptation_apply(p: np.ndarray, s: np.ndarray, spec: ModelSpec, grid: PhaseG
     n_v, n_m = grid.n_v, grid.m_nodes
     q = np.ascontiguousarray(vmx(p)).reshape(n_v, n_m, -1)
     out = np.empty(q.shape)
-    cum_rows = np.moveaxis(out, 1, 0)
+    cum_rows = out.swapaxes(0, 1)
     cum_rows[0] = 0.0
-    for prev, row, nxt in zip(cum_rows, np.moveaxis(q, 1, 0), cum_rows[1:]):
+    for prev, row, nxt in zip(cum_rows, q.swapaxes(0, 1), cum_rows[1:]):
         np.add(prev, row, out=nxt)
     lo = 0
     for at in plan.gather:

@@ -16,7 +16,8 @@ def backed_by_vmx_buffer(p: np.ndarray) -> bool:
     return vmx(p).flags.c_contiguous
 
 
-@pytest.mark.parametrize("lead, trail", [((), (5,)), ((3,), (4,)), ((2,), (3, 2)), ((), ())])
+@pytest.mark.parametrize("lead, trail", [((), (5,)), ((3,), (4,)), ((2,), (3, 2)), ((), ()),
+                                         ((2, 3), (4,))])
 def test_pairwise_sum_equals_contiguous_sum(lead, trail):
     # Lengths 1-300 cover the sequential (< 8), the 8-way unrolled (<= 128)
     # and the recursive (> 128) regimes of numpy's contiguous-axis sum,
@@ -28,9 +29,9 @@ def test_pairwise_sum_equals_contiguous_sum(lead, trail):
         a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
         a[rng.random(shape) < 0.05] = -0.0
         expected = np.sum(np.ascontiguousarray(np.moveaxis(a, axis, -1)), axis=-1)
-        got = pairwise_sum(a, axis)
+        got = pairwise_sum(np.moveaxis(a, axis, 0))
         assert got.tobytes() == np.asarray(expected).tobytes(), n
-    assert pairwise_sum(np.full((9, 2), -0.0), 0).tobytes() == np.zeros(2).tobytes()
+    assert pairwise_sum(np.full((9, 2), -0.0)).tobytes() == np.zeros(2).tobytes()
 
 
 @pytest.mark.parametrize("dim, nx, nv, nm", [(1, 7, 2, 1), (1, 12, 4, 96), (1, 5, 16, 300),
