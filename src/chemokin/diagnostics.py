@@ -8,8 +8,10 @@ Young bounds from the kernel, and the full density picks up an extra
 A negative margin beyond round-off slack means the solver (not the bound)
 is wrong, so reports carry a FAILED flag.
 
-All reductions use numpy's pairwise summation, so repeated calls on the
-same field are bitwise identical.
+The integrals are the ones of ``fields`` (mass and x-moment from n, the
+m-moments from one m-weighted sum), so a row's mass has the bits of
+``total_mass`` and of the stepper's mass bookkeeping, whatever the
+density's layout.
 """
 from __future__ import annotations
 
@@ -126,15 +128,12 @@ class DiagnosticsReport:
         self.failures: list[str] = []
 
     def observe(self, p: np.ndarray, s: np.ndarray, t: float) -> ReportRow:
-        row = reduce_norms(p, s, self.grid, self.spec.m_plus, t)
-        envelope_check(row, self.initial, self.spec, self.grid)
-        self.append(row)
-        return row
-
-    def append(self, row: ReportRow) -> None:
-        if self.rows and row.t <= self.rows[-1].t:
+        """Reduce (p, s) at time t to a row, check its margins and keep it."""
+        if self.rows and t <= self.rows[-1].t:
             raise BadConfig(
-                f"report rows must be strictly increasing in t: {row.t} after {self.rows[-1].t}")
+                f"report rows must be strictly increasing in t: {t} after {self.rows[-1].t}")
+        row = envelope_check(reduce_norms(p, s, self.grid, self.spec.m_plus, t),
+                             self.initial, self.spec, self.grid)
         scales = _margin_scales(row, self.initial)
         for name, scale in scales.items():
             margin = getattr(row, name)
@@ -142,6 +141,7 @@ class DiagnosticsReport:
                 self.failures.append(
                     f"t={row.t:g}: {name} = {margin:.3e} below -{ENVELOPE_TOL:g} * {scale:.3e}")
         self.rows.append(row)
+        return row
 
     @property
     def failed(self) -> bool:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadConfig
+from .errors import BadConfig, ChemokinError
 from .fields import in_layout
 from .model import PhaseGrid
 
@@ -107,6 +107,9 @@ def read_dump(path: str | Path) -> Dump:
         x_nodes = int(fields["x_nodes"])
         v_count = int(fields["v_count"])
         m_nodes = int(fields["m_nodes"])
+        weights = np.array([float(v) for v in fields["w"].split(",")])
+        if v_count != weights.size:
+            raise ValueError(f"v_count = {v_count} but {weights.size} weights")
         vels = np.array([float(v) for v in fields["v"].split(",")]).reshape(v_count, dim)
         dump = Dump(
             dim=dim,
@@ -114,7 +117,7 @@ def read_dump(path: str | Path) -> Dump:
             x_extent=float(fields["x_extent"]),
             x_topology=fields["x_topology"],
             velocities=vels,
-            weights=np.array([float(v) for v in fields["w"].split(",")]),
+            weights=weights,
             m_nodes=m_nodes,
             m_max=float(fields["m_max"]),
             t=float(fields["t"]),
@@ -126,11 +129,12 @@ def read_dump(path: str | Path) -> Dump:
         )
     except (KeyError, ValueError) as exc:
         raise BadConfig(f"{path}: malformed dump header ({exc})") from exc
-    if not (dim in (1, 2) and min(x_nodes, v_count, m_nodes) >= 1
-            and 0.0 < dump.x_extent < np.inf and 0.0 < dump.m_max < np.inf):
-        raise BadConfig(f"{path}: grid out of range (dim = {dim}, x_nodes = {x_nodes}, "
-                        f"v_count = {v_count}, m_nodes = {m_nodes}, "
-                        f"x_extent = {dump.x_extent}, m_max = {dump.m_max})")
+    try:
+        PhaseGrid(dim=dim, x_nodes=x_nodes, x_extent=dump.x_extent,
+                  x_topology=dump.x_topology, velocities=vels, weights=dump.weights,
+                  m_nodes=m_nodes, m_max=dump.m_max)
+    except ChemokinError as exc:
+        raise BadConfig(f"{path}: grid out of range ({exc})") from exc
     if not (0.0 <= dump.t < np.inf and 0.0 < dump.eps < np.inf):
         raise BadConfig(f"{path}: time stamp or eps out of range "
                         f"(t = {dump.t}, eps = {dump.eps})")

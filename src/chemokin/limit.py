@@ -29,7 +29,7 @@ from .config import RunConfig, check_output_schedule
 from .diagnostics import DiagnosticsReport, write_rows_csv
 from .elliptic import solve_signal
 from .errors import BadConfig, EmptyField
-from .fields import DensityField, number_density, pbar_of
+from .fields import DensityField, density_of_pbar, number_density, pbar_of, vmx, x_integral
 from .kinetic import (StepperState, TurningTensors, finish_step, run as kinetic_run,
                       transport_apply, turning_apply)
 from .model import InitialData, ModelSpec, PhaseGrid, build_scenario
@@ -100,24 +100,20 @@ def concentration_metrics(p: np.ndarray, s: np.ndarray, spec: ModelSpec,
     it, equivalently the integral of |CDF - step|), mass-weighted over the
     cells above the vacuum floor.
     """
-    marginal = np.einsum("...vm,v->...m", p, grid.weights) * grid.dm
-    marginal = marginal.reshape(-1, grid.m_nodes)
-    n_x = np.sum(marginal, axis=1)
-    total = float(np.sum(n_x) * grid.cell_volume)
+    n_x = number_density(p, grid).reshape(-1)
+    total = x_integral(n_x, grid)
     if total <= 0.0:
         raise EmptyField("concentration metrics need positive total mass")
+    q = np.ascontiguousarray(vmx(p)).reshape(grid.n_v, -1)
+    marginal = (grid.weights @ q).reshape(grid.m_nodes, -1) * grid.dm
 
-    floor = 1e-12 * total / marginal.shape[0]
-    included = n_x * grid.cell_volume > floor
+    # Some cell holds at least total / N, so the weights below never all vanish.
+    included = n_x * grid.cell_volume > 1e-12 * total / n_x.size
     m0x = spec.adaptation.equilibrium(np.asarray(s).reshape(-1))
-
-    safe_n = np.where(included, n_x, 1.0)
-    norm = marginal / safe_n[:, None]
-    w1 = np.einsum("xm,xm->x", norm, np.abs(grid.m_centers[None, :] - m0x[:, None]))
-
+    norm = marginal / np.where(included, n_x, 1.0)
+    w1 = np.einsum("mx,mx->x", norm, np.abs(grid.m_centers[:, None] - m0x))
     weight = np.where(included, n_x, 0.0)
-    wsum = float(np.sum(weight))
-    return float(np.sum(w1 * weight) / wsum) if wsum > 0 else np.nan
+    return float(np.sum(w1 * weight) / np.sum(weight))
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +162,8 @@ def _run_one_eps(grid: PhaseGrid, spec: ModelSpec, initial: InitialData, t_end: 
 
     def observer(st: StepperState) -> None:
         p = st.field.values
-        gap = float(np.sum(np.abs(pbar_of(p, grid) - oda_bars[len(w1_gaps)]) * grid.weights)
-                    * grid.cell_volume)
+        gap = x_integral(density_of_pbar(np.abs(pbar_of(p, grid) - oda_bars[len(w1_gaps)]),
+                                         grid), grid)
         w1_gaps.append((concentration_metrics(p, st.signal.values, spec, grid), gap))
 
     kinetic_run(state, t_end, output_every, report=report, observer=observer)

@@ -82,19 +82,28 @@ class PhaseGrid:
     m_max: float
 
     def __post_init__(self) -> None:
+        if self.dim not in (1, 2):
+            raise BadConfig(f"dim must be 1 or 2, got {self.dim}")
         if self.x_topology not in ("periodic", "free"):
             raise BadConfig(f"unknown x_topology {self.x_topology!r}")
+        # Written as "not 0 < x < inf" so that NaN fails too.
+        if not (0.0 < self.x_extent < math.inf and 0.0 < self.m_max < math.inf):
+            raise BadConfig(f"x_extent and m_max must be finite and positive, got "
+                            f"{self.x_extent} and {self.m_max}")
         self.weights = np.asarray(self.weights, dtype=float)
-        if np.any(self.weights <= 0):
-            raise AssumptionViolation(
-                f"velocity weights must be positive, min w = {self.weights.min()}")
-        if self.x_nodes <= 0 or self.m_nodes <= 0 or self.x_extent <= 0 or self.m_max <= 0:
-            raise BadConfig("grid sizes and extents must be positive")
         v = np.asarray(self.velocities, dtype=float)
         self.velocities = v.reshape(-1, 1) if v.ndim == 1 else v
+        if min(self.x_nodes, self.m_nodes, self.weights.size) < 1:
+            raise BadConfig(f"grid sizes must be at least 1, got x_nodes = {self.x_nodes}, "
+                            f"n_v = {self.weights.size}, m_nodes = {self.m_nodes}")
         if self.velocities.shape != (self.weights.size, self.dim):
             raise BadConfig(
                 f"velocity array shape {self.velocities.shape} != (n_v, dim)")
+        if not (np.all(np.isfinite(self.velocities)) and np.all(np.isfinite(self.weights))):
+            raise BadConfig("velocities and weights must be finite")
+        if np.any(self.weights <= 0):
+            raise AssumptionViolation(
+                f"velocity weights must be positive, min w = {self.weights.min()}")
 
     # -- derived quantities -------------------------------------------------
 

@@ -378,6 +378,23 @@ def test_compare_rejects_out_of_range_grid_header(tmp_path, capsys, key, value):
     assert capsys.readouterr().err.startswith("bad-config:")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("w", "-1.0,-1.0"), ("w", "inf,1.0"), ("x_topology", "spiral"),
+])
+def test_compare_rejects_a_header_no_grid_accepts(tmp_path, capsys, key, value):
+    # The dump is the run's own (two velocities) with one header field
+    # edited: its grid is validated as a PhaseGrid is.
+    cfg_path = write_config(tmp_path)
+    assert main(["run", str(cfg_path)]) == 0
+    raw = (tmp_path / "out" / "final.chk").read_bytes()
+    start = raw.index(f"\n{key}=".encode()) + len(key) + 2
+    end = raw.index(b"\n", start)
+    bad = tmp_path / "bad.chk"
+    bad.write_bytes(raw[:start] + value.encode() + raw[end:])
+    assert main(["compare", str(bad), str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("bad-config:")
+
+
 def test_out_dir_env_override(tmp_path, monkeypatch):
     cfg_path = write_config(tmp_path)
     override = tmp_path / "elsewhere"

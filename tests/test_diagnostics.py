@@ -8,7 +8,7 @@ from chemokin.config import GridConfig, RunConfig
 from chemokin.diagnostics import (DiagnosticsReport, envelope_check, growth_factor,
                                   reduce_norms)
 from chemokin.errors import BadConfig
-from chemokin.fields import in_layout
+from chemokin.fields import in_layout, total_mass
 from chemokin.kinetic import StepperState, run
 from chemokin.model import PhaseGrid, build_scenario, velocity_set
 
@@ -67,10 +67,10 @@ def test_reductions_bitwise_repeatable():
 
 @pytest.mark.parametrize("dim, nx, nv, nm", [(1, 24, 4, 16), (1, 7, 2, 33), (2, 9, 8, 12)])
 def test_moments_bitwise_equal_to_masked_sums(dim, nx, nv, nm):
-    # The integrals add in one order whatever the density's layout, so
-    # diagnostics.csv keeps its bytes: the mass is sum_x n(x) dx^dim with n
-    # summed over the contiguous m and v axes of the x-outermost array, and
-    # the m-moments are m-weighted sums within round-off of the masked ones.
+    # The integrals add in one order whatever the density's layout: the
+    # row's mass is the bits of total_mass, itself within round-off of the
+    # x-outermost sum, and the m-moments are m-weighted sums within
+    # round-off of the masked ones.
     v, w = velocity_set(dim, nv)
     grid = PhaseGrid(dim=dim, x_nodes=nx, x_extent=3.0, x_topology="periodic",
                      velocities=v, weights=w, m_nodes=nm, m_max=1.7)
@@ -85,7 +85,8 @@ def test_moments_bitwise_equal_to_masked_sums(dim, nx, nv, nm):
                                     t=0.0)) == astuple(row)
         tail = m_c > 2.0 * m_plus
         n = np.sum(np.sum(p, axis=-1) * grid.dm * grid.weights, axis=-1)
-        assert row.mass == float(np.sum(n) * grid.cell_volume)
+        assert row.mass == total_mass(p, grid)
+        assert row.mass == pytest.approx(float(np.sum(n) * grid.cell_volume), rel=1e-13)
         assert row.m_moment == pytest.approx(float(np.sum(p * wv * m_c) * measure),
                                              rel=1e-13)
         assert row.tail_moment == pytest.approx(

@@ -44,6 +44,21 @@ def test_velocity_set_without_velocities_is_a_bad_config(dim):
         velocity_set(dim, 0)
 
 
+@pytest.mark.parametrize("bad", [
+    dict(dim=3, velocities=np.zeros((2, 3))), dict(dim=0, velocities=np.zeros((2, 0))),
+    dict(x_extent=np.nan), dict(x_extent=np.inf), dict(m_max=np.nan), dict(m_max=np.inf),
+    dict(velocities=[[0.5], [np.nan]]), dict(weights=[np.inf, 1.0]),
+    dict(weights=[np.nan, 1.0]), dict(velocities=np.zeros((0, 1)), weights=[]),
+], ids=["dim-3", "dim-0", "x_extent-nan", "x_extent-inf", "m_max-nan", "m_max-inf",
+        "v-nan", "w-inf", "w-nan", "no-velocities"])
+def test_phase_grid_rejects_what_no_run_can_use(bad):
+    # Each case edits a valid 1-d grid in one respect.
+    kw = dict(dim=1, x_nodes=8, x_extent=4.0, x_topology="periodic",
+              velocities=[[-0.5], [0.5]], weights=[1.0, 1.0], m_nodes=4, m_max=1.0)
+    with pytest.raises(BadConfig):
+        PhaseGrid(**(kw | bad))
+
+
 def test_velocity_set_2d_unit_circle():
     v, w = velocity_set(2, 8)
     assert np.allclose(np.linalg.norm(v, axis=1), 1.0)
