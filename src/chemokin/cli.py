@@ -210,10 +210,9 @@ def cmd_compare(path_a: str, path_b: str) -> int:
     for path, dump in ((path_a, a), (path_b, b)):
         if not np.all(np.isfinite(dump.values)):
             raise BadConfig(f"{path}: dump holds non-finite density values")
-    diff = a.values - b.values
-    meas = (a.x_extent / a.x_nodes) ** a.dim * (a.m_max / a.m_nodes)
-    l1 = float(np.sum(np.abs(diff) * a.weights[:, None]) * meas)
-    linf = float(np.abs(diff).max(initial=0.0))
+    gap = np.abs(a.values - b.values)
+    l1 = total_mass(gap, a.grid)
+    linf = float(gap.max(initial=0.0))
     print(f"t: {a.t!r} vs {b.t!r}")
     print(f"L1 distance:   {l1!r}")
     print(f"Linf distance: {linf!r}")

@@ -43,6 +43,8 @@ class Dump:
     values: np.ndarray
     steps: int = 0
     max_mass_defect: float = 0.0
+    #: The header's grid fields as the validated ``PhaseGrid`` (``read_dump``).
+    grid: PhaseGrid | None = None
 
     @property
     def field_shape(self) -> tuple[int, ...]:
@@ -130,9 +132,9 @@ def read_dump(path: str | Path) -> Dump:
     except (KeyError, ValueError) as exc:
         raise BadConfig(f"{path}: malformed dump header ({exc})") from exc
     try:
-        PhaseGrid(dim=dim, x_nodes=x_nodes, x_extent=dump.x_extent,
-                  x_topology=dump.x_topology, velocities=vels, weights=dump.weights,
-                  m_nodes=m_nodes, m_max=dump.m_max)
+        dump.grid = PhaseGrid(dim=dim, x_nodes=x_nodes, x_extent=dump.x_extent,
+                              x_topology=dump.x_topology, velocities=vels,
+                              weights=dump.weights, m_nodes=m_nodes, m_max=dump.m_max)
     except ChemokinError as exc:
         raise BadConfig(f"{path}: grid out of range ({exc})") from exc
     if not (0.0 <= dump.t < np.inf and 0.0 < dump.eps < np.inf):

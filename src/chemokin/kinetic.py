@@ -18,6 +18,19 @@ discrete mass up to round-off (periodic transport telescopes, the turning
 integrand is antisymmetric under swapping the two velocities, and the
 remap's cell masses telescope to the full m-integral because the
 adaptation rate points inward at both ends of the truncated m-interval).
+
+A macro step allocates one density-sized array, its result, and never
+writes a density it has returned.  The sub-steps run through that result
+and one (v, m, *x) work buffer: each operator takes an optional ``out``,
+the C-contiguous (v, m, *x) array to write, and allocates only without
+one.  ``transport_apply`` may write in place (``out`` the buffer of its
+input); turning and the remap read their input after writing ``out``, so
+they refuse an ``out`` that shares memory with it.  The work buffer and
+the operators' temporaries (the remap's gathers, transport's accumulator,
+and one (m, *x) slab for transport's shifted product and turning's loss
+term) are per-thread scratch (``_scratch``), reused from step to step,
+so the concurrent members of a threaded eps study never share one.
+
 The step epilogue (``finish_step``) and the output scheduler (``run``)
 also serve the reduced model of ``limit``, a state on one m-cell.  The
 epilogue takes the mass from the n it computes for the signal, the way
@@ -27,13 +40,14 @@ nothing has zero defect.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .diagnostics import DiagnosticsReport
 from .elliptic import solve_signal
-from .errors import BadConfig, CflViolation, PositivityError, SpecViolation
+from .errors import BadConfig, CflViolation, NonFiniteInput, PositivityError, SpecViolation
 from .fields import DensityField, SignalField, in_layout, number_density, vmx, x_integral, xvm
 from .model import InitialData, ModelSpec, PhaseGrid
 
@@ -42,6 +56,40 @@ CFL_SLACK = 1e-9
 #: Density elements (512 KiB) per block of x-cells in the adaptation
 #: remap's gathers, so their temporaries stay in cache.
 REMAP_BLOCK = 1 << 16
+
+_SCRATCH = threading.local()
+
+
+def _scratch(role: str, shape: tuple[int, ...]) -> np.ndarray:
+    """This thread's reusable float buffer for ``role``, viewed as ``shape``.
+
+    One flat buffer per role and thread, reallocated only when a larger one
+    is needed; the view covers its first prod(shape) elements.  It holds
+    whatever its last user left, so every user writes it before reading.
+    """
+    size = math.prod(shape)
+    buf = getattr(_SCRATCH, role, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size)
+        setattr(_SCRATCH, role, buf)
+    return buf[:size].reshape(shape)
+
+
+def _target(q: np.ndarray, out: np.ndarray | None, in_place: bool = False) -> np.ndarray:
+    """The (v, m, *x) array an operator on the (v, m, *x) view ``q`` writes.
+
+    A fresh one without ``out``.  ``out`` must be a C-contiguous float64
+    array of q's shape that shares no memory with ``q``, unless
+    ``in_place`` and it is the very same array.
+    """
+    if out is None:
+        return np.empty(q.shape)
+    if out.shape != q.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {q.shape}")
+    same = in_place and out.ctypes.data == q.ctypes.data and out.strides == q.strides
+    if not same and np.may_share_memory(out, q):
+        raise ValueError("out shares memory with the input density")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -87,22 +135,30 @@ class TurningTensors:
 
 
 def turning_apply(p: np.ndarray, spec: ModelSpec, grid: PhaseGrid, dt: float,
-                  tensors: TurningTensors | None = None) -> np.ndarray:
+                  tensors: TurningTensors | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """One explicit Euler step of the velocity-jump operator.
 
     Positivity needs dt below the inverse of the largest total outflux
     rate (at most V_d * turning_cap).  The gain is one (V, V) @ (V, M*X)
-    GEMM on the (v, m, x) view.
+    GEMM on the (v, m, x) view, written into ``out`` (see ``_target``);
+    the loss term is added one velocity's (m, *x) slab at a time.
     """
     tensors = tensors or TurningTensors.build(spec, grid)
     if dt * tensors.max_loss > 1.0 + CFL_SLACK:
         raise CflViolation(
             f"turning step dt = {dt} exceeds positivity bound {1.0 / tensors.max_loss}")
     q = vmx(p)
-    out = np.matmul(tensors.gain, np.ascontiguousarray(q).reshape(len(q), -1)).reshape(q.shape)
-    out *= dt * tensors.freq
-    out += q * (1.0 - dt * tensors.loss)
-    return xvm(out)
+    res = _target(q, out)
+    n_v = len(q)
+    np.matmul(tensors.gain, np.ascontiguousarray(q).reshape(n_v, -1), out=res.reshape(n_v, -1))
+    res *= dt * tensors.freq
+    keep = 1.0 - dt * tensors.loss
+    slab = _scratch("slab", q.shape[1:])
+    for k in range(n_v):
+        np.multiply(q[k], keep[k], out=slab)
+        res[k] += slab
+    return xvm(res)
 
 
 # ---------------------------------------------------------------------------
@@ -120,45 +176,55 @@ def _add_upwind(acc: np.ndarray, slab: np.ndarray, axis: int, cmag: float, sign:
         index[axis] = slice(start, stop)
         return tuple(index)
 
+    def add(dst, src):
+        shifted = _scratch("slab", slab[src].shape)
+        np.multiply(slab[src], cmag, out=shifted)
+        acc[dst] += shifted
+
     last = slab.shape[axis] - 1
     if sign > 0:
-        acc[at(1, None)] += cmag * slab[at(None, last)]
+        add(at(1, None), at(None, last))
         if periodic:
-            acc[at(0, 1)] += cmag * slab[at(last, None)]
+            add(at(0, 1), at(last, None))
     else:
-        acc[at(None, last)] += cmag * slab[at(1, None)]
+        add(at(None, last), at(1, None))
         if periodic:
-            acc[at(last, None)] += cmag * slab[at(0, 1)]
+            add(at(last, None), at(0, 1))
 
 
-def transport_apply(p: np.ndarray, grid: PhaseGrid, dt: float) -> np.ndarray:
+def transport_apply(p: np.ndarray, grid: PhaseGrid, dt: float,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """First-order upwind x-transport, one step for every velocity node.
 
     Mass is conserved exactly on periodic grids; truncated grids lose only
     outflow through the boundary.  Positivity holds for per-axis Courant
     numbers summing to at most one.  Each velocity's (m, *x) slab of the
-    (v, m, *x) view is contiguous and shifts as a whole.
+    (v, m, *x) view is contiguous and shifts as a whole.  A slab is read
+    in full before its own output slab is written, so ``out`` may be the
+    (v, m, *x) buffer of ``p`` itself; every velocity's CFL is checked
+    before anything is written.
     """
     periodic = grid.x_topology == "periodic"
-    q = vmx(p)
-    out = np.empty(q.shape)
-    acc = np.empty(q.shape[1:])
-    for k, slab in enumerate(q):
-        courants = grid.velocities[k] * dt / grid.dx
-        if np.sum(np.abs(courants)) > 1.0 + CFL_SLACK:
+    courants = grid.velocities * dt / grid.dx
+    for k, c in enumerate(courants):
+        if np.sum(np.abs(c)) > 1.0 + CFL_SLACK:
             raise CflViolation(
                 f"transport step dt = {dt} exceeds dx/|v| for velocity node {k}")
+    q = vmx(p)
+    res = _target(q, out, in_place=True)
+    acc = _scratch("transport_acc", q.shape[1:])
+    for k, slab in enumerate(q):
         stay = 1.0
         acc.fill(0.0)
-        for axis, c in enumerate(courants):
+        for axis, c in enumerate(courants[k]):
             if c == 0.0:
                 continue
             cmag = min(abs(float(c)), 1.0)
             stay -= cmag
             _add_upwind(acc, slab, 1 + axis, cmag, 1 if c > 0 else -1, periodic)
-        np.multiply(slab, max(stay, 0.0), out=out[k])
-        out[k] += acc
-    return xvm(out)
+        np.multiply(slab, max(stay, 0.0), out=res[k])
+        res[k] += acc
+    return xvm(res)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +269,8 @@ def adaptation_plan(s: np.ndarray, spec: ModelSpec, grid: PhaseGrid,
     Depends only on the frozen signal and dt, so one plan serves both
     adaptation half steps of a macro step.
     """
+    if not np.all(np.isfinite(s)):
+        raise NonFiniteInput("adaptation signal holds NaN or infinite values")
     f_ends = np.asarray(spec.adaptation_rate(np.array([0.0, grid.m_max]),
                                              np.asarray(s)[..., None]))
     if np.any(f_ends[..., 1] >= 0.0):
@@ -224,7 +292,8 @@ def adaptation_plan(s: np.ndarray, spec: ModelSpec, grid: PhaseGrid,
 
 
 def adaptation_apply(p: np.ndarray, s: np.ndarray, spec: ModelSpec, grid: PhaseGrid,
-                     dt: float, plan: AdaptationPlan | None = None) -> np.ndarray:
+                     dt: float, plan: AdaptationPlan | None = None,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Conservative semi-Lagrangian remap of the m-drift term over dt.
 
     The signal is frozen over the step, so dm/dt = F(m, S(x))/eps has a
@@ -242,30 +311,36 @@ def adaptation_apply(p: np.ndarray, s: np.ndarray, spec: ModelSpec, grid: PhaseG
     ``plan`` is ``adaptation_plan(s, spec, grid, dt)``, built here when not
     given; ``macro_step`` builds one per step for both half steps.  The
     remap works on the (v, m, x) view.  The prefix sums fill the output
-    buffer, one add of whole (v, x) rows per m-cell.  A block of x-cells at
-    a time then gathers at its feet, every velocity through the block's one
-    index, and overwrites its own x-columns with the differences, which
-    only that block reads.
+    buffer (``out``, see ``_target``), one add of whole (v, x) rows per
+    m-cell.  A block of x-cells at a time then gathers at its feet, every
+    velocity through the block's one index, into two per-thread scratch
+    buffers (the plan keeps every index in range, so ``mode="clip"``, which
+    gathers without an internal copy, never clips), and overwrites its own
+    x-columns with the differences, which only that block reads.
     """
     if plan is None:
         plan = adaptation_plan(s, spec, grid, dt)
     n_v, n_m = grid.n_v, grid.m_nodes
+    res = _target(vmx(p), out)
     q = np.ascontiguousarray(vmx(p)).reshape(n_v, n_m, -1)
-    out = np.empty(q.shape)
-    cum_rows = out.swapaxes(0, 1)
+    cum = res.reshape(q.shape)
+    cum_rows = cum.swapaxes(0, 1)
     cum_rows[0] = 0.0
     for prev, row, nxt in zip(cum_rows, q.swapaxes(0, 1), cum_rows[1:]):
         np.add(prev, row, out=nxt)
     lo = 0
     for at in plan.gather:
         hi = lo + at.shape[1]
-        at_feet = np.take(out.reshape(n_v, -1), at, axis=1)  # (v, edge, x)
-        gathered = np.take(q.reshape(n_v, -1), at, axis=1)
+        shape = (n_v,) + at.shape  # (v, edge, x)
+        at_feet = np.take(cum.reshape(n_v, -1), at, axis=1, mode="clip",
+                          out=_scratch("remap_cum", shape))
+        gathered = np.take(q.reshape(n_v, -1), at, axis=1, mode="clip",
+                           out=_scratch("remap_p", shape))
         gathered *= plan.frac[:, lo:hi]
         at_feet += gathered
-        np.subtract(at_feet[:, 1:], at_feet[:, :-1], out=out[:, :, lo:hi])
+        np.subtract(at_feet[:, 1:], at_feet[:, :-1], out=cum[:, :, lo:hi])
         lo = hi
-    return xvm(out.reshape(vmx(p).shape))
+    return xvm(res)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +391,9 @@ def macro_step(state: StepperState, dt: float) -> StepperState:
     """One Strang-split macro step; returns a new state.
 
     The signal is frozen over the step and refreshed from the updated
-    density afterwards (unless the state freezes it for oracle runs).
+    density afterwards (unless the state freezes it for oracle runs).  The
+    sub-steps alternate between this thread's work buffer and ``result``,
+    the step's one fresh array, which the new state keeps.
     """
     if dt <= 0:
         raise BadConfig(f"macro step dt must be positive, got {dt}")
@@ -324,11 +401,14 @@ def macro_step(state: StepperState, dt: float) -> StepperState:
     s = state.signal.values
 
     plan = adaptation_plan(s, spec, grid, 0.5 * dt)
-    p = adaptation_apply(state.field.values, s, spec, grid, 0.5 * dt, plan)
-    p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors)
-    p = transport_apply(p, grid, dt)
-    p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors)
-    p = adaptation_apply(p, s, spec, grid, 0.5 * dt, plan)
+    # Allocated after the plan, so the plan's temporaries are already freed.
+    shape = vmx(state.field.values).shape
+    work, result = _scratch("work", shape), np.empty(shape)
+    p = adaptation_apply(state.field.values, s, spec, grid, 0.5 * dt, plan, out=work)
+    p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors, out=result)
+    p = transport_apply(p, grid, dt, out=result)
+    p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors, out=work)
+    p = adaptation_apply(p, s, spec, grid, 0.5 * dt, plan, out=result)
     return finish_step(state, p, dt)
 
 

@@ -258,12 +258,19 @@ def test_compare_self_distance_zero(tmp_path, capsys):
 
 
 def test_compare_distinct_dumps(tmp_path, capsys):
+    # The L1 distance is the phase-space integral of |a - b|, measured the
+    # way every other integral is (``fields.total_mass``).
+    from chemokin import dumpio
+    from chemokin.fields import total_mass
     cfg_path = write_config(tmp_path)
     assert main(["run", str(cfg_path)]) == 0
     a = str(tmp_path / "out" / "dump_0.chk")
     b = str(tmp_path / "out" / "final.chk")
     assert main(["compare", a, b]) == 0
-    assert "bitwise equal: False" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "bitwise equal: False" in out
+    da, db = dumpio.read_dump(a), dumpio.read_dump(b)
+    assert f"L1 distance:   {total_mass(np.abs(da.values - db.values), da.grid)!r}" in out
 
 
 def test_compare_same_grid_is_symmetric(tmp_path, capsys):
@@ -461,8 +468,8 @@ def test_nan_mid_run_is_verification_failure(tmp_path, monkeypatch, capsys):
     from chemokin import kinetic
     real_transport = kinetic.transport_apply
 
-    def poisoned(p, grid, dt):
-        out = real_transport(p, grid, dt)
+    def poisoned(p, grid, dt, **kw):
+        out = real_transport(p, grid, dt, **kw)
         out[0, 0, 0] = float("nan")
         return out
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from chemokin import kinetic
 from chemokin.config import GridConfig, RunConfig
-from chemokin.errors import CflViolation, PositivityError, SpecViolation
+from chemokin.errors import CflViolation, NonFiniteInput, PositivityError, SpecViolation
 from chemokin.fields import DensityField, in_layout, total_mass, vmx
 from chemokin.kinetic import (StepperState, TurningTensors, adaptation_apply,
                               adaptation_feet, adaptation_plan, macro_step, run,
@@ -405,19 +405,37 @@ def layout_cases(draw):
 def test_operators_give_the_same_bits_in_either_layout(case):
     # A C-ordered (x, v, m) density and the same density backed by a
     # (v, m, x) buffer give bit-identical results, and every operator
-    # returns its result in the (v, m, x) layout.
+    # returns its result in the (v, m, x) layout.  Written into an ``out``
+    # buffer (NaN-filled, so stale contents would show), each operator
+    # gives the same bytes; transport also in place, into its input's own
+    # buffer, while turning and the remap refuse that aliasing.
     grid, spec, block, rng = case
     p = rng.random(grid.field_shape) * (rng.random(grid.field_shape) < 0.8)
     s = rng.uniform(0.0, 5.0, grid.x_shape)
     state = StepperState.create(grid, spec, package_initial(DensityField(p), grid))
     dt = float(rng.uniform(0.1, 1.0)) * state.cfl_dt()
+
+    def operators(dens, out=lambda: None):
+        return (adaptation_apply(dens, s, spec, grid, 0.5 * dt, out=out()),
+                turning_apply(dens, spec, grid, 0.5 * dt, state.tensors, out=out()),
+                transport_apply(dens, grid, dt, out=out()))
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kinetic, "REMAP_BLOCK", block)
-        results = [(adaptation_apply(dens, s, spec, grid, 0.5 * dt),
-                    turning_apply(dens, spec, grid, 0.5 * dt, state.tensors),
-                    transport_apply(dens, grid, dt),
-                    macro_step(replace(state, field=DensityField(dens)), dt).field.values)
+        results = [operators(dens)
+                   + (macro_step(replace(state, field=DensityField(dens)), dt).field.values,)
                    for dens in (p, in_layout(p))]
+        for dens, fresh in zip((p, in_layout(p)), results):
+            into = operators(dens, out=lambda: np.full(vmx(dens).shape, np.nan))
+            own = in_layout(dens)
+            moved = transport_apply(own, grid, dt, out=vmx(own))
+            assert np.shares_memory(moved, own)
+            for written, expected in zip(into + (moved,), fresh[:3] + fresh[2:3]):
+                assert written.tobytes() == expected.tobytes()
+            with pytest.raises(ValueError, match="shares memory"):
+                adaptation_apply(own, s, spec, grid, 0.5 * dt, out=vmx(own))
+            with pytest.raises(ValueError, match="shares memory"):
+                turning_apply(own, spec, grid, 0.5 * dt, state.tensors, out=vmx(own))
     for c_ordered, vmx_backed in zip(*results):
         assert c_ordered.tobytes() == vmx_backed.tobytes()
         assert vmx(c_ordered).flags.c_contiguous and vmx(vmx_backed).flags.c_contiguous
@@ -524,7 +542,92 @@ def test_adaptation_rejects_bad_truncation():
         adaptation_apply(p, np.full(small.x_shape, 5.0), spec, small, dt=0.01)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_adaptation_rejects_non_finite_signal(bad):
+    # Comparisons against NaN are false, so without its own check the plan
+    # would pass a NaN signal to the feet and the remap would return NaN
+    # density cells; the plan's indices are also what keeps the gathers in
+    # range.
+    grid, spec, init = build_scenario(RunConfig())
+    state = StepperState.create(grid, spec, init)
+    s = state.signal.values.copy()
+    s[5] = bad
+    with pytest.raises(NonFiniteInput):
+        adaptation_apply(state.field.values, s, spec, grid, 0.05)
+
+
 # -- macro step and run ---------------------------------------------------------
+
+def test_macro_step_never_writes_a_returned_density():
+    cfg, grid, spec, init = default_scenario()
+    dt = 0.5 * StepperState.create(grid, spec, init).cfl_dt()
+    states = [StepperState.create(grid, spec, init)]
+    copies = [states[0].field.values.copy()]
+    for _ in range(3):
+        states.append(macro_step(states[-1], dt))
+        copies.append(states[-1].field.values.copy())
+    for state, copy in zip(states, copies):
+        assert state.field.values.tobytes() == copy.tobytes()
+    assert macro_step(states[0], dt).field.values.tobytes() == copies[1].tobytes()
+
+
+def test_concurrent_steps_keep_their_own_scratch():
+    # Threaded eps-study members step concurrently; each thread's sub-steps
+    # run in its own scratch buffers, so every thread gets the serial bits.
+    import sys
+    import threading
+    cfg, grid, spec, init = default_scenario()
+    specs = [replace(spec, epsilon=eps) for eps in (1.0, 0.3, 0.1, 0.03)]
+
+    def advance(member_spec):
+        state = StepperState.create(grid, member_spec, init)
+        dt = 0.5 * state.cfl_dt()
+        for _ in range(10):
+            state = macro_step(state, dt)
+        return state.field.values
+
+    serial = [advance(member_spec) for member_spec in specs]
+    threaded = [None] * len(specs)
+
+    def member(i):
+        threaded[i] = advance(specs[i])
+
+    workers = [threading.Thread(target=member, args=(i,)) for i in range(len(specs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    for alone, together in zip(serial, threaded):
+        assert together is not None and together.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("grid_cfg", [
+    GridConfig(),
+    GridConfig(dim=2, x_nodes=32, x_topology="free", v_count=8, m_nodes=16)],
+    ids=["default", "free-2d"])
+def test_macro_step_allocates_about_one_density(grid_cfg):
+    # A warm macro step allocates its result and small per-step arrays (the
+    # remap plan, n and the signal); the sub-steps run in reused buffers.
+    import tracemalloc
+    grid, spec, init = build_scenario(RunConfig(grid=grid_cfg))
+    state = StepperState.create(grid, spec, init)
+    dt = state.cfl_dt()
+    state = macro_step(state, dt)
+    tracemalloc.start()
+    try:
+        macro_step(state, dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * state.field.values.nbytes
+
+
 
 def test_x_uniform_data_stays_x_uniform():
     cfg, grid, spec, init = default_scenario(profile="uniform")
