@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dumpio
-from .config import RunConfig, parse_config
+from .config import RunConfig, RunSettings, parse_config
 from .diagnostics import DiagnosticsReport
 from .elliptic import kernel_check, solve_signal, stencil_residual
 from .errors import BadConfig, ChemokinError, SolverFailure
@@ -142,7 +142,7 @@ def _verify_elliptic(lines: list[str]):
 
 
 def _verify_oracle(lines: list[str]) -> bool:
-    from .config import GridConfig, InitialConfig, ModelConfig, RunSettings
+    from .config import GridConfig, InitialConfig, ModelConfig
     from .kinetic import macro_step
     cfg = RunConfig(
         grid=GridConfig(dim=1, x_nodes=16, x_extent=1.6, v_count=2, m_nodes=16),
@@ -168,12 +168,12 @@ def _verify_oracle(lines: list[str]) -> bool:
                   f"{oracle.sup_diffs[-1]:.1e}", lines)
 
 
-def _verify_envelopes(cfg: RunConfig, lines: list[str]) -> bool:
-    grid, spec, initial = build_scenario(cfg)
+def _verify_envelopes(scenario: tuple, run: RunSettings, lines: list[str]) -> bool:
+    grid, spec, initial = scenario
     state = StepperState.create(grid, spec, initial)
     report = DiagnosticsReport(initial, spec, grid)
-    t_end = min(cfg.run.t_end, 1.0) if cfg.run.t_end > 0 else 0.0
-    state, _ = kinetic_run(state, t_end, cfg.run.output_every, report=report)
+    t_end = min(run.t_end, 1.0)
+    state, _ = kinetic_run(state, t_end, run.output_every, report=report)
     ok = _check("envelopes", not report.failed,
                 f"min margin = {report.min_margin():.3e} over {len(report.rows)} rows",
                 lines)
@@ -188,11 +188,12 @@ def _verify_envelopes(cfg: RunConfig, lines: list[str]) -> bool:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    scenario = build_scenario(cfg)  # a bad config fails before any check runs
     lines: list[str] = []
     ok_ell, kernel_report = _verify_elliptic(lines)
     ok = ok_ell
     ok &= _verify_oracle(lines)
-    ok &= _verify_envelopes(cfg, lines)
+    ok &= _verify_envelopes(scenario, cfg.run, lines)
     out = _out_dir(cfg)
     kernel_report.write_csv(out / "kernel_check.csv")
     for line in lines:
@@ -205,7 +206,7 @@ def cmd_compare(path_a: str, path_b: str) -> int:
     a = dumpio.read_dump(path_a)
     b = dumpio.read_dump(path_b)
     # Dumps of two scenarios on one grid (say two eps) compare; two grids do not.
-    if not dumpio.same_grid(a, b):
+    if not a.grid.same_as(b.grid):
         raise BadConfig(f"incomparable dumps: {path_a} and {path_b} differ in grid signature")
     for path, dump in ((path_a, a), (path_b, b)):
         if not np.all(np.isfinite(dump.values)):

@@ -16,11 +16,6 @@ from pathlib import Path
 
 from .errors import BadConfig
 
-X_TOPOLOGIES = ("periodic", "free")
-F_FAMILIES = ("linear", "cubic")
-T_FAMILIES = ("constant", "separable-uniform", "separable-angle")
-INITIAL_PROFILES = ("gaussian", "two-bumps", "uniform")
-
 #: Most output instants a run may schedule.  ``run`` writes one dump per
 #: instant, so a tiny output_every or a huge t_end would fill memory and
 #: disk; the shipped configs schedule at most 40.
@@ -128,13 +123,16 @@ def _convert(section: str, key: str, raw: str, kind: type):
 
 
 def parse_config(path: str | Path) -> RunConfig:
-    """Read and validate a scenario file.
+    """Read a scenario file and check what ``validate_config`` checks.
+
+    Grid, model and profile values are left to ``build_scenario``, whose
+    types reject a bad one with ``BadConfig`` too.
 
     Raises
     ------
     BadConfig
-        On unknown sections/keys, unparsable values, or invalid
-        combinations (e.g. both ``m_max`` and ``m_max_auto=true``).
+        On unknown sections/keys, unparsable values, both ``m_max`` and
+        ``m_max_auto=true``, or a value ``validate_config`` rejects.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keys are case-sensitive (F_family, S_ref, ...)
@@ -169,8 +167,13 @@ def parse_config(path: str | Path) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
-    """Check value-level constraints that do not need the grid built."""
-    g, m, ini, run = cfg.grid, cfg.model, cfg.initial, cfg.run
+    """Check the values that no domain type checks.
+
+    Every real is finite, the initial width and mass are positive, the
+    [run] section is usable and its output schedule bounded.  Grid, model
+    and profile values are checked by the types ``build_scenario`` builds
+    from them, and rejected there as ``BadConfig``.
+    """
     # NaN passes every ordered comparison below, and an infinite t_end never
     # ends the output schedule.
     for sec_name, schema in _SCHEMA.items():
@@ -179,33 +182,7 @@ def validate_config(cfg: RunConfig) -> None:
             val = getattr(section, attr) if kind is float else None
             if val is not None and not math.isfinite(val):
                 raise BadConfig(f"[{sec_name}] {key} must be finite, got {val}")
-    if g.dim not in (1, 2):
-        raise BadConfig(f"[grid] dim must be 1 or 2, got {g.dim}")
-    if g.x_topology not in X_TOPOLOGIES:
-        raise BadConfig(f"[grid] x_topology must be one of {X_TOPOLOGIES}, got {g.x_topology!r}")
-    for name, val in (("x_nodes", g.x_nodes), ("v_count", g.v_count), ("m_nodes", g.m_nodes)):
-        if val <= 0:
-            raise BadConfig(f"[grid] {name} must be positive, got {val}")
-    if g.x_extent <= 0:
-        raise BadConfig(f"[grid] x_extent must be positive, got {g.x_extent}")
-    if g.m_max is not None and g.m_max <= 0:
-        raise BadConfig(f"[grid] m_max must be positive, got {g.m_max}")
-
-    if m.f_family not in F_FAMILIES:
-        raise BadConfig(f"[model] F_family must be one of {F_FAMILIES}, got {m.f_family!r}")
-    if m.t_family not in T_FAMILIES:
-        raise BadConfig(f"[model] T_family must be one of {T_FAMILIES}, got {m.t_family!r}")
-    for name, val in (("kappa", m.kappa), ("S_ref", m.s_ref), ("lambda0", m.lambda0),
-                      ("delta", m.delta), ("eps", m.eps)):
-        if val <= 0:
-            raise BadConfig(f"[model] {name} must be positive, got {val}")
-    if m.m_minus <= 0:
-        raise BadConfig(f"[model] m_minus must be positive, got {m.m_minus}")
-    if not m.m_minus < m.m_plus:
-        raise BadConfig(f"[model] need m_minus < m_plus, got {m.m_minus} >= {m.m_plus}")
-
-    if ini.profile not in INITIAL_PROFILES:
-        raise BadConfig(f"[initial] profile must be one of {INITIAL_PROFILES}, got {ini.profile!r}")
+    ini, run = cfg.initial, cfg.run
     if ini.width <= 0:
         raise BadConfig(f"[initial] width must be positive, got {ini.width}")
     if ini.mass <= 0:

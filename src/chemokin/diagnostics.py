@@ -85,8 +85,12 @@ def growth_factor(vd_ct: float, t: float) -> float:
 
 
 def envelope_check(row: ReportRow, initial: InitialData, spec: ModelSpec,
-                   grid: PhaseGrid) -> ReportRow:
-    """Fill in margins envelope(t) - observed for all monitored bounds."""
+                   grid: PhaseGrid) -> dict[str, float]:
+    """Fill in margins envelope(t) - observed for all monitored bounds.
+
+    Returns each margin's envelope by field name, the scale of its
+    relative tolerance (an infinite envelope always passes).
+    """
     t = row.t
     vd = grid.v_measure
     vd_ct = vd * spec.turning_cap
@@ -102,19 +106,8 @@ def envelope_check(row: ReportRow, initial: InitialData, spec: ModelSpec,
     row.margin_s_l1 = initial.mass - row.s_l1
     row.margin_s_sup = env_n - row.s_sup
     row.margin_p = env_p - row.p_sup
-    return row
-
-
-def _margin_scales(row: ReportRow, initial: InitialData) -> dict[str, float]:
-    # Scale for the relative tolerance: the observed quantity's envelope
-    # baseline; inf envelopes always pass.
-    return {
-        "margin_pbar": row.margin_pbar + row.pbar_sup,
-        "margin_n": row.margin_n + row.n_sup,
-        "margin_s_l1": initial.mass,
-        "margin_s_sup": row.margin_s_sup + row.s_sup,
-        "margin_p": row.margin_p + row.p_sup,
-    }
+    return {"margin_pbar": env_pbar, "margin_n": env_n, "margin_s_l1": initial.mass,
+            "margin_s_sup": env_n, "margin_p": env_p}
 
 
 class DiagnosticsReport:
@@ -132,10 +125,8 @@ class DiagnosticsReport:
         if self.rows and t <= self.rows[-1].t:
             raise BadConfig(
                 f"report rows must be strictly increasing in t: {t} after {self.rows[-1].t}")
-        row = envelope_check(reduce_norms(p, s, self.grid, self.spec.m_plus, t),
-                             self.initial, self.spec, self.grid)
-        scales = _margin_scales(row, self.initial)
-        for name, scale in scales.items():
+        row = reduce_norms(p, s, self.grid, self.spec.m_plus, t)
+        for name, scale in envelope_check(row, self.initial, self.spec, self.grid).items():
             margin = getattr(row, name)
             if np.isfinite(scale) and margin < -ENVELOPE_TOL * abs(scale):
                 self.failures.append(
@@ -148,9 +139,8 @@ class DiagnosticsReport:
         return bool(self.failures)
 
     def min_margin(self) -> float:
-        names = ("margin_pbar", "margin_n", "margin_s_l1", "margin_s_sup", "margin_p")
-        vals = [getattr(r, n) for r in self.rows for n in names]
-        return float(min(vals)) if vals else np.inf
+        names = [f.name for f in dc_fields(ReportRow) if f.name.startswith("margin_")]
+        return float(min((getattr(r, n) for r in self.rows for n in names), default=np.inf))
 
     def x_moment_rates(self) -> np.ndarray:
         """Forward-difference rates of the <x>-moment between output rows."""

@@ -29,6 +29,14 @@ _END = "END_HEADER"
 
 @dataclass
 class Dump:
+    """A dump as read back: its validated grid, clock, scenario and density.
+
+    The flat grid fields repeat the header's numbers next to ``grid``, so a
+    reader that wants them (the benchmark's mass check) needs no
+    ``PhaseGrid``.
+    """
+
+    grid: PhaseGrid
     dim: int
     x_nodes: int
     x_extent: float
@@ -43,12 +51,6 @@ class Dump:
     values: np.ndarray
     steps: int = 0
     max_mass_defect: float = 0.0
-    #: The header's grid fields as the validated ``PhaseGrid`` (``read_dump``).
-    grid: PhaseGrid | None = None
-
-    @property
-    def field_shape(self) -> tuple[int, ...]:
-        return (self.x_nodes,) * self.dim + (len(self.weights), self.m_nodes)
 
 
 def _floats_csv(arr: np.ndarray) -> str:
@@ -106,63 +108,44 @@ def read_dump(path: str | Path) -> Dump:
 
     try:
         dim = int(fields["dim"])
-        x_nodes = int(fields["x_nodes"])
         v_count = int(fields["v_count"])
-        m_nodes = int(fields["m_nodes"])
         weights = np.array([float(v) for v in fields["w"].split(",")])
         if v_count != weights.size:
             raise ValueError(f"v_count = {v_count} but {weights.size} weights")
-        vels = np.array([float(v) for v in fields["v"].split(",")]).reshape(v_count, dim)
-        dump = Dump(
+        header = dict(
             dim=dim,
-            x_nodes=x_nodes,
+            x_nodes=int(fields["x_nodes"]),
             x_extent=float(fields["x_extent"]),
             x_topology=fields["x_topology"],
-            velocities=vels,
+            velocities=np.array([float(v) for v in fields["v"].split(",")]).reshape(v_count, dim),
             weights=weights,
-            m_nodes=m_nodes,
+            m_nodes=int(fields["m_nodes"]),
             m_max=float(fields["m_max"]),
-            t=float(fields["t"]),
-            eps=float(fields["eps"]),
-            scenario=fields["scenario"],
-            values=np.empty(0),
-            steps=int(fields.get("steps", "0")),
-            max_mass_defect=float(fields.get("max_mass_defect", "0.0")),
         )
+        t, eps, scenario = float(fields["t"]), float(fields["eps"]), fields["scenario"]
+        steps = int(fields.get("steps", "0"))
+        max_mass_defect = float(fields.get("max_mass_defect", "0.0"))
     except (KeyError, ValueError) as exc:
         raise BadConfig(f"{path}: malformed dump header ({exc})") from exc
     try:
-        dump.grid = PhaseGrid(dim=dim, x_nodes=x_nodes, x_extent=dump.x_extent,
-                              x_topology=dump.x_topology, velocities=vels,
-                              weights=dump.weights, m_nodes=m_nodes, m_max=dump.m_max)
+        grid = PhaseGrid(**header)
     except ChemokinError as exc:
         raise BadConfig(f"{path}: grid out of range ({exc})") from exc
-    if not (0.0 <= dump.t < np.inf and 0.0 < dump.eps < np.inf):
-        raise BadConfig(f"{path}: time stamp or eps out of range "
-                        f"(t = {dump.t}, eps = {dump.eps})")
-    if dump.steps < 0 or not 0.0 <= dump.max_mass_defect < np.inf:
-        raise BadConfig(f"{path}: bookkeeping out of range (steps = {dump.steps}, "
-                        f"max_mass_defect = {dump.max_mass_defect})")
+    if not (0.0 <= t < np.inf and 0.0 < eps < np.inf):
+        raise BadConfig(f"{path}: time stamp or eps out of range (t = {t}, eps = {eps})")
+    if steps < 0 or not 0.0 <= max_mass_defect < np.inf:
+        raise BadConfig(f"{path}: bookkeeping out of range (steps = {steps}, "
+                        f"max_mass_defect = {max_mass_defect})")
 
     payload = raw[cut + len(end_marker):]
     data = np.frombuffer(payload, dtype="<f8")
-    expected = int(np.prod(dump.field_shape))
+    expected = int(np.prod(grid.field_shape))
     if data.size != expected:
         raise BadConfig(
             f"{path}: payload holds {data.size} values, header promises {expected}")
-    dump.values = in_layout(data.reshape(dump.field_shape))
-    return dump
-
-
-def same_grid(a: Dump | PhaseGrid, b: Dump | PhaseGrid) -> bool:
-    """Whether two dumps or grids share a grid signature (the scenario may differ)."""
-    return (
-        a.dim == b.dim and a.x_nodes == b.x_nodes
-        and a.x_topology == b.x_topology and a.m_nodes == b.m_nodes
-        and a.x_extent == b.x_extent and a.m_max == b.m_max
-        and np.array_equal(a.velocities, b.velocities)
-        and np.array_equal(a.weights, b.weights)
-    )
+    return Dump(grid=grid, **header, t=t, eps=eps, scenario=scenario,
+                values=in_layout(data.reshape(grid.field_shape)), steps=steps,
+                max_mass_defect=max_mass_defect)
 
 
 def check_compatible(dump: Dump, grid: PhaseGrid, scenario_hash: str) -> None:
@@ -170,5 +153,5 @@ def check_compatible(dump: Dump, grid: PhaseGrid, scenario_hash: str) -> None:
     if dump.scenario != scenario_hash:
         raise BadConfig(
             f"dump scenario hash {dump.scenario} != configured scenario {scenario_hash}")
-    if not same_grid(dump, grid):
+    if not dump.grid.same_as(grid):
         raise BadConfig("dump grid signature differs from the configured grid")

@@ -11,7 +11,8 @@ resolutions.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field as dc_field
+import functools
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -104,17 +105,7 @@ class GreenKernel:
     dim: int
     dx: float
     n_offsets: int
-    values: np.ndarray = dc_field(repr=False, default=None)
-
-    def __post_init__(self) -> None:
-        if self.values is None:
-            offs = np.arange(-self.n_offsets, self.n_offsets + 1) * self.dx
-            if self.dim == 1:
-                self.values = _cell_average_1d(offs, self.dx)
-            elif self.dim == 2:
-                self.values = _cell_average_2d(offs, self.dx)
-            else:
-                raise BadConfig(f"Green kernel supports dim 1 or 2, got {self.dim}")
+    values: np.ndarray
 
     @property
     def radius(self) -> float:
@@ -129,24 +120,20 @@ class GreenKernel:
         return float(self.values.min())
 
 
-_KERNEL_CACHE: dict[tuple[int, float, int], GreenKernel] = {}
-
-
+@functools.cache
 def green_kernel(dim: int, dx: float, n_offsets: int) -> GreenKernel:
-    key = (dim, dx, n_offsets)
-    if key not in _KERNEL_CACHE:
-        _KERNEL_CACHE[key] = GreenKernel(dim=dim, dx=dx, n_offsets=n_offsets)
-    return _KERNEL_CACHE[key]
+    """The kernel at offsets [-n_offsets, n_offsets] per axis, tabulated once per argument."""
+    offs = np.arange(-n_offsets, n_offsets + 1) * dx
+    if dim == 1:
+        return GreenKernel(dim, dx, n_offsets, _cell_average_1d(offs, dx))
+    if dim == 2:
+        return GreenKernel(dim, dx, n_offsets, _cell_average_2d(offs, dx))
+    raise BadConfig(f"Green kernel supports dim 1 or 2, got {dim}")
 
 
 # ---------------------------------------------------------------------------
 # Signal solve
 # ---------------------------------------------------------------------------
-
-def _spectral_symbol(n: int, dx: float) -> np.ndarray:
-    k = np.arange(n // 2 + 1)
-    return (4.0 / dx ** 2) * np.sin(np.pi * k / n) ** 2
-
 
 def solve_signal(n: np.ndarray, grid: PhaseGrid) -> SignalField:
     """Signal field solving the screened Poisson balance for density n.
@@ -164,15 +151,12 @@ def solve_signal(n: np.ndarray, grid: PhaseGrid) -> SignalField:
         raise NonFiniteInput("signal solve received a non-finite density")
 
     if grid.x_topology == "periodic":
-        if grid.dim == 1:
-            sym = 1.0 + _spectral_symbol(grid.x_nodes, grid.dx)
-            s = np.fft.irfft(np.fft.rfft(n) / sym, n=grid.x_nodes)
-        else:
-            nx = grid.x_nodes
-            full = (4.0 / grid.dx ** 2) * np.sin(np.pi * np.arange(nx) / nx) ** 2
-            half = _spectral_symbol(nx, grid.dx)
-            sym = 1.0 + full[:, None] + half[None, :]
-            s = np.fft.irfft2(np.fft.rfft2(n) / sym, s=(nx, nx))
+        nx = grid.x_nodes
+        full = (4.0 / grid.dx ** 2) * np.sin(np.pi * np.arange(nx) / nx) ** 2
+        half = full[:nx // 2 + 1]  # the last axis keeps only rfftn's half spectrum
+        sym = 1.0 + half if grid.dim == 1 else 1.0 + full[:, None] + half
+        axes = range(grid.dim)
+        s = np.fft.irfftn(np.fft.rfftn(n, axes=axes) / sym, s=n.shape, axes=axes)
     else:
         kern = green_kernel(grid.dim, grid.dx, grid.x_nodes - 1)
         if grid.dim == 1:
@@ -243,8 +227,8 @@ def kernel_check(grid: PhaseGrid) -> KernelReport:
         KernelCheck("min_value", kern.min_value, ">= 0", kern.min_value >= 0.0),
     ]
 
+    offs = np.arange(-n_off, n_off + 1) * grid.dx
     if grid.dim == 1:
-        offs = np.arange(-n_off, n_off + 1) * grid.dx
         tv = float(np.sum(np.abs(np.diff(kern.values))))
         expect = 1.0 - np.exp(-kern.radius)
         checks.append(KernelCheck(
@@ -252,7 +236,6 @@ def kernel_check(grid: PhaseGrid) -> KernelReport:
             abs(tv - expect) <= 5.0 * grid.dx))
         r = np.abs(offs)
     else:
-        offs = np.arange(-n_off, n_off + 1) * grid.dx
         ox, oy = np.meshgrid(offs, offs, indexing="ij")
         r = np.sqrt(ox ** 2 + oy ** 2)
 

@@ -467,6 +467,7 @@ def run(state: StepperState, t_end: float, output_every: float,
     at every interval end so runs and restarts share bitwise-identical
     schedules.  ``report.observe`` fires at t_start (fresh reports only)
     and at every output instant; ``observer(state)`` after each output.
+    This thread's scratch buffers are freed when the run returns or raises.
     """
     step = macro_step if step is None else step
     if t_end < state.t:
@@ -479,15 +480,18 @@ def run(state: StepperState, t_end: float, output_every: float,
         return state, report
 
     dt_cap = state.cfl_dt()
-    for t_next in output_times(state.t, t_end, output_every):
-        span = t_next - state.t
-        n_steps = max(1, math.ceil(span / dt_cap - 1e-9))
-        dt = span / n_steps
-        for _ in range(n_steps):
-            state = step(state, dt)
-        state = replace(state, field=DensityField(state.field.values, t_next))
-        if report is not None:
-            report.observe(state.field.values, state.signal.values, t_next)
-        if observer is not None:
-            observer(state)
+    try:
+        for t_next in output_times(state.t, t_end, output_every):
+            span = t_next - state.t
+            n_steps = max(1, math.ceil(span / dt_cap - 1e-9))
+            dt = span / n_steps
+            for _ in range(n_steps):
+                state = step(state, dt)
+            state = replace(state, field=DensityField(state.field.values, t_next))
+            if report is not None:
+                report.observe(state.field.values, state.signal.values, t_next)
+            if observer is not None:
+                observer(state)
+    finally:
+        vars(_SCRATCH).clear()  # a finished run keeps no step-sized buffers
     return state, report

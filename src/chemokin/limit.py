@@ -178,11 +178,12 @@ def eps_study(cfg: RunConfig, eps_list: list[float],
               t_end: float | None = None) -> StudyReport:
     """Run the kinetic solver per eps and the reduced model once; tabulate.
 
-    The family is one scenario, built once at the first eps and shared by
-    all runs; each member swaps only eps into the spec (the certificates and
-    the initial data do not depend on it).  Rows hold the Wasserstein-1
-    concentration width, the L1 gap to the reduced solution, mass, envelope
-    margins, m-tail moment and <x>-moment rate per output time and eps.
+    The family is one scenario, the config's, built once and shared by all
+    runs; each member swaps only eps into the spec (the certificates, the
+    initial data and the reduced model do not depend on it).  Rows hold the
+    Wasserstein-1 concentration width, the L1 gap to the reduced solution,
+    mass, envelope margins, m-tail moment and <x>-moment rate per output
+    time and eps.
     """
     if not eps_list or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise BadConfig("eps_list must be non-empty and strictly decreasing")
@@ -193,8 +194,7 @@ def eps_study(cfg: RunConfig, eps_list: list[float],
         raise BadConfig(f"t_end must be finite, got {t_end}")
     check_output_schedule(t_end, cfg.run.output_every)
 
-    grid, spec, initial = build_scenario(
-        dc_replace(cfg, model=dc_replace(cfg.model, eps=eps_list[0])))
+    grid, spec, initial = build_scenario(cfg)
     specs = [dc_replace(spec, epsilon=eps) for eps in eps_list]
     oda_bars: list[np.ndarray] = []
     oda_run(grid, spec, initial, t_end, cfg.run.output_every,

@@ -12,7 +12,7 @@ any stepping happens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dc_fields
 
 import numpy as np
 
@@ -154,6 +154,11 @@ class PhaseGrid:
         """Largest per-axis speed sum, the transport CFL speed."""
         return float(np.max(np.sum(np.abs(self.velocities), axis=1)))
 
+    def same_as(self, other: "PhaseGrid") -> bool:
+        """Whether ``other`` has this grid's signature: every field, node and weight."""
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in dc_fields(self))
+
     def x_weight(self) -> np.ndarray:
         """<x> = sqrt(1 + |x|^2) on the spatial grid."""
         if self.dim == 1:
@@ -203,9 +208,9 @@ class AdaptationModel:
             raise BadConfig(f"unknown adaptation family {self.kind!r}")
         # "not x > 0" also rejects NaN, which passes every "<= 0" test.
         if not (self.kappa > 0 and self.s_ref > 0):
-            raise BadConfig("adaptation parameters kappa, S_ref must be positive")
+            raise BadConfig(f"need kappa, S_ref > 0, got {self.kappa} and {self.s_ref}")
         if not 0 < self.m_minus < self.m_plus:
-            raise BadConfig("need 0 < m_minus < m_plus")
+            raise BadConfig(f"need 0 < m_minus < m_plus, got {self.m_minus} and {self.m_plus}")
 
     def equilibrium(self, s):
         """Adapted internal state m0(S), clamped inside (m_minus, m_plus)."""
@@ -280,7 +285,7 @@ class TurningModel:
         if self.kind not in ("constant", "separable-uniform", "separable-angle"):
             raise BadConfig(f"unknown turning family {self.kind!r}")
         if not (self.lambda0 > 0 and self.delta > 0):
-            raise BadConfig("turning parameters lambda0, delta must be positive")
+            raise BadConfig(f"need lambda0, delta > 0, got {self.lambda0} and {self.delta}")
 
     def frequency(self, m):
         """Turning frequency lambda(m)."""

@@ -145,6 +145,35 @@ def test_m_max_conflict_rejected(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("dim", "3"), ("x_topology", "torus"), ("x_nodes", "0"), ("v_count", "0"),
+    ("m_nodes", "0"), ("x_extent", "-1"), ("m_max", "-1"),
+    ("F_family", "quartic"), ("T_family", "mystery"), ("kappa", "-1"), ("S_ref", "0"),
+    ("lambda0", "0"), ("delta", "-0.25"), ("eps", "0"), ("m_minus", "0"),
+    ("m_plus", "0.1"), ("profile", "square"),
+])
+def test_bad_grid_model_or_profile_value_is_bad_config(tmp_path, monkeypatch, capsys,
+                                                       key, value):
+    # The types the scenario is built from reject these values, and every
+    # command builds it before any work: exit 2, naming the key or the value,
+    # and verify prints and writes nothing.
+    text = (CONFIG_DIR / "default.cfg").read_text()
+    target = "m_max_auto" if key == "m_max" else key  # m_max replaces the auto rule
+    old = next(line for line in text.splitlines() if line.startswith(f"{target} = "))
+    path = tmp_path / "bad.cfg"
+    path.write_text(text.replace(old, f"{key} = {value}"))
+    out = tmp_path / "out"
+    monkeypatch.setenv("CHEMOKIN_OUT", str(out))
+    for argv in (["run", str(path)], ["study-eps", str(path), "--eps", "0.2,0.1"],
+                 ["verify", str(path)]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("bad-config:")
+        assert key in captured.err or repr(value) in captured.err, captured.err
+        assert captured.out == ""
+    assert not (out / "kernel_check.csv").exists()
+
+
 @pytest.mark.parametrize("old, new, args", [
     ("eps = 0.2", "eps = nan", None),
     ("kappa = 1.0", "kappa = nan", None),

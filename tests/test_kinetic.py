@@ -607,6 +607,26 @@ def test_concurrent_steps_keep_their_own_scratch():
         assert together is not None and together.tobytes() == alone.tobytes()
 
 
+def test_run_frees_its_scratch():
+    # A finished run leaves its thread no step-sized buffers; the next step
+    # allocates fresh ones and gets the bits it gets on a fresh thread.
+    import threading
+    grid, spec, init = build_scenario(RunConfig(grid=GridConfig(
+        dim=2, x_nodes=32, x_topology="free", v_count=8, m_nodes=16)))
+    state = StepperState.create(grid, spec, init)
+    dt = 0.5 * state.cfl_dt()
+    state = macro_step(state, dt)
+    assert vars(kinetic._SCRATCH)
+    state, _ = run(state, 2.0 * dt, dt)
+    assert not vars(kinetic._SCRATCH)
+    here = macro_step(state, dt).field.values
+    fresh = []
+    worker = threading.Thread(target=lambda: fresh.append(macro_step(state, dt).field.values))
+    worker.start()
+    worker.join(timeout=60.0)
+    assert fresh and fresh[0].tobytes() == here.tobytes()
+
+
 @pytest.mark.parametrize("grid_cfg", [
     GridConfig(),
     GridConfig(dim=2, x_nodes=32, x_topology="free", v_count=8, m_nodes=16)],

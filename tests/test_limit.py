@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from chemokin.config import GridConfig, RunConfig, parse_config
 from chemokin.errors import AssumptionViolation, BadConfig, EmptyField, PositivityError
-from chemokin.fields import DensityField, pbar_of, total_mass
+from chemokin.fields import DensityField, pbar_of, total_mass, x_integral
 from chemokin.kinetic import StepperState, run as kinetic_run
 from chemokin.limit import concentration_metrics, eps_study, oda_run, oda_state, oda_step
 from chemokin.model import AdaptationModel, build_scenario, package_initial
@@ -291,8 +291,8 @@ def test_eps_study_requires_decreasing_list():
 
 @pytest.mark.parametrize("last", [0.0, -0.1])
 def test_eps_study_rejects_non_positive_member(last):
-    # The scenario is built at the first eps; a later member's spec still
-    # refuses a non-positive eps, before any member runs.
+    # The scenario is built once; each member's spec still refuses a
+    # non-positive eps, before any member runs.
     with pytest.raises(BadConfig, match="epsilon must be positive"):
         eps_study(RunConfig(), [0.1, last])
 
@@ -342,6 +342,21 @@ def test_distance_to_vanishing_eps_limit_falls_at_every_halving():
     gaps = [float(np.sum(np.abs(final[eps][1] - limit_bar) * grid.weights) * grid.cell_volume)
             for eps in ladder]
     assert all(final[eps][0] == limit_steps for eps in ladder)
+    assert all(a >= 1.3 * b > 0.0 for a, b in zip(gaps, gaps[1:])), gaps
+
+
+def test_signal_converges_strongly_to_the_reduced_model():
+    # The chemical potential converges strongly as eps -> 0: on study.cfg at
+    # t = 1, the L1 distance of S_eps to the reduced (ODA) model's signal
+    # falls by a ratio of at least 1.3 at every halving of eps, 0.2 to 0.025.
+    cfg = parse_config(CONFIG_DIR / "study.cfg")
+    grid, spec, init = build_scenario(cfg)
+    oda = oda_run(grid, spec, init, cfg.run.t_end, cfg.run.output_every)
+    gaps = []
+    for eps in (0.2, 0.1, 0.05, 0.025):
+        state = StepperState.create(grid, dc_replace(spec, epsilon=eps), init)
+        state, _ = kinetic_run(state, cfg.run.t_end, cfg.run.output_every)
+        gaps.append(x_integral(np.abs(state.signal.values - oda.signal.values), grid))
     assert all(a >= 1.3 * b > 0.0 for a, b in zip(gaps, gaps[1:])), gaps
 
 

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from chemokin.config import GridConfig, RunConfig, validate_config
+from chemokin.config import GridConfig, RunConfig
 from chemokin.errors import AssumptionViolation, BadConfig
 from chemokin.model import (AdaptationModel, ModelSpec, PhaseGrid, TurningModel,
                             build_scenario, package_initial, velocity_set)
@@ -113,7 +113,7 @@ def test_unknown_families_rejected():
     cfg = small_config()
     cfg.model.kappa = -1.0
     with pytest.raises(BadConfig):
-        validate_config(cfg)
+        build_scenario(cfg)
 
 
 @pytest.mark.parametrize("name", ["kappa", "s_ref", "lambda0", "delta", "epsilon"])
