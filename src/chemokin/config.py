@@ -169,41 +169,47 @@ def parse_config(path: str | Path) -> RunConfig:
 def validate_config(cfg: RunConfig) -> None:
     """Check the values that no domain type checks.
 
-    Every real is finite, the initial width and mass are positive, the
-    [run] section is usable and its output schedule bounded.  Grid, model
-    and profile values are checked by the types ``build_scenario`` builds
-    from them, and rejected there as ``BadConfig``.
+    Every real is finite, and the [run] section is usable: at least one
+    thread and an output schedule ``output_times`` accepts.  Grid, model,
+    profile and initial values are checked by the types and builders
+    ``build_scenario`` uses, and rejected there as ``BadConfig``.
     """
-    # NaN passes every ordered comparison below, and an infinite t_end never
-    # ends the output schedule.
+    # NaN passes a "<= 0" test, and some reals (the initial centre) have no
+    # other check.
     for sec_name, schema in _SCHEMA.items():
         section = getattr(cfg, sec_name)
         for key, (attr, kind) in schema.items():
             val = getattr(section, attr) if kind is float else None
             if val is not None and not math.isfinite(val):
                 raise BadConfig(f"[{sec_name}] {key} must be finite, got {val}")
-    ini, run = cfg.initial, cfg.run
-    if ini.width <= 0:
-        raise BadConfig(f"[initial] width must be positive, got {ini.width}")
-    if ini.mass <= 0:
-        raise BadConfig(f"[initial] mass must be positive, got {ini.mass}")
-
-    if run.t_end < 0:
-        raise BadConfig(f"[run] t_end must be non-negative, got {run.t_end}")
-    if run.output_every <= 0:
-        raise BadConfig(f"[run] output_every must be positive, got {run.output_every}")
-    if run.threads < 1:
-        raise BadConfig(f"[run] threads must be >= 1, got {run.threads}")
-    check_output_schedule(run.t_end, run.output_every)
+    if cfg.run.threads < 1:
+        raise BadConfig(f"[run] threads must be >= 1, got {cfg.run.threads}")
+    output_times(0.0, cfg.run.t_end, cfg.run.output_every)
 
 
-def check_output_schedule(t_end: float, output_every: float) -> None:
-    """Reject a schedule of more than MAX_OUTPUT_TIMES output instants.
+def output_times(t_start: float, t_end: float, output_every: float) -> list[float]:
+    """Strictly increasing output instants k*output_every, plus t_end.
 
-    A run to t_end schedules about t_end/output_every instants; the ratio
-    is checked so the schedule itself is never built.
+    Times are exact float products of the integer index and the cadence so
+    a restarted run regenerates the identical schedule bitwise.  A schedule
+    with a non-finite end, an end before its start, a non-finite or
+    non-positive cadence, or more than MAX_OUTPUT_TIMES instants is refused
+    before any instant is built.
     """
-    if t_end / output_every > MAX_OUTPUT_TIMES:
+    if not (math.isfinite(t_end) and t_end >= t_start):
+        raise BadConfig(f"t_end = {t_end} must be finite and not before the start {t_start}")
+    if not (math.isfinite(output_every) and output_every > 0):
+        raise BadConfig(f"output_every = {output_every} must be finite and positive")
+    if (t_end - t_start) / output_every > MAX_OUTPUT_TIMES:
         raise BadConfig(
             f"t_end = {t_end} with output_every = {output_every} schedules "
             f"more than {MAX_OUTPUT_TIMES} output instants")
+    times = []
+    k = math.floor(t_start / output_every + 1e-9) + 1
+    while k * output_every < t_end * (1.0 - 1e-12):
+        tk = k * output_every
+        if tk > t_start:
+            times.append(tk)
+        k += 1
+    times.append(t_end)
+    return times

@@ -9,15 +9,17 @@ no eps-CFL, and a cost independent of eps.  Both half steps share the
 frozen signal and dt/2, so one plan (``adaptation_plan``: the feet of the
 m-edges and the gather indices) serves both.  Every operator works on the
 (v, m, *x) view of the density (``fields``): the remap's prefix sums and
-gathers, turning's one GEMM and transport's per-velocity shifts run along
-contiguous x-rows, and each returns a density in that layout, whatever the
-strides of its input.  Turning and transport are explicit and
-written in non-negative-coefficient form, so positivity is preserved
-under their CFL bounds.  Every sub-operation conserves the
-discrete mass up to round-off (periodic transport telescopes, the turning
-integrand is antisymmetric under swapping the two velocities, and the
-remap's cell masses telescope to the full m-integral because the
-adaptation rate points inward at both ends of the truncated m-interval).
+gathers, turning's one batched (G, V, V) product per lambda-cell and
+transport's per-velocity shifts run along contiguous x-rows, and each
+returns a density in that layout, whatever the strides of its input.
+Turning and transport are explicit and written in non-negative-coefficient
+form, so positivity is preserved under their CFL bounds: under the turning
+CFL every entry of each cell's (V, V) matrix is >= 0.  Every sub-operation
+conserves the discrete mass up to round-off (periodic transport
+telescopes, the turning integrand is antisymmetric under swapping the two
+velocities, and the remap's cell masses telescope to the full m-integral
+because the adaptation rate points inward at both ends of the truncated
+m-interval).
 
 A macro step allocates one density-sized array, its result, and never
 writes a density it has returned.  The sub-steps run through that result
@@ -26,10 +28,10 @@ the C-contiguous (v, m, *x) array to write, and allocates only without
 one.  ``transport_apply`` may write in place (``out`` the buffer of its
 input); turning and the remap read their input after writing ``out``, so
 they refuse an ``out`` that shares memory with it.  The work buffer and
-the operators' temporaries (the remap's gathers, transport's accumulator,
-and one (m, *x) slab for transport's shifted product and turning's loss
-term) are per-thread scratch (``_scratch``), reused from step to step,
-so the concurrent members of a threaded eps study never share one.
+the operators' temporaries (the remap's gathers, transport's accumulator
+and one (m, *x) slab for its shifted product) are per-thread scratch
+(``_scratch``), reused from step to step, so the concurrent members of a
+threaded eps study never share one.
 
 The step epilogue (``finish_step``) and the output scheduler (``run``)
 also serve the reduced model of ``limit``, a state on one m-cell.  The
@@ -45,6 +47,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import output_times
 from .diagnostics import DiagnosticsReport
 from .elliptic import solve_signal
 from .errors import BadConfig, CflViolation, NonFiniteInput, PositivityError, SpecViolation
@@ -104,8 +107,9 @@ class TurningTensors:
     ``gain[k, k'] = w_k' * K(v_k, v_k')`` is one (V, V) matrix scaled by
     ``freq = lambda(m)``, and ``loss[k, ...] = freq * sum_k' w_k' *
     K(v_k', v_k)``.  ``freq`` and ``loss`` broadcast against the (v, m, *x)
-    view of the density.  One explicit Euler update is
-    p <- p*(1 - dt*loss) + dt*freq*(gain @ p).
+    view of the density; each entry of ``freq`` is one lambda-cell g (an
+    m-cell, or an x-cell of the reduced model).  One explicit Euler step on
+    cell g is p_g <- A_g @ p_g, A_g = diag(1 - dt*loss[:, g]) + dt*freq[g]*gain.
     """
 
     gain: np.ndarray
@@ -139,10 +143,13 @@ def turning_apply(p: np.ndarray, spec: ModelSpec, grid: PhaseGrid, dt: float,
                   out: np.ndarray | None = None) -> np.ndarray:
     """One explicit Euler step of the velocity-jump operator.
 
-    Positivity needs dt below the inverse of the largest total outflux
-    rate (at most V_d * turning_cap).  The gain is one (V, V) @ (V, M*X)
-    GEMM on the (v, m, x) view, written into ``out`` (see ``_target``);
-    the loss term is added one velocity's (m, *x) slab at a time.
+    One batched (G, V, V) product of the matrices A_g (``TurningTensors``)
+    of the G lambda-cells with the (g, v, rest) view of the (v, m, *x)
+    density, written into ``out`` (see ``_target``).  Positivity needs dt
+    below the inverse of the largest total outflux rate (at most
+    V_d * turning_cap): then every entry of every A_g is >= 0, so each
+    output is a sum of non-negative products; w @ A_g = w for the velocity
+    weights w, so mass moves only by round-off.
     """
     tensors = tensors or TurningTensors.build(spec, grid)
     if dt * tensors.max_loss > 1.0 + CFL_SLACK:
@@ -150,14 +157,11 @@ def turning_apply(p: np.ndarray, spec: ModelSpec, grid: PhaseGrid, dt: float,
             f"turning step dt = {dt} exceeds positivity bound {1.0 / tensors.max_loss}")
     q = vmx(p)
     res = _target(q, out)
-    n_v = len(q)
-    np.matmul(tensors.gain, np.ascontiguousarray(q).reshape(n_v, -1), out=res.reshape(n_v, -1))
-    res *= dt * tensors.freq
-    keep = 1.0 - dt * tensors.loss
-    slab = _scratch("slab", q.shape[1:])
-    for k in range(n_v):
-        np.multiply(q[k], keep[k], out=slab)
-        res[k] += slab
+    n_v, n_g = len(q), tensors.freq.size
+    a = (dt * tensors.freq.reshape(n_g, 1, 1)) * tensors.gain
+    a[:, range(n_v), range(n_v)] += 1.0 - dt * tensors.loss.reshape(n_v, n_g).T
+    np.matmul(a, np.ascontiguousarray(q).reshape(n_v, n_g, -1).transpose(1, 0, 2),
+              out=res.reshape(n_v, n_g, -1).transpose(1, 0, 2))
     return xvm(res)
 
 
@@ -439,23 +443,6 @@ def finish_step(state: StepperState, p: np.ndarray, dt: float) -> StepperState:
     )
 
 
-def output_times(t_start: float, t_end: float, output_every: float) -> list[float]:
-    """Strictly increasing output instants k*output_every, plus t_end.
-
-    Times are exact float products of the integer index and the cadence so
-    a restarted run regenerates the identical schedule bitwise.
-    """
-    times = []
-    k = math.floor(t_start / output_every + 1e-9) + 1
-    while k * output_every < t_end * (1.0 - 1e-12):
-        tk = k * output_every
-        if tk > t_start:
-            times.append(tk)
-        k += 1
-    times.append(t_end)
-    return times
-
-
 def run(state: StepperState, t_end: float, output_every: float,
         report: DiagnosticsReport | None = None, observer=None,
         step=None) -> tuple[StepperState, DiagnosticsReport | None]:
@@ -467,11 +454,12 @@ def run(state: StepperState, t_end: float, output_every: float,
     at every interval end so runs and restarts share bitwise-identical
     schedules.  ``report.observe`` fires at t_start (fresh reports only)
     and at every output instant; ``observer(state)`` after each output.
-    This thread's scratch buffers are freed when the run returns or raises.
+    A schedule ``output_times`` refuses raises ``BadConfig`` before the
+    first observation.  This thread's scratch buffers are freed when the
+    run returns or raises.
     """
     step = macro_step if step is None else step
-    if t_end < state.t:
-        raise BadConfig(f"t_end = {t_end} is before current time {state.t}")
+    times = output_times(state.t, t_end, output_every)
     if report is not None and not report.rows:
         report.observe(state.field.values, state.signal.values, state.t)
         if observer is not None:
@@ -481,7 +469,7 @@ def run(state: StepperState, t_end: float, output_every: float,
 
     dt_cap = state.cfl_dt()
     try:
-        for t_next in output_times(state.t, t_end, output_every):
+        for t_next in times:
             span = t_next - state.t
             n_steps = max(1, math.ceil(span / dt_cap - 1e-9))
             dt = span / n_steps

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, check_output_schedule
+from .config import RunConfig, output_times
 from .diagnostics import DiagnosticsReport, write_rows_csv
 from .elliptic import solve_signal
 from .errors import BadConfig, EmptyField
@@ -190,9 +190,7 @@ def eps_study(cfg: RunConfig, eps_list: list[float],
     if not all(map(math.isfinite, eps_list)):
         raise BadConfig(f"eps values must be finite, got {eps_list}")
     t_end = cfg.run.t_end if t_end is None else t_end
-    if not math.isfinite(t_end):
-        raise BadConfig(f"t_end must be finite, got {t_end}")
-    check_output_schedule(t_end, cfg.run.output_every)
+    output_times(0.0, t_end, cfg.run.output_every)  # refuse a bad schedule before any run
 
     grid, spec, initial = build_scenario(cfg)
     specs = [dc_replace(spec, epsilon=eps) for eps in eps_list]

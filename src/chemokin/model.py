@@ -467,9 +467,15 @@ def build_initial(cfg: RunConfig, grid: PhaseGrid, spec: ModelSpec) -> InitialDa
     m-profile centered mid-way between m_minus and m_plus (width one sixth
     of the gap) so the adaptation dynamics start visibly un-adapted.
     Normalized to the requested total mass.  Built in the solver's
-    (v, m, *x) layout, every cell the product hm(m) * gx(x).
+    (v, m, *x) layout, every cell the product hm(m) * gx(x).  A width or
+    mass that is not positive is a ``BadConfig``.
     """
-    gx = _x_profile(grid, cfg.initial.profile, cfg.initial.center, cfg.initial.width)
+    ini = cfg.initial
+    if not ini.width > 0:  # the profile squares it, so a negative one would pass
+        raise BadConfig(f"[initial] width must be positive, got {ini.width}")
+    if not ini.mass > 0:
+        raise BadConfig(f"[initial] mass must be positive, got {ini.mass}")
+    gx = _x_profile(grid, ini.profile, ini.center, ini.width)
     m_mid = 0.5 * (spec.m_minus + spec.m_plus)
     m_sig = (spec.m_plus - spec.m_minus) / 6.0
     hm = np.exp(-0.5 * ((grid.m_centers - m_mid) / m_sig) ** 2)
@@ -480,7 +486,7 @@ def build_initial(cfg: RunConfig, grid: PhaseGrid, spec: ModelSpec) -> InitialDa
     raw_mass = total_mass(values, grid)
     if raw_mass <= 0 or not math.isfinite(raw_mass):
         raise AssumptionViolation(f"initial profile has non-positive mass {raw_mass}")
-    values *= cfg.initial.mass / raw_mass
+    values *= ini.mass / raw_mass
 
     return package_initial(DensityField(values, t=0.0), grid)
 

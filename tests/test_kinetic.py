@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from chemokin import kinetic
 from chemokin.config import GridConfig, RunConfig
-from chemokin.errors import CflViolation, NonFiniteInput, PositivityError, SpecViolation
+from chemokin.errors import (BadConfig, CflViolation, NonFiniteInput, PositivityError,
+                             SpecViolation)
 from chemokin.fields import DensityField, in_layout, total_mass, vmx
 from chemokin.kinetic import (StepperState, TurningTensors, adaptation_apply,
                               adaptation_feet, adaptation_plan, macro_step, run,
@@ -218,6 +219,30 @@ def test_turning_at_cfl_edge_positive_and_conservative(case):
     assert total_mass(new, grid) == pytest.approx(total_mass(p, grid), rel=1e-13)
     with pytest.raises(CflViolation):
         turning_apply(p, spec, grid, dt * (1.0 + 1e-6), tensors)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(operator_cases())
+def test_reduced_turning_at_cfl_edge_positive_conservative_and_exact(case):
+    # The reduced model's lambda varies along x, at m0(S(x)), on one m-cell:
+    # the same operator, batched over x-cells instead of m-cells.
+    grid, spec, _, rng = case
+    rgrid = replace(grid, m_nodes=1, m_max=1.0)
+    s = 3.0 * rng.random(grid.x_shape)
+    m0 = spec.adaptation.equilibrium(s)
+    tensors = TurningTensors.build(spec, rgrid, m=m0[None])
+    p = rng.random(rgrid.field_shape) * (rng.random(rgrid.field_shape) < 0.7)
+    dt = 1.0 / tensors.max_loss
+    new = turning_apply(p, spec, rgrid, dt, tensors)
+    assert new.min() >= 0.0
+    assert total_mass(new, rgrid) == pytest.approx(total_mass(p, rgrid), rel=1e-13)
+    ker = spec.turning.kernel_matrix(rgrid)[:, :, None]
+    for x in np.ndindex(grid.x_shape):
+        tensor = ker * spec.turning.frequency(m0[x])
+        oracle = turning_oracle(p[x][None], tensor, rgrid.weights, dt)[0]
+        assert np.allclose(new[x], oracle, rtol=1e-13, atol=1e-15)
+    with pytest.raises(CflViolation):
+        turning_apply(p, spec, rgrid, dt * (1.0 + 1e-6), tensors)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -718,6 +743,21 @@ def test_run_identity_when_t_end_equals_t():
     state = StepperState.create(grid, spec, init)
     out, report = run(state, 0.0, 0.1)
     assert out is state and report is None
+
+
+@pytest.mark.parametrize("t_end, output_every", [
+    (1.0, np.nan), (1.0, 0.0), (1.0, -0.1), (np.nan, 0.1), (np.inf, 0.1), (np.inf, -0.1),
+    (-0.5, 0.1), (1.0, 1e-6),
+])
+def test_run_refuses_a_bad_schedule(t_end, output_every):
+    # A library caller passes no config parser: a NaN or infinite end, an
+    # end before the start, a cadence that is not positive or a schedule of
+    # more than 10^4 instants is a BadConfig before any step, never a hang
+    # or a bare ValueError / ZeroDivisionError.
+    cfg, grid, spec, init = default_scenario()
+    state = StepperState.create(grid, spec, init)
+    with pytest.raises(BadConfig):
+        run(state, t_end, output_every, observer=pytest.fail)
 
 
 def test_run_determinism_bitwise():

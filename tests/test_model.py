@@ -228,6 +228,16 @@ def test_negative_initial_density_rejected():
         package_initial(DensityField(bad), grid)
 
 
+@pytest.mark.parametrize("key, value", [("width", -1.2), ("width", 0.0), ("mass", -1.0),
+                                        ("mass", 0.0)])
+def test_non_positive_initial_width_or_mass_is_bad_config(key, value):
+    # Built through the Python API, so no config parser checks it first.
+    cfg = small_config()
+    setattr(cfg.initial, key, value)
+    with pytest.raises(BadConfig, match=key):
+        build_scenario(cfg)
+
+
 def test_profiles_cover_all_kinds():
     for profile in ("gaussian", "two-bumps", "uniform"):
         cfg = small_config()
