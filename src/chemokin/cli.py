@@ -24,7 +24,7 @@ from .errors import BadConfig, ChemokinError, SolverFailure
 from .fields import DensityField, number_density, total_mass
 from .kinetic import StepperState, run as kinetic_run
 from .limit import eps_study
-from .model import PhaseGrid, build_scenario, package_initial, velocity_set
+from .model import PhaseGrid, build_scenario, velocity_set
 from .oracle import SignalHistory, duhamel_solve
 
 EXIT_OK = 0
@@ -52,14 +52,12 @@ def cmd_run(cfg: RunConfig, restart: str | None = None) -> int:
     if restart is not None:
         dump = dumpio.read_dump(restart)
         dumpio.check_compatible(dump, grid, scenario)
-        # The dump is outside input: a NaN or negative cell is rejected here
-        # (bad config), not met later as a solver failure.  mass0 stays the
-        # scenario's initial mass (the hash pins it), and the step count and
-        # largest defect resume from the dump, so the resumed run reports
-        # what the uninterrupted one would.
+        # mass0 stays the scenario's initial mass (the hash pins it), and the
+        # step count and largest defect resume from the dump, so the resumed
+        # run reports what the uninterrupted one would.
         state = dc_replace(
             state,
-            field=package_initial(DensityField(dump.values, dump.t), grid).p0,
+            field=DensityField(dump.values, dump.t),
             signal=solve_signal(number_density(dump.values, grid), grid),
             step_count=dump.steps,
             max_mass_defect=dump.max_mass_defect,
@@ -208,9 +206,6 @@ def cmd_compare(path_a: str, path_b: str) -> int:
     # Dumps of two scenarios on one grid (say two eps) compare; two grids do not.
     if not a.grid.same_as(b.grid):
         raise BadConfig(f"incomparable dumps: {path_a} and {path_b} differ in grid signature")
-    for path, dump in ((path_a, a), (path_b, b)):
-        if not np.all(np.isfinite(dump.values)):
-            raise BadConfig(f"{path}: dump holds non-finite density values")
     gap = np.abs(a.values - b.values)
     l1 = total_mass(gap, a.grid)
     linf = float(gap.max(initial=0.0))

@@ -4,7 +4,7 @@ Every monitored quantity has a proved envelope: the m-integrated density
 and the macroscopic density obey the turning-driven Gronwall bound
 ``sup0 * (1 + 2 Vd C t exp(2 Vd C t))``, the signal inherits unit-mass
 Young bounds from the kernel, and the full density picks up an extra
-1/epsilon in its growth coefficient through the adaptation slope cap.
+slope_cap/epsilon in its growth rate (``ModelSpec.growth_rate``).
 A negative margin beyond round-off slack means the solver (not the bound)
 is wrong, so reports carry a FAILED flag.
 
@@ -78,10 +78,10 @@ def reduce_norms(p: np.ndarray, s: np.ndarray, grid: PhaseGrid, m_plus: float,
     )
 
 
-def growth_factor(vd_ct: float, t: float) -> float:
-    """The Gronwall envelope multiplier 1 + 2*c*t*exp(2*c*t), c = Vd*C_T."""
+def growth_factor(rate: float, t: float) -> float:
+    """The Gronwall envelope multiplier 1 + rate*t*exp(rate*t)."""
     with np.errstate(over="ignore"):
-        return float(1.0 + 2.0 * vd_ct * t * np.exp(2.0 * vd_ct * t))
+        return float(1.0 + rate * t * np.exp(rate * t))
 
 
 def envelope_check(row: ReportRow, initial: InitialData, spec: ModelSpec,
@@ -93,13 +93,9 @@ def envelope_check(row: ReportRow, initial: InitialData, spec: ModelSpec,
     """
     t = row.t
     vd = grid.v_measure
-    vd_ct = vd * spec.turning_cap
-    env_pbar = initial.pbar0_sup * growth_factor(vd_ct, t)
+    env_pbar = initial.pbar0_sup * growth_factor(2.0 * vd * spec.turning_cap, t)
     env_n = vd * env_pbar
-
-    gamma = spec.slope_cap / spec.epsilon + 2.0 * vd_ct
-    with np.errstate(over="ignore"):
-        env_p = initial.p0_sup * float(1.0 + gamma * t * np.exp(gamma * t))
+    env_p = initial.p0_sup * growth_factor(spec.growth_rate(grid), t)
 
     row.margin_pbar = env_pbar - row.pbar_sup
     row.margin_n = env_n - row.n_sup

@@ -9,7 +9,9 @@ written without them still read.  Floats are
 written with ``repr`` so they round-trip bit-exactly; the payload is the
 density array in row-major order, x outermost and m innermost, whatever
 the layout in memory: the solver's x-innermost (v, m, *x) buffer is
-transposed on write and on read.  Restart reads the same format.
+transposed on write and on read.  ``read_dump`` refuses a payload with a
+non-finite or negative cell, so restart and ``compare`` take what it
+returns as read.
 """
 from __future__ import annotations
 
@@ -143,6 +145,12 @@ def read_dump(path: str | Path) -> Dump:
     if data.size != expected:
         raise BadConfig(
             f"{path}: payload holds {data.size} values, header promises {expected}")
+    # A dump is outside input, so a bad cell is a bad config, not a solver
+    # failure met later.  "< 0" lets -0.0 through: it is a valid density.
+    if not np.all(np.isfinite(data)):
+        raise BadConfig(f"{path}: dump holds non-finite density values")
+    if np.any(data < 0.0):
+        raise BadConfig(f"{path}: dump holds negative density values (min {data.min():.6g})")
     return Dump(grid=grid, **header, t=t, eps=eps, scenario=scenario,
                 values=in_layout(data.reshape(grid.field_shape)), steps=steps,
                 max_mass_defect=max_mass_defect)

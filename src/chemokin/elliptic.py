@@ -92,43 +92,21 @@ def _cell_average_2d(offs: np.ndarray, dx: float, n_gauss: int = 8) -> np.ndarra
     return avg
 
 
-@dataclass
-class GreenKernel:
+@functools.cache
+def green_kernel(dim: int, dx: float, n_offsets: int) -> np.ndarray:
     """Cell-averaged free-space kernel of (-lap + 1) on a uniform grid.
 
-    ``values`` holds averages at integer cell offsets from the origin,
-    covering [-n_offsets, n_offsets] per axis.  Non-negative by
-    construction; its discrete mass approaches 1 from below as the
-    truncation radius grows.
+    Averages at integer cell offsets [-n_offsets, n_offsets] per axis,
+    tabulated once per argument; every caller shares the one read-only
+    table.  Non-negative by construction; its discrete mass approaches 1
+    from below as the truncation radius grows.
     """
-
-    dim: int
-    dx: float
-    n_offsets: int
-    values: np.ndarray
-
-    @property
-    def radius(self) -> float:
-        return self.n_offsets * self.dx
-
-    @property
-    def mass(self) -> float:
-        return float(np.sum(self.values) * self.dx ** self.dim)
-
-    @property
-    def min_value(self) -> float:
-        return float(self.values.min())
-
-
-@functools.cache
-def green_kernel(dim: int, dx: float, n_offsets: int) -> GreenKernel:
-    """The kernel at offsets [-n_offsets, n_offsets] per axis, tabulated once per argument."""
+    if dim not in (1, 2):
+        raise BadConfig(f"Green kernel supports dim 1 or 2, got {dim}")
     offs = np.arange(-n_offsets, n_offsets + 1) * dx
-    if dim == 1:
-        return GreenKernel(dim, dx, n_offsets, _cell_average_1d(offs, dx))
-    if dim == 2:
-        return GreenKernel(dim, dx, n_offsets, _cell_average_2d(offs, dx))
-    raise BadConfig(f"Green kernel supports dim 1 or 2, got {dim}")
+    table = (_cell_average_1d if dim == 1 else _cell_average_2d)(offs, dx)
+    table.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +138,9 @@ def solve_signal(n: np.ndarray, grid: PhaseGrid) -> SignalField:
     else:
         kern = green_kernel(grid.dim, grid.dx, grid.x_nodes - 1)
         if grid.dim == 1:
-            s = np.convolve(n, kern.values, mode="valid") * grid.dx
+            s = np.convolve(n, kern, mode="valid") * grid.dx
         else:
-            s = signal.fftconvolve(n, kern.values, mode="same") * grid.dx ** 2
+            s = signal.fftconvolve(n, kern, mode="same") * grid.dx ** 2
 
     return SignalField(values=s)
 
@@ -220,17 +198,18 @@ def kernel_check(grid: PhaseGrid) -> KernelReport:
     n_off = int(np.ceil(max(FULL_MASS_RADIUS, grid.x_extent) / grid.dx))
     kern = green_kernel(grid.dim, grid.dx, n_off)
     meas = grid.dx ** grid.dim
+    radius = n_off * grid.dx
+    mass, low = float(np.sum(kern) * meas), float(kern.min())
 
     checks = [
-        KernelCheck("mass", kern.mass, "in [1 - 1e-6, 1]",
-                    1.0 - 1e-6 <= kern.mass <= 1.0),
-        KernelCheck("min_value", kern.min_value, ">= 0", kern.min_value >= 0.0),
+        KernelCheck("mass", mass, "in [1 - 1e-6, 1]", 1.0 - 1e-6 <= mass <= 1.0),
+        KernelCheck("min_value", low, ">= 0", low >= 0.0),
     ]
 
     offs = np.arange(-n_off, n_off + 1) * grid.dx
     if grid.dim == 1:
-        tv = float(np.sum(np.abs(np.diff(kern.values))))
-        expect = 1.0 - np.exp(-kern.radius)
+        tv = float(np.sum(np.abs(np.diff(kern))))
+        expect = 1.0 - np.exp(-radius)
         checks.append(KernelCheck(
             "grad_l1", tv, f"~ {expect:.6f} (within 5 dx)",
             abs(tv - expect) <= 5.0 * grid.dx))
@@ -241,8 +220,8 @@ def kernel_check(grid: PhaseGrid) -> KernelReport:
 
     for alpha, beta in ((2.0 / grid.dim, 2.0), (1.0, 1.0)):
         tail = (r > 1.0)
-        val = float(np.sum((r[tail] ** alpha) * (kern.values[tail] ** beta)) * meas)
+        val = float(np.sum((r[tail] ** alpha) * (kern[tail] ** beta)) * meas)
         checks.append(KernelCheck(
             f"tail_a{alpha:g}_b{beta:g}", val, "finite", np.isfinite(val)))
 
-    return KernelReport(dim=grid.dim, dx=grid.dx, radius=kern.radius, checks=checks)
+    return KernelReport(dim=grid.dim, dx=grid.dx, radius=radius, checks=checks)

@@ -104,38 +104,33 @@ class TurningTensors:
     """Precomputed quadrature arrays for the separable turning operator.
 
     Every turning family is T(v, v', m) = lambda(m) * K(v, v'), so
-    ``gain[k, k'] = w_k' * K(v_k, v_k')`` is one (V, V) matrix scaled by
-    ``freq = lambda(m)``, and ``loss[k, ...] = freq * sum_k' w_k' *
-    K(v_k', v_k)``.  ``freq`` and ``loss`` broadcast against the (v, m, *x)
-    view of the density; each entry of ``freq`` is one lambda-cell g (an
-    m-cell, or an x-cell of the reduced model).  One explicit Euler step on
-    cell g is p_g <- A_g @ p_g, A_g = diag(1 - dt*loss[:, g]) + dt*freq[g]*gain.
+    ``gain[k, k'] = w_k' * K(v_k, v_k')`` is one (V, V) matrix, ``lam``
+    (G,) holds lambda on each lambda-cell g (an m-cell, or an x-cell of the
+    reduced model, in the order of the (v, m, *x) view), and ``col[k] =
+    sum_k' w_k' * K(v_k', v_k)`` (V,) is the outflux per unit frequency.
+    One explicit Euler step on cell g is p_g <- A_g @ p_g,
+    A_g = diag(1 - dt*lam[g]*col) + dt*lam[g]*gain.
     """
 
     gain: np.ndarray
-    freq: np.ndarray
-    loss: np.ndarray
-
-    @property
-    def max_loss(self) -> float:
-        return float(self.loss.max())
+    lam: np.ndarray
+    col: np.ndarray
+    max_loss: float  # the largest outflux rate lam[g]*col[k]
 
     @classmethod
     def build(cls, spec: ModelSpec, grid: PhaseGrid,
               m: np.ndarray | None = None) -> "TurningTensors":
-        """Tensors with lambda evaluated at ``m``.
+        """Tensors with lambda evaluated at ``m``, raveled to one entry per lambda-cell.
 
-        The default, the m-cell centers, gives ``freq`` shape (M, 1, ...)
-        and ``loss`` shape (V, M, 1, ...).  Any ``m`` that broadcasts
-        against the (m, *x) axes of the density's (v, m, *x) view works: the
-        reduced model passes m0(S(x))[None] for its single m-cell.
+        The default is the m-cell centers; the reduced model passes
+        m0(S(x)), one state per x-cell of its single m-cell.
         """
-        m = grid.m_centers.reshape((-1,) + (1,) * grid.dim) if m is None else m
-        ker = spec.turning.kernel_matrix(grid)
-        w = grid.weights
-        freq = np.asarray(spec.turning.frequency(m), dtype=float)
-        loss = (w @ ker).reshape((-1,) + (1,) * freq.ndim) * freq
-        return cls(gain=ker * w[None, :], freq=freq, loss=loss)
+        ker, w = spec.turning.kernel_matrix(grid), grid.weights
+        lam = np.ravel(spec.turning.frequency(grid.m_centers if m is None else m))
+        col = w @ ker
+        # Rounding is monotone, so the maxima's product is the largest product.
+        return cls(gain=ker * w[None, :], lam=lam, col=col,
+                   max_loss=float(col.max() * lam.max()))
 
 
 def turning_apply(p: np.ndarray, spec: ModelSpec, grid: PhaseGrid, dt: float,
@@ -157,9 +152,9 @@ def turning_apply(p: np.ndarray, spec: ModelSpec, grid: PhaseGrid, dt: float,
             f"turning step dt = {dt} exceeds positivity bound {1.0 / tensors.max_loss}")
     q = vmx(p)
     res = _target(q, out)
-    n_v, n_g = len(q), tensors.freq.size
-    a = (dt * tensors.freq.reshape(n_g, 1, 1)) * tensors.gain
-    a[:, range(n_v), range(n_v)] += 1.0 - dt * tensors.loss.reshape(n_v, n_g).T
+    n_v, n_g = len(q), tensors.lam.size
+    a = (dt * tensors.lam.reshape(n_g, 1, 1)) * tensors.gain
+    a[:, range(n_v), range(n_v)] += 1.0 - dt * np.multiply.outer(tensors.lam, tensors.col)
     np.matmul(a, np.ascontiguousarray(q).reshape(n_v, n_g, -1).transpose(1, 0, 2),
               out=res.reshape(n_v, n_g, -1).transpose(1, 0, 2))
     return xvm(res)
@@ -372,6 +367,9 @@ class StepperState:
     @classmethod
     def create(cls, grid: PhaseGrid, spec: ModelSpec, initial: InitialData,
                freeze_signal: bool = False) -> "StepperState":
+        """The state at the initial data; ``spec`` must be certified on ``grid``."""
+        if not spec.certified:
+            raise BadConfig("spec must be validated on a grid before stepping")
         p0 = initial.p0
         signal = solve_signal(number_density(p0.values, grid), grid)
         return cls(

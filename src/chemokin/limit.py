@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, output_times
+from .config import RunConfig
 from .diagnostics import DiagnosticsReport, write_rows_csv
 from .elliptic import solve_signal
 from .errors import BadConfig, EmptyField
@@ -40,7 +40,7 @@ from .model import InitialData, ModelSpec, PhaseGrid, build_scenario
 # ---------------------------------------------------------------------------
 
 def _adapted_tensors(spec: ModelSpec, grid: PhaseGrid, s: np.ndarray) -> TurningTensors:
-    return TurningTensors.build(spec, grid, m=spec.adaptation.equilibrium(s)[None])
+    return TurningTensors.build(spec, grid, m=spec.adaptation.equilibrium(s))
 
 
 def oda_state(grid: PhaseGrid, spec: ModelSpec, initial: InitialData) -> StepperState:
@@ -190,8 +190,6 @@ def eps_study(cfg: RunConfig, eps_list: list[float],
     if not all(map(math.isfinite, eps_list)):
         raise BadConfig(f"eps values must be finite, got {eps_list}")
     t_end = cfg.run.t_end if t_end is None else t_end
-    output_times(0.0, t_end, cfg.run.output_every)  # refuse a bad schedule before any run
-
     grid, spec, initial = build_scenario(cfg)
     specs = [dc_replace(spec, epsilon=eps) for eps in eps_list]
     oda_bars: list[np.ndarray] = []
@@ -201,6 +199,8 @@ def eps_study(cfg: RunConfig, eps_list: list[float],
     def run_one(spec_eps: ModelSpec) -> list[StudyRow]:
         return _run_one_eps(grid, spec_eps, initial, t_end, cfg.run.output_every, oda_bars)
 
+    # With one thread the members run inline: a pool's lone worker thread
+    # overlaps nothing and raises the process's peak resident memory.
     threads = cfg.run.threads
     with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
         members = list((pool.map if pool else map)(run_one, specs))

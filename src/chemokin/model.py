@@ -354,6 +354,20 @@ class ModelSpec:
     def adaptation_rate(self, m, s):
         return self.adaptation.rate(m, s)
 
+    @property
+    def certified(self) -> bool:
+        """Whether ``validate_on`` has set the caps; both stay 0.0 until it does."""
+        return self.turning_cap > 0 and self.slope_cap > 0
+
+    def growth_rate(self, grid: PhaseGrid) -> float:
+        """Gronwall rate of the full density, slope_cap/eps + 2 V_d turning_cap.
+
+        It bounds the growth of sup p (``diagnostics.envelope_check``) and is
+        the Lipschitz rate of the oracle's Picard map, which contracts on
+        horizons t with t * rate < 1.
+        """
+        return self.slope_cap / self.epsilon + 2.0 * grid.v_measure * self.turning_cap
+
     def validate_on(self, grid: PhaseGrid) -> None:
         """Certify kernel positivity/boundedness and the rate sign structure.
 

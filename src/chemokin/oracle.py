@@ -227,11 +227,6 @@ class DuhamelResult:
     sup_diffs: list[float] = dc_field(default_factory=list)
 
 
-def contraction_coefficient(spec: ModelSpec, grid: PhaseGrid) -> float:
-    """Lipschitz rate of the Picard map: slope_cap/eps + 2 V_d turning_cap."""
-    return spec.slope_cap / spec.epsilon + 2.0 * grid.v_measure * spec.turning_cap
-
-
 @dataclass
 class _Characteristics:
     """Backward characteristics of a frozen-signal problem, tabulated by lag.
@@ -352,16 +347,16 @@ def duhamel_solve(p0: DensityField, s_hist: SignalHistory, spec: ModelSpec,
     the field by more than ``tol`` in sup norm, SolverFailure is raised;
     with zero the check is skipped.  ``iterations`` counts the sweeps run,
     and the returned field is the marched one either way.  Requires the
-    horizon to contract: t * (slope_cap/eps + 2 V_d turning_cap) < 1.
+    horizon to contract: t * spec.growth_rate(grid) < 1.
     """
     if grid.dim != 1:
         raise BadConfig("the Duhamel oracle is one-dimensional")
     if n_time < 1 or rk_substeps < 1:
         raise BadConfig(f"oracle resolution needs n_time >= 1 and rk_substeps >= 1, "
                         f"got n_time = {n_time}, rk_substeps = {rk_substeps}")
-    if spec.slope_cap <= 0 or spec.turning_cap <= 0:
+    if not spec.certified:
         raise BadConfig("spec must be validated on a grid before oracle use")
-    coef = contraction_coefficient(spec, grid)
+    coef = spec.growth_rate(grid)
     if t * coef >= 1.0:
         raise NoContraction(
             f"horizon t = {t} gives contraction factor {t * coef:.3f} >= 1")

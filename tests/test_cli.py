@@ -550,6 +550,51 @@ def test_restart_rejects_non_finite_dump(tmp_path, capsys):
         assert "time stamp" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad, word", [(float("inf"), "non-finite"), (-1e-3, "negative")])
+def test_restart_and_compare_reject_a_bad_cell(tmp_path, capsys, bad, word):
+    # One check in read_dump serves both readers: an infinite or negative
+    # cell is a bad config (exit 2) for --restart and for compare alike.
+    from chemokin import dumpio
+    from chemokin.model import build_scenario
+    cfg_path = write_config(tmp_path)
+    assert main(["run", str(cfg_path)]) == 0
+    dump = dumpio.read_dump(tmp_path / "out" / "dump_0.1.chk")
+    values = dump.values.copy()
+    values[2, 1, 3] = bad
+    grid, _, _ = build_scenario(parse_config(cfg_path))
+    poisoned = str(tmp_path / "bad.chk")
+    dumpio.write_dump(poisoned, values, dump.t, grid, dump.eps, dump.scenario,
+                      steps=dump.steps)
+    capsys.readouterr()
+    assert main(["run", str(cfg_path), "--restart", poisoned]) == 2
+    err = capsys.readouterr().err
+    assert poisoned in err and word in err
+    clean = str(tmp_path / "out" / "final.chk")
+    for pair in ((clean, poisoned), (poisoned, clean)):
+        assert main(["compare", *pair]) == 2
+        captured = capsys.readouterr()
+        assert "L1 distance" not in captured.out
+        assert poisoned in captured.err and word in captured.err
+
+
+def test_run_envelope_failure_exits_4_and_keeps_outputs(tmp_path, monkeypatch, capsys):
+    # A margin below its envelope is a verification failure; the outputs of
+    # the run that found it are still written.
+    from chemokin import diagnostics
+    real_growth = diagnostics.growth_factor
+    monkeypatch.setattr(diagnostics, "growth_factor",
+                        lambda rate, t: 0.5 * real_growth(rate, t))
+    assert main(["run", str(write_config(tmp_path))]) == 4
+    captured = capsys.readouterr()
+    fails = [line for line in captured.err.splitlines() if line.startswith("FAIL envelope: ")]
+    assert fails and len(fails) == len(captured.err.splitlines())
+    assert any("margin_pbar" in line for line in fails)
+    assert "run complete" not in captured.out
+    out = tmp_path / "out"
+    assert (out / "final.chk").exists()
+    assert len((out / "diagnostics.csv").read_text().splitlines()) == 1 + 3  # t = 0, 0.1, 0.2
+
+
 def test_cfl_violation_mid_run_is_verification_failure(tmp_path, monkeypatch, capsys):
     # A step beyond the CFL bound is a solver failure (exit 4), not a bad
     # config.

@@ -95,8 +95,8 @@ def test_moments_bitwise_equal_to_masked_sums(dim, nx, nv, nm):
 
 
 def test_growth_factor_arithmetic():
-    # Instantiation of the envelope multiplier at V_d = 2, C_T = 1, t = 1.
-    assert growth_factor(2.0 * 1.0, 1.0) == pytest.approx(1.0 + 4.0 * np.e ** 4)
+    # The envelope multiplier at the turning rate 2 V_d C_T, V_d = 2, C_T = 1, t = 1.
+    assert growth_factor(2.0 * 2.0 * 1.0, 1.0) == pytest.approx(1.0 + 4.0 * np.e ** 4)
 
 
 def test_margins_zero_at_t0_for_saturating_data():

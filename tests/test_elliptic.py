@@ -62,7 +62,7 @@ def test_free_space_matches_direct_summation():
     direct = np.zeros(grid.x_nodes)
     for i in range(grid.x_nodes):
         for j in range(grid.x_nodes):
-            direct[i] += kern.values[i - j + grid.x_nodes - 1] * n[j] * grid.dx
+            direct[i] += kern[i - j + grid.x_nodes - 1] * n[j] * grid.dx
     assert np.allclose(s, direct, rtol=0, atol=1e-14)
 
 
@@ -124,6 +124,23 @@ def test_kernel_check_1d():
     assert rep.passed
 
 
+@pytest.mark.parametrize("n, extent", [(16, 8.0), (40, 20.0)])
+def test_kernel_check_2d(n, extent):
+    # The table reaches max(FULL_MASS_RADIUS, x_extent); 2-d reports carry
+    # no total-variation row.
+    grid = make_grid(dim=2, n=n, extent=extent, topology="free")
+    rep = kernel_check(grid)
+    by_name = {c.name: c for c in rep.checks}
+    assert list(by_name) == ["mass", "min_value", "tail_a1_b2", "tail_a1_b1"]
+    assert 1.0 - 1e-6 <= by_name["mass"].value <= 1.0
+    assert by_name["min_value"].value >= 0.0
+    assert all(np.isfinite(by_name[name].value) for name in ("tail_a1_b2", "tail_a1_b1"))
+    n_off = int(np.ceil(max(16.0, extent) / grid.dx))
+    assert rep.radius == n_off * grid.dx == max(16.0, extent)
+    assert (rep.dim, rep.dx) == (2, grid.dx)
+    assert rep.passed
+
+
 def test_kernel_check_requires_free_space():
     with pytest.raises(BadConfig):
         kernel_check(make_grid(topology="periodic"))
@@ -141,16 +158,16 @@ def test_kernel_check_csv(tmp_path):
 def test_kernel_2d_mass_and_pointwise_values():
     from scipy.special import k0
     kern = green_kernel(2, 0.25, 66)  # radius 16.5
-    assert kern.min_value >= 0.0
-    assert 1.0 - 1e-6 <= kern.mass <= 1.0
+    assert kern.min() >= 0.0
+    assert 1.0 - 1e-6 <= np.sum(kern) * 0.25 ** 2 <= 1.0
     # Away from the origin the kernel solves (-lap + 1) G = 0, so the
     # midpoint cell average is point * (1 + dx^2/24) to leading order.
-    c = kern.n_offsets
+    c = 66
     for di, dj in ((8, 0), (5, 5), (0, 12)):
         r = 0.25 * np.hypot(di, dj)
         point = k0(r) / (2 * np.pi)
         corrected = point * (1.0 + 0.25 ** 2 / 24.0)
-        assert kern.values[c + di, c + dj] == pytest.approx(corrected, rel=2e-4)
+        assert kern[c + di, c + dj] == pytest.approx(corrected, rel=2e-4)
 
 
 def brute_force_cell_average_2d(offs, dx, n_gauss):
@@ -178,7 +195,7 @@ def test_kernel_2d_table_equals_brute_force_bitwise(dx, n_offsets, n_gauss):
     ref = brute_force_cell_average_2d(offs, dx, n_gauss)
     assert np.array_equal(_cell_average_2d(offs, dx, n_gauss), ref)
     if n_gauss == 8:
-        assert np.array_equal(green_kernel(2, dx, n_offsets).values, ref)
+        assert np.array_equal(green_kernel(2, dx, n_offsets), ref)
 
 
 @pytest.mark.parametrize("n_gauss", [4, 8])

@@ -583,6 +583,16 @@ def test_adaptation_rejects_non_finite_signal(bad):
 
 # -- macro step and run ---------------------------------------------------------
 
+def test_uncertified_spec_is_refused_before_stepping():
+    # The caps stay 0.0 until validate_on sets them; stepping on them would
+    # divide by zero in cfl_dt.
+    cfg, grid, spec, init = default_scenario()
+    raw = ModelSpec.from_config(cfg)
+    assert spec.certified and not raw.certified
+    with pytest.raises(BadConfig, match="validated"):
+        StepperState.create(grid, raw, init)
+
+
 def test_macro_step_never_writes_a_returned_density():
     cfg, grid, spec, init = default_scenario()
     dt = 0.5 * StepperState.create(grid, spec, init).cfl_dt()
@@ -870,6 +880,15 @@ def test_dump_rejects_corruption(tmp_path):
     negative.write_bytes(path.read_bytes().replace(b"steps=0\n", b"steps=-1\n"))
     with pytest.raises(BadConfig, match="bookkeeping"):
         dumpio.read_dump(negative)
+
+    # The payload is checked once here, for every reader: restart and compare.
+    for bad, word in ((np.inf, "non-finite"), (np.nan, "non-finite"), (-1e-300, "negative")):
+        values = init.p0.values.copy()
+        values[1, 2, 3] = bad
+        poisoned = tmp_path / "poisoned.chk"
+        dumpio.write_dump(poisoned, values, 0.0, grid, spec.epsilon, "abc123")
+        with pytest.raises(BadConfig, match=word):
+            dumpio.read_dump(poisoned)
 
     dump = dumpio.read_dump(path)
     with pytest.raises(BadConfig, match="hash"):

@@ -11,7 +11,7 @@ from chemokin.model import (AdaptationModel, ModelSpec, PhaseGrid, TurningModel,
                             package_initial, velocity_set)
 from chemokin.oracle import (SignalHistory, _as_sources, _characteristics, _interp_xm,
                              _march, _pullback, _rk4_backward, _stencil, _sweep,
-                             contraction_coefficient, duhamel_solve)
+                             duhamel_solve)
 
 
 def make_setup(nx=16, nm=16, extent=4.0, kappa=1.0, lambda0=0.5, eps=1.0,
@@ -157,9 +157,20 @@ def test_no_contraction_guard():
     grid, spec = make_setup(kappa=2.0, lambda0=1.0)
     hist = SignalHistory.constant(np.zeros(grid.x_nodes), grid)
     p0 = DensityField(np.ones(grid.field_shape))
-    t_bad = 1.1 / contraction_coefficient(spec, grid)
+    t_bad = 1.1 / spec.growth_rate(grid)
     with pytest.raises(NoContraction):
         duhamel_solve(p0, hist, spec, grid, t_bad, picard_iters=3)
+
+
+def test_uncertified_spec_is_refused():
+    # The guard StepperState.create uses too: caps left at 0.0 certify nothing.
+    from dataclasses import replace
+    grid, spec = make_setup()
+    hist = SignalHistory.constant(np.zeros(grid.x_nodes), grid)
+    p0 = DensityField(np.ones(grid.field_shape))
+    for caps in ({"turning_cap": 0.0}, {"slope_cap": 0.0}):
+        with pytest.raises(BadConfig, match="validated"):
+            duhamel_solve(p0, hist, replace(spec, **caps), grid, 0.1, picard_iters=1)
 
 
 @pytest.mark.parametrize("n_time, rk_substeps", [(0, 4), (-1, 4), (8, 0), (8, -2)])
@@ -169,7 +180,7 @@ def test_unresolved_oracle_is_a_bad_config(n_time, rk_substeps):
     grid, spec = make_setup()
     hist = SignalHistory.constant(np.full(grid.x_nodes, 0.5), grid)
     p0 = DensityField(np.ones(grid.field_shape))
-    t = 0.3 / contraction_coefficient(spec, grid)
+    t = 0.3 / spec.growth_rate(grid)
     with pytest.raises(BadConfig, match="n_time >= 1 and rk_substeps >= 1"):
         duhamel_solve(p0, hist, spec, grid, t, picard_iters=1, n_time=n_time,
                       rk_substeps=rk_substeps)
@@ -405,7 +416,7 @@ def test_residual_sweep_rejects_an_unsolved_march(monkeypatch):
     grid, spec = make_setup(nx=8, nm=8, kappa=0.8, lambda0=0.4)
     hist = SignalHistory.constant(0.3 + 0.2 * np.cos(grid.x_centers), grid)
     p0 = DensityField(np.random.default_rng(5).random(grid.field_shape))
-    t = 0.3 / contraction_coefficient(spec, grid)
+    t = 0.3 / spec.growth_rate(grid)
     res = duhamel_solve(p0, hist, spec, grid, t, picard_iters=1, n_time=6)
     assert res.iterations == 1 and res.sup_diffs[0] <= 1e-10
     # A march that returns the pull-back is far from the fixed point: the
@@ -466,12 +477,12 @@ def test_picard_contraction_ratio():
     hist = SignalHistory.constant(np.full(grid.x_nodes, 0.4), grid)
     rng = np.random.default_rng(4)
     p0 = rng.random(grid.field_shape)
-    t = 0.45 / contraction_coefficient(spec, grid)
+    t = 0.45 / spec.growth_rate(grid)
     iterates = picard_iterates(p0, hist, spec, grid, t, iters=25, n_time=24, tol=1e-10)
     cell = grid.cell_volume * grid.dm
     l1_diffs = [float(np.einsum("lxvm,v->l", np.abs(b - a), grid.weights).max()) * cell
                 for a, b in zip(iterates, iterates[1:])]
-    bound = t * contraction_coefficient(spec, grid)
+    bound = t * spec.growth_rate(grid)
     diffs = [d for d in l1_diffs if d > 1e-13]
     ratios = [b / a for a, b in zip(diffs, diffs[1:])]
     assert ratios, "expected at least two meaningful Picard sweeps"
