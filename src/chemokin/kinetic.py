@@ -106,16 +106,15 @@ class TurningTensors:
     Every turning family is T(v, v', m) = lambda(m) * K(v, v'), so
     ``gain[k, k'] = w_k' * K(v_k, v_k')`` is one (V, V) matrix, ``lam``
     (G,) holds lambda on each lambda-cell g (an m-cell, or an x-cell of the
-    reduced model, in the order of the (v, m, *x) view), and ``col[k] =
-    sum_k' w_k' * K(v_k', v_k)`` (V,) is the outflux per unit frequency.
+    reduced model, in the order of the (v, m, *x) view), and ``loss[g, k] =
+    lam[g] * sum_k' w_k' * K(v_k', v_k)`` (G, V) is the outflux rate.
     One explicit Euler step on cell g is p_g <- A_g @ p_g,
-    A_g = diag(1 - dt*lam[g]*col) + dt*lam[g]*gain.
+    A_g = diag(1 - dt*loss[g]) + dt*lam[g]*gain.
     """
 
     gain: np.ndarray
     lam: np.ndarray
-    col: np.ndarray
-    max_loss: float  # the largest outflux rate lam[g]*col[k]
+    loss: np.ndarray
 
     @classmethod
     def build(cls, spec: ModelSpec, grid: PhaseGrid,
@@ -127,10 +126,7 @@ class TurningTensors:
         """
         ker, w = spec.turning.kernel_matrix(grid), grid.weights
         lam = np.ravel(spec.turning.frequency(grid.m_centers if m is None else m))
-        col = w @ ker
-        # Rounding is monotone, so the maxima's product is the largest product.
-        return cls(gain=ker * w[None, :], lam=lam, col=col,
-                   max_loss=float(col.max() * lam.max()))
+        return cls(gain=ker * w[None, :], lam=lam, loss=np.multiply.outer(lam, w @ ker))
 
 
 def turning_apply(p: np.ndarray, spec: ModelSpec, grid: PhaseGrid, dt: float,
@@ -147,14 +143,15 @@ def turning_apply(p: np.ndarray, spec: ModelSpec, grid: PhaseGrid, dt: float,
     weights w, so mass moves only by round-off.
     """
     tensors = tensors or TurningTensors.build(spec, grid)
-    if dt * tensors.max_loss > 1.0 + CFL_SLACK:
+    max_loss = tensors.loss.max()
+    if dt * max_loss > 1.0 + CFL_SLACK:
         raise CflViolation(
-            f"turning step dt = {dt} exceeds positivity bound {1.0 / tensors.max_loss}")
+            f"turning step dt = {dt} exceeds positivity bound {1.0 / max_loss}")
     q = vmx(p)
     res = _target(q, out)
     n_v, n_g = len(q), tensors.lam.size
     a = (dt * tensors.lam.reshape(n_g, 1, 1)) * tensors.gain
-    a[:, range(n_v), range(n_v)] += 1.0 - dt * np.multiply.outer(tensors.lam, tensors.col)
+    a[:, range(n_v), range(n_v)] += 1.0 - dt * tensors.loss
     np.matmul(a, np.ascontiguousarray(q).reshape(n_v, n_g, -1).transpose(1, 0, 2),
               out=res.reshape(n_v, n_g, -1).transpose(1, 0, 2))
     return xvm(res)
@@ -348,7 +345,11 @@ def adaptation_apply(p: np.ndarray, s: np.ndarray, spec: ModelSpec, grid: PhaseG
 
 @dataclass
 class StepperState:
-    """Full solver state: density, lagged signal, model, grid, counters."""
+    """Full solver state: density, lagged signal, model, grid, counters.
+
+    The spec must be certified (``ModelSpec.validate_on``): ``cfl_dt``
+    divides by its turning cap.
+    """
 
     field: DensityField
     signal: SignalField
@@ -360,6 +361,10 @@ class StepperState:
     max_mass_defect: float = 0.0
     freeze_signal: bool = False
 
+    def __post_init__(self):
+        if not self.spec.certified:
+            raise BadConfig("spec must be validated on a grid before stepping")
+
     @property
     def t(self) -> float:
         return self.field.t
@@ -367,9 +372,6 @@ class StepperState:
     @classmethod
     def create(cls, grid: PhaseGrid, spec: ModelSpec, initial: InitialData,
                freeze_signal: bool = False) -> "StepperState":
-        """The state at the initial data; ``spec`` must be certified on ``grid``."""
-        if not spec.certified:
-            raise BadConfig("spec must be validated on a grid before stepping")
         p0 = initial.p0
         signal = solve_signal(number_density(p0.values, grid), grid)
         return cls(

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field as dc_field, replace as dc_replace
 from pathlib import Path
 
@@ -199,9 +198,6 @@ def eps_study(cfg: RunConfig, eps_list: list[float],
     def run_one(spec_eps: ModelSpec) -> list[StudyRow]:
         return _run_one_eps(grid, spec_eps, initial, t_end, cfg.run.output_every, oda_bars)
 
-    # With one thread the members run inline: a pool's lone worker thread
-    # overlaps nothing and raises the process's peak resident memory.
-    threads = cfg.run.threads
-    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        members = list((pool.map if pool else map)(run_one, specs))
+    with ThreadPoolExecutor(cfg.run.threads) as pool:
+        members = list(pool.map(run_one, specs))
     return StudyReport(rows=[row for rows in members for row in rows], t_end=t_end)

@@ -13,6 +13,7 @@ from chemokin.fields import DensityField, in_layout, total_mass, vmx
 from chemokin.kinetic import (StepperState, TurningTensors, adaptation_apply,
                               adaptation_feet, adaptation_plan, macro_step, run,
                               transport_apply, turning_apply)
+from chemokin.limit import oda_run
 from chemokin.model import (AdaptationModel, ModelSpec, PhaseGrid, TurningModel,
                             build_scenario, package_initial, velocity_set)
 
@@ -213,7 +214,7 @@ def operator_cases(draw):
 def test_turning_at_cfl_edge_positive_and_conservative(case):
     grid, spec, p, _ = case
     tensors = TurningTensors.build(spec, grid)
-    dt = 1.0 / tensors.max_loss
+    dt = 1.0 / tensors.loss.max()
     new = turning_apply(p, spec, grid, dt, tensors)
     assert new.min() >= 0.0
     assert total_mass(new, grid) == pytest.approx(total_mass(p, grid), rel=1e-13)
@@ -232,7 +233,7 @@ def test_reduced_turning_at_cfl_edge_positive_conservative_and_exact(case):
     m0 = spec.adaptation.equilibrium(s)
     tensors = TurningTensors.build(spec, rgrid, m=m0[None])
     p = rng.random(rgrid.field_shape) * (rng.random(rgrid.field_shape) < 0.7)
-    dt = 1.0 / tensors.max_loss
+    dt = 1.0 / tensors.loss.max()
     new = turning_apply(p, spec, rgrid, dt, tensors)
     assert new.min() >= 0.0
     assert total_mass(new, rgrid) == pytest.approx(total_mass(p, rgrid), rel=1e-13)
@@ -585,12 +586,14 @@ def test_adaptation_rejects_non_finite_signal(bad):
 
 def test_uncertified_spec_is_refused_before_stepping():
     # The caps stay 0.0 until validate_on sets them; stepping on them would
-    # divide by zero in cfl_dt.
+    # divide by zero in cfl_dt.  The reduced model builds its state directly.
     cfg, grid, spec, init = default_scenario()
     raw = ModelSpec.from_config(cfg)
     assert spec.certified and not raw.certified
     with pytest.raises(BadConfig, match="validated"):
         StepperState.create(grid, raw, init)
+    with pytest.raises(BadConfig, match="validated"):
+        oda_run(grid, raw, init, 0.1, 0.05)
 
 
 def test_macro_step_never_writes_a_returned_density():
