@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import integrate, signal, special
+from scipy import fft, integrate, special
 
 from .errors import BadConfig, NonFiniteInput
 from .fields import SignalField
@@ -109,6 +109,23 @@ def green_kernel(dim: int, dx: float, n_offsets: int) -> np.ndarray:
     return table
 
 
+@functools.cache
+def green_spectrum(dx: float, x_nodes: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Real-FFT spectrum of the 2-d Green kernel for an x_nodes^2 grid, and its shape.
+
+    The kernel is ``green_kernel(2, dx, x_nodes - 1)``, zero-padded to the
+    shape ``scipy.signal.fftconvolve`` picks for it against an x_nodes^2
+    density: ``next_fast_len(x_nodes + (2 x_nodes - 1) - 1)`` per axis.
+    Transformed once per argument; every caller shares the one read-only
+    spectrum.
+    """
+    kern = green_kernel(2, dx, x_nodes - 1)
+    shape = (fft.next_fast_len(3 * x_nodes - 2, real=True),) * 2
+    spectrum = fft.rfftn(kern, shape)
+    spectrum.flags.writeable = False
+    return spectrum, shape
+
+
 # ---------------------------------------------------------------------------
 # Signal solve
 # ---------------------------------------------------------------------------
@@ -120,7 +137,10 @@ def solve_signal(n: np.ndarray, grid: PhaseGrid) -> SignalField:
     stencil residual is round-off and the spatial integral of S equals the
     integral of n.  Free-space grids convolve with the cell-averaged
     kernel, which gives S >= 0 for n >= 0 and the Young bounds
-    ||S||_q <= ||n||_q for q in {1, inf}.
+    ||S||_q <= ||n||_q for q in {1, inf}.  In 2-d the product with the
+    cached kernel spectrum (``green_spectrum``), inverted and cut to its
+    centred x_nodes^2 block, gives the bits of
+    ``scipy.signal.fftconvolve(n, kernel, "same")``.
     """
     n = np.asarray(n, dtype=float)
     if n.shape != grid.x_shape:
@@ -136,11 +156,13 @@ def solve_signal(n: np.ndarray, grid: PhaseGrid) -> SignalField:
         axes = range(grid.dim)
         s = np.fft.irfftn(np.fft.rfftn(n, axes=axes) / sym, s=n.shape, axes=axes)
     else:
-        kern = green_kernel(grid.dim, grid.dx, grid.x_nodes - 1)
+        nx = grid.x_nodes
         if grid.dim == 1:
-            s = np.convolve(n, kern, mode="valid") * grid.dx
+            s = np.convolve(n, green_kernel(1, grid.dx, nx - 1), mode="valid") * grid.dx
         else:
-            s = signal.fftconvolve(n, kern, mode="same") * grid.dx ** 2
+            spectrum, shape = green_spectrum(grid.dx, nx)
+            full = fft.irfftn(fft.rfftn(n, shape) * spectrum, shape)
+            s = full[nx - 1:2 * nx - 1, nx - 1:2 * nx - 1] * grid.dx ** 2
 
     return SignalField(values=s)
 

@@ -6,12 +6,13 @@ half adaptation, then a signal refresh.  The signal is frozen within the
 step, so the adaptation drift dm/dt = F(m, S(x))/eps has a closed-form
 flow, and the adaptation half steps are one conservative remap along it:
 no eps-CFL, and a cost independent of eps.  Both half steps share the
-frozen signal and dt/2, so one plan (``adaptation_plan``: the feet of the
-m-edges and the gather indices) serves both.  Every operator works on the
-(v, m, *x) view of the density (``fields``): the remap's prefix sums and
-gathers, turning's one batched (G, V, V) product per lambda-cell and
-transport's per-velocity shifts run along contiguous x-rows, and each
-returns a density in that layout, whatever the strides of its input.
+frozen signal and dt/2, so one plan (``adaptation_plan``: where the feet of
+the m-edges fall, computed edge-major by ``adaptation_feet``, and the gather
+indices) serves both.  Every operator works on the (v, m, *x) view of the
+density (``fields``): the remap's prefix sums and gathers, turning's one
+batched (G, V, V) product per lambda-cell and transport's per-velocity
+shifts run along contiguous x-rows, and each returns a density in that
+layout, whatever the strides of its input.
 Turning and transport are explicit and written in non-negative-coefficient
 form, so positivity is preserved under their CFL bounds: under the turning
 CFL every entry of each cell's (V, V) matrix is >= 0.  Every sub-operation
@@ -161,31 +162,39 @@ def turning_apply(p: np.ndarray, spec: ModelSpec, grid: PhaseGrid, dt: float,
 # Transport
 # ---------------------------------------------------------------------------
 
-def _add_upwind(acc: np.ndarray, slab: np.ndarray, axis: int, cmag: float, sign: int,
-                periodic: bool) -> None:
-    """acc += cmag * the neighbour entering each cell for flow direction ``sign`` on ``axis``.
+def _upwind(acc: np.ndarray, slab: np.ndarray, axis: int, cmag: float, sign: int,
+            periodic: bool, first: bool) -> None:
+    """cmag * each cell's upwind neighbour on ``axis`` (flow direction ``sign``) into acc.
 
-    On a free grid nothing enters the first cell downstream of the boundary.
+    A velocity's ``first`` moving axis writes every cell of acc (on a free
+    grid nothing enters the first cell downstream of the boundary, so it
+    gets 0); later axes add to acc.
     """
     def at(start, stop):
         index = [slice(None)] * slab.ndim
         index[axis] = slice(start, stop)
         return tuple(index)
 
-    def add(dst, src):
-        shifted = _scratch("slab", slab[src].shape)
-        np.multiply(slab[src], cmag, out=shifted)
-        acc[dst] += shifted
+    def put(dst, src):
+        if first:
+            np.multiply(slab[src], cmag, out=acc[dst])
+        else:
+            shifted = _scratch("slab", slab[src].shape)
+            np.multiply(slab[src], cmag, out=shifted)
+            acc[dst] += shifted
 
+    # Cells entered from their upstream neighbour, those neighbours, then
+    # the boundary cell and what wraps into it on a periodic grid.
     last = slab.shape[axis] - 1
     if sign > 0:
-        add(at(1, None), at(None, last))
-        if periodic:
-            add(at(0, 1), at(last, None))
+        dst, src, edge, wrap = at(1, None), at(None, last), at(0, 1), at(last, None)
     else:
-        add(at(None, last), at(1, None))
-        if periodic:
-            add(at(last, None), at(0, 1))
+        dst, src, edge, wrap = at(None, last), at(1, None), at(last, None), at(0, 1)
+    put(dst, src)
+    if periodic:
+        put(edge, wrap)
+    elif first:
+        acc[edge] = 0.0
 
 
 def transport_apply(p: np.ndarray, grid: PhaseGrid, dt: float,
@@ -195,10 +204,12 @@ def transport_apply(p: np.ndarray, grid: PhaseGrid, dt: float,
     Mass is conserved exactly on periodic grids; truncated grids lose only
     outflow through the boundary.  Positivity holds for per-axis Courant
     numbers summing to at most one.  Each velocity's (m, *x) slab of the
-    (v, m, *x) view is contiguous and shifts as a whole.  A slab is read
-    in full before its own output slab is written, so ``out`` may be the
-    (v, m, *x) buffer of ``p`` itself; every velocity's CFL is checked
-    before anything is written.
+    (v, m, *x) view is contiguous and shifts as a whole: the first axis it
+    moves on writes the accumulator, later axes add to it, and a velocity
+    that moves on no axis keeps its slab.  A slab is read in full before
+    its own output slab is written, so ``out`` may be the (v, m, *x)
+    buffer of ``p`` itself; every velocity's CFL is checked before
+    anything is written.
     """
     periodic = grid.x_topology == "periodic"
     courants = grid.velocities * dt / grid.dx
@@ -210,16 +221,17 @@ def transport_apply(p: np.ndarray, grid: PhaseGrid, dt: float,
     res = _target(q, out, in_place=True)
     acc = _scratch("transport_acc", q.shape[1:])
     for k, slab in enumerate(q):
-        stay = 1.0
-        acc.fill(0.0)
+        stay, moved = 1.0, False
         for axis, c in enumerate(courants[k]):
             if c == 0.0:
                 continue
             cmag = min(abs(float(c)), 1.0)
             stay -= cmag
-            _add_upwind(acc, slab, 1 + axis, cmag, 1 if c > 0 else -1, periodic)
+            _upwind(acc, slab, 1 + axis, cmag, 1 if c > 0 else -1, periodic, not moved)
+            moved = True
         np.multiply(slab, max(stay, 0.0), out=res[k])
-        res[k] += acc
+        if moved:
+            res[k] += acc
     return xvm(res)
 
 
@@ -231,14 +243,17 @@ def adaptation_feet(s: np.ndarray, spec: ModelSpec, grid: PhaseGrid,
                     dt: float) -> np.ndarray:
     """m-edges pulled back over dt along the exact flow, clipped to [0, m_max].
 
-    Shape ``x_shape + (m_nodes + 1,)``, non-decreasing along the last axis
-    bit for bit (``np.maximum.accumulate`` repairs any rounding inversion
-    of the monotone exact flow).
+    Edge-major, shape (m_nodes + 1, X) over the X flattened x-cells, and
+    non-decreasing along the edge axis bit for bit: the exact flow is
+    monotone, and ``np.maximum.accumulate`` repairs a rounding inversion
+    when a comparison of consecutive edges finds one.
     """
-    s = np.asarray(s, dtype=float)[..., None]
-    feet = spec.adaptation.pull_back(grid.m_edges, s, dt / spec.epsilon)
+    s = np.asarray(s, dtype=float).ravel()
+    feet = spec.adaptation.pull_back(grid.m_edges[:, None], s, dt / spec.epsilon)
     np.clip(feet, 0.0, grid.m_max, out=feet)
-    return np.maximum.accumulate(feet, axis=-1)
+    if np.any(feet[1:] < feet[:-1]):
+        np.maximum.accumulate(feet, axis=0, out=feet)
+    return feet
 
 
 @dataclass(frozen=True)
@@ -276,12 +291,19 @@ def adaptation_plan(s: np.ndarray, spec: ModelSpec, grid: PhaseGrid,
     if np.any(f_ends[..., 0] <= 0.0):
         raise SpecViolation("adaptation rate is non-positive at m = 0")
 
-    n_x, n_m = int(np.prod(grid.x_shape)), grid.m_nodes
-    feet = adaptation_feet(s, spec, grid, dt).reshape(n_x, n_m + 1)
-    u = np.divide(feet.T, grid.dm, order="C")
-    idx = np.minimum(np.floor(u), n_m - 1).astype(np.intp)
-    frac = np.minimum(u - idx, 1.0)
-    at = idx * n_x + np.arange(n_x)
+    u = adaptation_feet(s, spec, grid, dt)
+    u /= grid.dm
+    n_m, n_x = grid.m_nodes, u.shape[1]
+    # The m-cell of each foot as a float, an exact integer, so frac = u - cell
+    # and the flat index cell*X + x (exact below 2**53) are the bits an
+    # integer index gives.
+    cell = np.floor(u)
+    np.minimum(cell, n_m - 1, out=cell)
+    frac = np.subtract(u, cell, out=u)
+    np.minimum(frac, 1.0, out=frac)
+    cell *= n_x
+    cell += np.arange(n_x)
+    at = cell.astype(np.intp)
     step = min(n_x, max(1, REMAP_BLOCK // (grid.n_v * n_m)))
     gather = tuple(np.ascontiguousarray(at[:, lo:lo + step]) for lo in range(0, n_x, step))
     return AdaptationPlan(frac=frac, gather=gather)

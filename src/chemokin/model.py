@@ -398,28 +398,32 @@ class ModelSpec:
                 f"turning kernel exceeds its certificate: max T = {t_max} > {cap}")
         self.turning_cap = cap
 
-        # Adaptation rate sign structure over sampled (m, S).
+        # Adaptation rate sign structure over one table of sampled (m, S):
+        # the first failing S in sample order is reported, with the first
+        # failing m there.
         s_samples = np.linspace(0.0, self.s_sample_cap, S_SAMPLES)
         m_c = grid.m_centers
-        for s in s_samples:
-            root = float(self.adaptation.equilibrium(s))
-            if not self.m_minus < root < self.m_plus:
+        mm, ss = np.meshgrid(m_c, s_samples, indexing="ij")
+        roots = self.adaptation.equilibrium(s_samples)
+        rate = self.adaptation.rate(mm, ss)
+        bad_root = ~((self.m_minus < roots) & (roots < self.m_plus))
+        bad_sign = ((mm < roots) & (rate <= 0)) | ((mm > roots) & (rate >= 0))
+        failed = bad_root | bad_sign.any(axis=0)
+        if failed.any():
+            i = int(np.argmax(failed))
+            s, root = s_samples[i], float(roots[i])
+            if bad_root[i]:
                 raise AssumptionViolation(
                     f"adapted state must lie strictly inside ({self.m_minus}, {self.m_plus}): "
                     f"m0({s:.6g}) = {root}")
-            rate = self.adaptation.rate(m_c, s)
-            bad_low = (m_c < root) & (rate <= 0)
-            bad_high = (m_c > root) & (rate >= 0)
-            if np.any(bad_low) or np.any(bad_high):
-                j = int(np.argmax(bad_low | bad_high))
-                raise AssumptionViolation(
-                    f"adaptation rate breaks its sign structure at m = {m_c[j]:.6g}, "
-                    f"S = {s:.6g}: rate = {rate[j]:.6g}, m0 = {root:.6g}")
+            j = int(np.argmax(bad_sign[:, i]))
+            raise AssumptionViolation(
+                f"adaptation rate breaks its sign structure at m = {m_c[j]:.6g}, "
+                f"S = {s:.6g}: rate = {rate[j, i]:.6g}, m0 = {root:.6g}")
 
         # Slope certificate, checked by centered finite differences.
         cap_pi = self.adaptation.slope_cap(grid.m_max)
         h = 1e-6 * grid.m_max
-        mm, ss = np.meshgrid(m_c, s_samples, indexing="ij")
         fd = (self.adaptation.rate(mm + h, ss) - self.adaptation.rate(mm - h, ss)) / (2 * h)
         fd_max = float(np.abs(fd).max())
         if fd_max > cap_pi * (1.0 + 1e-6):

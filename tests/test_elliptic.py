@@ -1,10 +1,10 @@
 """Signal solver fidelity: spectral residual, kernel properties, Young bounds."""
 import numpy as np
 import pytest
-from scipy import special
+from scipy import signal, special
 
 from chemokin.elliptic import (_cell_average_2d, _origin_cell_average_2d, green_kernel,
-                               kernel_check, solve_signal, stencil_residual)
+                               green_spectrum, kernel_check, solve_signal, stencil_residual)
 from chemokin.errors import BadConfig, NonFiniteInput
 from chemokin.model import PhaseGrid, velocity_set
 
@@ -215,3 +215,19 @@ def test_free_space_solve_2d_young():
     s = solve_signal(n, grid).values
     assert np.sum(np.abs(s)) * grid.dx ** 2 <= np.sum(n) * grid.dx ** 2
     assert s.min() >= -1e-12
+
+
+@pytest.mark.parametrize("n, extent", [(1, 2.0), (24, 6.0), (33, 12.8), (64, 12.8)])
+def test_free_space_solve_2d_equals_fftconvolve_bitwise(n, extent):
+    # The cached kernel spectrum gives the bits of scipy's "same" convolution,
+    # and is transformed once per grid.
+    grid = make_grid(dim=2, n=n, extent=extent, topology="free")
+    kern = green_kernel(2, grid.dx, n - 1)
+    rng = np.random.default_rng(n)
+    green_spectrum.cache_clear()
+    for _ in range(3):
+        dens = rng.random(grid.x_shape) * rng.uniform(0.0, 50.0)
+        expected = signal.fftconvolve(dens, kern, mode="same") * grid.dx ** 2
+        assert solve_signal(dens, grid).values.tobytes() == expected.tobytes()
+    info = green_spectrum.cache_info()
+    assert (info.misses, info.hits) == (1, 2)

@@ -89,3 +89,20 @@ def test_dump_payload_stays_x_outermost(tmp_path):
     raw = path.read_bytes()
     assert raw[raw.index(b"END_HEADER\n") + len(b"END_HEADER\n"):] == p.astype("<f8").tobytes()
     assert np.array_equal(dumpio.read_dump(path).values, p)
+
+
+@pytest.mark.parametrize("dim, x_nodes", [(1, 7), (1, 300), (2, 3), (2, 24)])
+def test_dump_payload_is_the_row_major_density(tmp_path, dim, x_nodes):
+    # Written a block of x-cells at a time, also when the last block is short
+    # (24^2 = 576 cells), the payload is the C-ordered (x, v, m) array's bytes.
+    v, w = velocity_set(dim, 4)
+    grid = PhaseGrid(dim=dim, x_nodes=x_nodes, x_extent=3.0, x_topology="free",
+                     velocities=v, weights=w, m_nodes=5, m_max=1.7)
+    values = in_layout(np.random.default_rng(x_nodes).random(grid.field_shape))
+    path = tmp_path / "d.chk"
+    dumpio.write_dump(path, values, 0.0, grid, 1.0, "x")
+    raw = path.read_bytes()
+    payload = raw[raw.index(b"END_HEADER\n") + len(b"END_HEADER\n"):]
+    assert payload == np.ascontiguousarray(values, "<f8").tobytes()
+    read = dumpio.read_dump(path).values
+    assert backed_by_vmx_buffer(read) and read.tobytes() == values.tobytes()

@@ -4,7 +4,7 @@ import pytest
 
 from chemokin.config import GridConfig, RunConfig
 from chemokin.errors import AssumptionViolation, BadConfig
-from chemokin.model import (AdaptationModel, ModelSpec, PhaseGrid, TurningModel,
+from chemokin.model import (S_SAMPLES, AdaptationModel, ModelSpec, PhaseGrid, TurningModel,
                             build_scenario, package_initial, velocity_set)
 from chemokin.fields import DensityField
 
@@ -134,6 +134,29 @@ def test_nan_turning_shape_fails_the_sweep(name):
     cfg = small_config(t_family="separable-uniform", **{name: float("nan")})
     with pytest.raises(AssumptionViolation, match="turning frequency"):
         ModelSpec.from_config(cfg).validate_on(PhaseGrid.from_config(cfg, m_max=1.7))
+
+
+def test_sign_sweep_reports_the_first_failing_sample(monkeypatch):
+    # The rate's sign is flipped at three sampled (m, S) points; the report
+    # names the first failing S in sample order and the first failing m there.
+    cfg = small_config()
+    spec, grid = ModelSpec.from_config(cfg), PhaseGrid.from_config(cfg, m_max=1.7)
+    spec.validate_on(grid)
+    m_c, s_samples = grid.m_centers, np.linspace(0.0, spec.s_sample_cap, S_SAMPLES)
+    flips = [(m_c[5], s_samples[7]), (m_c[2], s_samples[7]), (m_c[1], s_samples[20])]
+    exact = spec.adaptation.rate
+
+    def flipped(m, s):
+        rate = exact(m, s)
+        hit = np.zeros(np.shape(rate), dtype=bool)
+        for m_f, s_f in flips:
+            hit |= (m == m_f) & (s == s_f)
+        return np.where(hit, -rate, rate)
+
+    monkeypatch.setattr(spec.adaptation, "rate", flipped)
+    with pytest.raises(AssumptionViolation, match="sign structure") as info:
+        spec.validate_on(grid)
+    assert f"at m = {m_c[2]:.6g}, S = {s_samples[7]:.6g}:" in str(info.value)
 
 
 # -- coefficient evaluation ---------------------------------------------------
