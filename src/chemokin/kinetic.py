@@ -9,10 +9,11 @@ no eps-CFL, and a cost independent of eps.  Both half steps share the
 frozen signal and dt/2, so one plan (``adaptation_plan``: where the feet of
 the m-edges fall, computed edge-major by ``adaptation_feet``, and the gather
 indices) serves both.  Every operator works on the (v, m, *x) view of the
-density (``fields``): the remap's prefix sums and gathers, turning's one
-batched (G, V, V) product per lambda-cell and transport's per-velocity
-shifts run along contiguous x-rows, and each returns a density in that
-layout, whatever the strides of its input.
+density (``fields``): the remap's prefix sums and gathers and turning's
+one batched (G, V, V) product per lambda-cell run along contiguous x-rows,
+each of transport's per-velocity shifts is one contiguous product over the
+flattened (m, *x) slab, offset by the axis's stride, and each operator
+returns a density in that layout, whatever the strides of its input.
 Turning and transport are explicit and written in non-negative-coefficient
 form, so positivity is preserved under their CFL bounds: under the turning
 CFL every entry of each cell's (V, V) matrix is >= 0.  Every sub-operation
@@ -162,39 +163,30 @@ def turning_apply(p: np.ndarray, spec: ModelSpec, grid: PhaseGrid, dt: float,
 # Transport
 # ---------------------------------------------------------------------------
 
-def _upwind(acc: np.ndarray, slab: np.ndarray, axis: int, cmag: float, sign: int,
-            periodic: bool, first: bool) -> None:
-    """cmag * each cell's upwind neighbour on ``axis`` (flow direction ``sign``) into acc.
+def _upwind(dst: np.ndarray, slab: np.ndarray, axis: int, cmag: float, sign: int,
+            periodic: bool) -> None:
+    """cmag * each cell's upwind neighbour on ``axis`` (flow direction ``sign``) into dst.
 
-    A velocity's ``first`` moving axis writes every cell of acc (on a free
-    grid nothing enters the first cell downstream of the boundary, so it
-    gets 0); later axes add to acc.
+    One contiguous product over the flattened (m, *x) slab, offset by the
+    axis's stride, then the boundary plane (the cells entered from outside
+    the grid) is overwritten: with what wraps into it on a periodic grid,
+    and with -0.0 on a free grid, where nothing enters.  -0.0 + a == a for
+    every a, -0.0 included, so adding the plane changes no bit there.
     """
-    def at(start, stop):
-        index = [slice(None)] * slab.ndim
-        index[axis] = slice(start, stop)
-        return tuple(index)
-
-    def put(dst, src):
-        if first:
-            np.multiply(slab[src], cmag, out=acc[dst])
-        else:
-            shifted = _scratch("slab", slab[src].shape)
-            np.multiply(slab[src], cmag, out=shifted)
-            acc[dst] += shifted
-
-    # Cells entered from their upstream neighbour, those neighbours, then
-    # the boundary cell and what wraps into it on a periodic grid.
-    last = slab.shape[axis] - 1
+    stride = math.prod(slab.shape[axis + 1:])
+    planes = (math.prod(slab.shape[:axis]), slab.shape[axis], stride)
+    flat_src, flat_dst = slab.reshape(-1), dst.reshape(-1)
     if sign > 0:
-        dst, src, edge, wrap = at(1, None), at(None, last), at(0, 1), at(last, None)
+        np.multiply(flat_src[:-stride], cmag, out=flat_dst[stride:])
+        edge, wrap = 0, -1
     else:
-        dst, src, edge, wrap = at(None, last), at(1, None), at(last, None), at(0, 1)
-    put(dst, src)
+        np.multiply(flat_src[stride:], cmag, out=flat_dst[:-stride])
+        edge, wrap = -1, 0
+    boundary = dst.reshape(planes)[:, edge]
     if periodic:
-        put(edge, wrap)
-    elif first:
-        acc[edge] = 0.0
+        np.multiply(slab.reshape(planes)[:, wrap], cmag, out=boundary)
+    else:
+        boundary[...] = -0.0
 
 
 def transport_apply(p: np.ndarray, grid: PhaseGrid, dt: float,
@@ -204,12 +196,13 @@ def transport_apply(p: np.ndarray, grid: PhaseGrid, dt: float,
     Mass is conserved exactly on periodic grids; truncated grids lose only
     outflow through the boundary.  Positivity holds for per-axis Courant
     numbers summing to at most one.  Each velocity's (m, *x) slab of the
-    (v, m, *x) view is contiguous and shifts as a whole: the first axis it
-    moves on writes the accumulator, later axes add to it, and a velocity
-    that moves on no axis keeps its slab.  A slab is read in full before
-    its own output slab is written, so ``out`` may be the (v, m, *x)
-    buffer of ``p`` itself; every velocity's CFL is checked before
-    anything is written.
+    (v, m, *x) view is contiguous and shifts as a whole (``_upwind``): the
+    first axis it moves on writes the accumulator, later axes add their
+    shift to it, and a velocity that moves on no axis keeps its slab.  The
+    bits are those of adding every inflow into an accumulator filled with
+    -0.0.  A slab is read in full before its own output slab is written,
+    so ``out`` may be the (v, m, *x) buffer of ``p`` itself; every
+    velocity's CFL is checked before anything is written.
     """
     periodic = grid.x_topology == "periodic"
     courants = grid.velocities * dt / grid.dx
@@ -217,7 +210,7 @@ def transport_apply(p: np.ndarray, grid: PhaseGrid, dt: float,
         if np.sum(np.abs(c)) > 1.0 + CFL_SLACK:
             raise CflViolation(
                 f"transport step dt = {dt} exceeds dx/|v| for velocity node {k}")
-    q = vmx(p)
+    q = np.ascontiguousarray(vmx(p))
     res = _target(q, out, in_place=True)
     acc = _scratch("transport_acc", q.shape[1:])
     for k, slab in enumerate(q):
@@ -227,7 +220,13 @@ def transport_apply(p: np.ndarray, grid: PhaseGrid, dt: float,
                 continue
             cmag = min(abs(float(c)), 1.0)
             stay -= cmag
-            _upwind(acc, slab, 1 + axis, cmag, 1 if c > 0 else -1, periodic, not moved)
+            sign = 1 if c > 0 else -1
+            if moved:
+                shifted = _scratch("slab", slab.shape)
+                _upwind(shifted, slab, 1 + axis, cmag, sign, periodic)
+                acc += shifted
+            else:
+                _upwind(acc, slab, 1 + axis, cmag, sign, periodic)
             moved = True
         np.multiply(slab, max(stay, 0.0), out=res[k])
         if moved:
@@ -394,10 +393,20 @@ class StepperState:
     @classmethod
     def create(cls, grid: PhaseGrid, spec: ModelSpec, initial: InitialData,
                freeze_signal: bool = False) -> "StepperState":
+        """The state at ``initial``, its signal solved from the initial density.
+
+        A density that is already a C-contiguous float64 (v, m, *x) buffer
+        (``build_initial`` builds one) is kept, not copied: no operator
+        writes a density it was given or has returned (``macro_step``), so
+        the state and ``initial`` can share it.  Any other density is
+        copied into the layout (``in_layout``).
+        """
         p0 = initial.p0
         signal = solve_signal(number_density(p0.values, grid), grid)
+        q = vmx(p0.values)
+        shared = q.flags.c_contiguous and q.dtype == np.float64
         return cls(
-            field=DensityField(in_layout(p0.values), p0.t),
+            field=DensityField(p0.values if shared else in_layout(p0.values), p0.t),
             signal=signal,
             spec=spec,
             grid=grid,

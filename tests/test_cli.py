@@ -42,15 +42,28 @@ def write_config(tmp_path: Path, name="scenario.cfg", extra="", t_end=None) -> P
     return path
 
 
-def test_python_m_chemokin_help():
-    # The package runs as ``python -m chemokin`` from a source checkout.
+def run_python(*args):
+    """``python *args`` with this checkout's package importable."""
     src = str(Path(chemokin.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "chemokin", "--help"], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def test_python_m_chemokin_help():
+    # The package runs as ``python -m chemokin`` from a source checkout.
+    proc = run_python("-m", "chemokin", "--help")
     assert proc.returncode == 0, proc.stderr
     assert "study-eps" in proc.stdout
+
+
+def test_importing_the_cli_leaves_scipy_integrate_unloaded():
+    # The origin cell's quadrature is a fixed rule in elliptic; importing
+    # scipy.integrate would add ~15 MiB to every run's resident set.
+    proc = run_python("-c", "import sys, chemokin.cli; "
+                            "assert 'scipy.integrate' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
 
 
 EVERY_KEY_CONFIG = """\

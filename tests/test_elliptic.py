@@ -1,10 +1,11 @@
 """Signal solver fidelity: spectral residual, kernel properties, Young bounds."""
 import numpy as np
 import pytest
-from scipy import signal, special
+from scipy import integrate, signal, special
 
-from chemokin.elliptic import (_cell_average_2d, _origin_cell_average_2d, green_kernel,
-                               green_spectrum, kernel_check, solve_signal, stencil_residual)
+from chemokin.elliptic import (_cell_average_2d, _gauss_kronrod_21, _origin_cell_average_2d,
+                               green_kernel, green_spectrum, kernel_check, solve_signal,
+                               stencil_residual)
 from chemokin.errors import BadConfig, NonFiniteInput
 from chemokin.model import PhaseGrid, velocity_set
 
@@ -206,6 +207,31 @@ def test_kernel_2d_table_equals_brute_force_without_origin_cell(n_gauss):
     ref = brute_force_cell_average_2d(offs, dx, n_gauss)
     assert np.all(np.abs(offs) >= 0.5 * dx)
     assert np.array_equal(_cell_average_2d(offs, dx, n_gauss), ref)
+
+
+def test_gauss_kronrod_21_is_exact_to_degree_31():
+    # 21 Kronrod nodes integrate polynomials of degree 3 * 10 + 1 exactly.
+    for deg in (0, 1, 7, 20, 31):
+        assert _gauss_kronrod_21(lambda t: t ** deg, 0.0, 1.0) == pytest.approx(
+            1.0 / (deg + 1), rel=1e-14)
+    assert _gauss_kronrod_21(np.cos, -1.0, 2.0) == pytest.approx(np.sin(2.0) + np.sin(1.0),
+                                                                 rel=1e-15)
+
+
+def test_origin_cell_rule_equals_quad_bitwise():
+    # scipy's quad accepts its first pass, dqk21, on the origin cell's
+    # octant integral at every tested dx; the fixed rule gives its bits,
+    # and so does the cell average built on it.
+    for dx in [*np.linspace(0.01, 4.0, 407), 0.25, 0.125, 0.0625]:
+        h = 0.5 * dx
+
+        def slice_mass(theta):
+            rho = h / np.cos(theta)
+            return 1.0 - rho * special.k1(rho)
+
+        ref, _ = integrate.quad(slice_mass, 0.0, 0.25 * np.pi, epsabs=1e-14, epsrel=1e-12)
+        assert _gauss_kronrod_21(slice_mass, 0.0, 0.25 * np.pi) == ref, dx
+        assert _origin_cell_average_2d(dx) == (8.0 * ref) / (2.0 * np.pi) / dx ** 2, dx
 
 
 def test_free_space_solve_2d_young():

@@ -190,11 +190,16 @@ def test_transport_2d_positivity_and_mass():
 
 
 def transport_reference(p, grid, dt):
-    """Upwind transport with a zero-filled accumulator and one add per moving axis."""
+    """Upwind transport with a zero-filled accumulator and one add per moving axis.
+
+    The fill is -0.0, the additive identity of IEEE arithmetic (-0.0 + a == a
+    for every a, -0.0 included), so a cell that nothing enters keeps the
+    bits of what stays in it.
+    """
     q = np.ascontiguousarray(vmx(p))
     res = np.empty(q.shape)
     for k, slab in enumerate(q):
-        acc, stay = np.zeros(slab.shape), 1.0
+        acc, stay = np.full(slab.shape, -0.0), 1.0
         for axis, c in enumerate(grid.velocities[k] * dt / grid.dx):
             if c == 0.0:
                 continue
@@ -212,7 +217,8 @@ def transport_reference(p, grid, dt):
 @st.composite
 def transport_cases(draw):
     """Random velocities (one of them zero, components down to ones too small to
-    move ``stay`` off 1), grid and a step up to the CFL edge."""
+    move ``stay`` off 1), grid, a step up to the CFL edge, and a density with
+    +0.0 and -0.0 cells (``read_dump`` accepts both)."""
     dim = draw(st.sampled_from([1, 2]))
     n_v = draw(st.integers(1, 5))
     speed = st.sampled_from([0.0, 1e-300, -1e-300]) | st.floats(-2.0, 2.0)
@@ -225,6 +231,7 @@ def transport_cases(draw):
     dt = draw(st.sampled_from([1.0, 0.5]) | st.floats(0.01, 1.0)) * grid.dx / max(reach, 1e-3)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     p = rng.random(grid.field_shape) * (rng.random(grid.field_shape) < 0.7)
+    p[rng.random(grid.field_shape) < 0.2] = -0.0
     return grid, p, dt
 
 
@@ -232,7 +239,8 @@ def transport_cases(draw):
 @given(transport_cases())
 def test_transport_equals_zero_filled_accumulation_bitwise(case):
     # The first axis a velocity moves on writes the accumulator whole, so
-    # there is no zero fill; the bits are those of adding into zeros.
+    # there is no zero fill; the bits are those of adding into -0.0, signed
+    # zeros of the density included.
     grid, p, dt = case
     expected = transport_reference(p, grid, dt)
     assert transport_apply(p, grid, dt).tobytes() == expected.tobytes()
@@ -671,6 +679,29 @@ def test_uncertified_spec_is_refused_before_stepping():
         StepperState.create(grid, raw, init)
     with pytest.raises(BadConfig, match="validated"):
         oda_run(grid, raw, init, 0.1, 0.05)
+
+
+def test_state_shares_an_initial_density_already_in_the_layout():
+    # build_initial builds a (v, m, x) buffer, which the state keeps; a
+    # C-ordered (x, v, m) density is copied into the layout.
+    cfg, grid, spec, init = default_scenario()
+    state = StepperState.create(grid, spec, init)
+    assert np.shares_memory(state.field.values, init.p0.values)
+    p = np.ascontiguousarray(init.p0.values)
+    other = package_initial(DensityField(p), grid)
+    copied = StepperState.create(grid, spec, other)
+    assert not np.shares_memory(copied.field.values, p)
+    assert vmx(copied.field.values).flags.c_contiguous
+    assert copied.field.values.tobytes() == state.field.values.tobytes()
+
+
+def test_run_from_a_shared_initial_density_leaves_it_unchanged():
+    cfg, grid, spec, init = default_scenario()
+    before = init.p0.values.tobytes()
+    state = StepperState.create(grid, spec, init)
+    end, _ = run(state, 0.3, 0.1)
+    assert end.step_count > 0 and not np.shares_memory(end.field.values, init.p0.values)
+    assert init.p0.values.tobytes() == before
 
 
 def test_macro_step_never_writes_a_returned_density():
