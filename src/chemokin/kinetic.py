@@ -24,14 +24,13 @@ because the adaptation rate points inward at both ends of the truncated
 m-interval).
 
 A macro step allocates one density-sized array, its result, and never
-writes a density it has returned.  The sub-steps run through that result
-and one (v, m, *x) work buffer: each operator takes an optional ``out``,
-the C-contiguous (v, m, *x) array to write, and allocates only without
-one.  ``transport_apply`` may write in place (``out`` the buffer of its
-input); turning and the remap read their input after writing ``out``, so
-they refuse an ``out`` that shares memory with it.  The work buffer and
-the operators' temporaries (the remap's gathers, transport's accumulator
-and one (m, *x) slab for its shifted product) are per-thread scratch
+writes a density it has returned.  The sub-steps alternate between that
+result and one (v, m, *x) work buffer (``step_buffers``), each writing the
+buffer it did not read: each operator takes an optional ``out``, the
+C-contiguous (v, m, *x) array to write, allocates only without one, and
+refuses an ``out`` that shares memory with its input.  The work buffer
+and the operators' temporaries (the remap's two (M+1, X) gathers and one
+(m, *x) slab for transport's products) are per-thread scratch
 (``_scratch``), reused from step to step, so the concurrent members of a
 threaded eps study never share one.
 
@@ -58,9 +57,6 @@ from .model import InitialData, ModelSpec, PhaseGrid
 
 #: Relative slack when comparing a step against its CFL bound.
 CFL_SLACK = 1e-9
-#: Density elements (512 KiB) per block of x-cells in the adaptation
-#: remap's gathers, so their temporaries stay in cache.
-REMAP_BLOCK = 1 << 16
 
 _SCRATCH = threading.local()
 
@@ -80,21 +76,29 @@ def _scratch(role: str, shape: tuple[int, ...]) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def _target(q: np.ndarray, out: np.ndarray | None, in_place: bool = False) -> np.ndarray:
+def _target(q: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     """The (v, m, *x) array an operator on the (v, m, *x) view ``q`` writes.
 
     A fresh one without ``out``.  ``out`` must be a C-contiguous float64
-    array of q's shape that shares no memory with ``q``, unless
-    ``in_place`` and it is the very same array.
+    array of q's shape that shares no memory with ``q``.
     """
     if out is None:
         return np.empty(q.shape)
     if out.shape != q.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 array of shape {q.shape}")
-    same = in_place and out.ctypes.data == q.ctypes.data and out.strides == q.strides
-    if not same and np.may_share_memory(out, q):
+    if np.may_share_memory(out, q):
         raise ValueError("out shares memory with the input density")
     return out
+
+
+def step_buffers(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's (v, m, *x) work buffer and a fresh result array for a step on ``p``.
+
+    A step's sub-steps alternate between the two, each writing the one it
+    did not read, and the last writes ``result``, which the step returns.
+    """
+    shape = vmx(p).shape
+    return _scratch("work", shape), np.empty(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +201,13 @@ def transport_apply(p: np.ndarray, grid: PhaseGrid, dt: float,
     outflow through the boundary.  Positivity holds for per-axis Courant
     numbers summing to at most one.  Each velocity's (m, *x) slab of the
     (v, m, *x) view is contiguous and shifts as a whole (``_upwind``): the
-    first axis it moves on writes the accumulator, later axes add their
-    shift to it, and a velocity that moves on no axis keeps its slab.  The
-    bits are those of adding every inflow into an accumulator filled with
-    -0.0.  A slab is read in full before its own output slab is written,
-    so ``out`` may be the (v, m, *x) buffer of ``p`` itself; every
-    velocity's CFL is checked before anything is written.
+    first axis it moves on writes its output slab, later axes add their
+    shift to it, and then the kept fraction of the slab is added; a
+    velocity that moves on no axis keeps its slab.  The bits are those of
+    adding every inflow into an accumulator filled with -0.0, then adding
+    that to the kept fraction (IEEE addition commutes).  ``out`` is
+    checked by ``_target``, and every velocity's CFL before anything is
+    written.
     """
     periodic = grid.x_topology == "periodic"
     courants = grid.velocities * dt / grid.dx
@@ -211,11 +216,10 @@ def transport_apply(p: np.ndarray, grid: PhaseGrid, dt: float,
             raise CflViolation(
                 f"transport step dt = {dt} exceeds dx/|v| for velocity node {k}")
     q = np.ascontiguousarray(vmx(p))
-    res = _target(q, out, in_place=True)
-    acc = _scratch("transport_acc", q.shape[1:])
-    for k, slab in enumerate(q):
+    res = _target(q, out)
+    for slab, c_k, res_k in zip(q, courants, res):
         stay, moved = 1.0, False
-        for axis, c in enumerate(courants[k]):
+        for axis, c in enumerate(c_k):
             if c == 0.0:
                 continue
             cmag = min(abs(float(c)), 1.0)
@@ -224,13 +228,14 @@ def transport_apply(p: np.ndarray, grid: PhaseGrid, dt: float,
             if moved:
                 shifted = _scratch("slab", slab.shape)
                 _upwind(shifted, slab, 1 + axis, cmag, sign, periodic)
-                acc += shifted
+                res_k += shifted
             else:
-                _upwind(acc, slab, 1 + axis, cmag, sign, periodic)
+                _upwind(res_k, slab, 1 + axis, cmag, sign, periodic)
             moved = True
-        np.multiply(slab, max(stay, 0.0), out=res[k])
         if moved:
-            res[k] += acc
+            res_k += np.multiply(slab, max(stay, 0.0), out=_scratch("slab", slab.shape))
+        else:
+            np.multiply(slab, max(stay, 0.0), out=res_k)
     return xvm(res)
 
 
@@ -260,16 +265,14 @@ class AdaptationPlan:
     """Where the feet of one adaptation step fall, shared by its two uses.
 
     The foot of m-edge e above x-cell x lies in m-cell idx[e, x], a
-    fraction ``frac[e, x]`` (shape (M+1, X)) of a cell past its start.  The
-    remap gathers over consecutive blocks of x-cells, REMAP_BLOCK // (V*M)
-    cells each but the last.  ``gather[b]`` (shape (M+1, width of block b))
-    holds the flat index idx*X + x of every foot of block b into one
-    velocity's (m, x) slab; all velocities share it.  Nothing of shape
-    (V, M+1, X) is kept.
+    fraction ``frac[e, x]`` (shape (M+1, X)) of a cell past its start.
+    ``gather[e, x]`` (same shape) is the flat index idx*X + x of that foot
+    into one velocity's (m, x) slab; all velocities share it.  Nothing of
+    shape (V, M+1, X) is kept.
     """
 
     frac: np.ndarray
-    gather: tuple[np.ndarray, ...]
+    gather: np.ndarray
 
 
 def adaptation_plan(s: np.ndarray, spec: ModelSpec, grid: PhaseGrid,
@@ -302,10 +305,7 @@ def adaptation_plan(s: np.ndarray, spec: ModelSpec, grid: PhaseGrid,
     np.minimum(frac, 1.0, out=frac)
     cell *= n_x
     cell += np.arange(n_x)
-    at = cell.astype(np.intp)
-    step = min(n_x, max(1, REMAP_BLOCK // (grid.n_v * n_m)))
-    gather = tuple(np.ascontiguousarray(at[:, lo:lo + step]) for lo in range(0, n_x, step))
-    return AdaptationPlan(frac=frac, gather=gather)
+    return AdaptationPlan(frac=frac, gather=cell.astype(np.intp))
 
 
 def adaptation_apply(p: np.ndarray, s: np.ndarray, spec: ModelSpec, grid: PhaseGrid,
@@ -329,11 +329,11 @@ def adaptation_apply(p: np.ndarray, s: np.ndarray, spec: ModelSpec, grid: PhaseG
     given; ``macro_step`` builds one per step for both half steps.  The
     remap works on the (v, m, x) view.  The prefix sums fill the output
     buffer (``out``, see ``_target``), one add of whole (v, x) rows per
-    m-cell.  A block of x-cells at a time then gathers at its feet, every
-    velocity through the block's one index, into two per-thread scratch
-    buffers (the plan keeps every index in range, so ``mode="clip"``, which
-    gathers without an internal copy, never clips), and overwrites its own
-    x-columns with the differences, which only that block reads.
+    m-cell.  One velocity at a time then gathers at the feet, through the
+    plan's one index, into two (M+1, X) per-thread scratch buffers (the
+    plan keeps every index in range, so ``mode="clip"``, which gathers
+    without an internal copy, never clips), and overwrites its own (m, x)
+    slab with the differences, which only that velocity reads.
     """
     if plan is None:
         plan = adaptation_plan(s, spec, grid, dt)
@@ -345,18 +345,14 @@ def adaptation_apply(p: np.ndarray, s: np.ndarray, spec: ModelSpec, grid: PhaseG
     cum_rows[0] = 0.0
     for prev, row, nxt in zip(cum_rows, q.swapaxes(0, 1), cum_rows[1:]):
         np.add(prev, row, out=nxt)
-    lo = 0
-    for at in plan.gather:
-        hi = lo + at.shape[1]
-        shape = (n_v,) + at.shape  # (v, edge, x)
-        at_feet = np.take(cum.reshape(n_v, -1), at, axis=1, mode="clip",
-                          out=_scratch("remap_cum", shape))
-        gathered = np.take(q.reshape(n_v, -1), at, axis=1, mode="clip",
-                           out=_scratch("remap_p", shape))
-        gathered *= plan.frac[:, lo:hi]
+    at = plan.gather
+    at_feet, gathered = _scratch("remap_cum", at.shape), _scratch("remap_p", at.shape)
+    for cum_v, q_v in zip(cum, q):
+        np.take(cum_v, at, mode="clip", out=at_feet)
+        np.take(q_v, at, mode="clip", out=gathered)
+        gathered *= plan.frac
         at_feet += gathered
-        np.subtract(at_feet[:, 1:], at_feet[:, :-1], out=cum[:, :, lo:hi])
-        lo = hi
+        np.subtract(at_feet[1:], at_feet[:-1], out=cum_v)
     return xvm(res)
 
 
@@ -437,10 +433,9 @@ def macro_step(state: StepperState, dt: float) -> StepperState:
 
     plan = adaptation_plan(s, spec, grid, 0.5 * dt)
     # Allocated after the plan, so the plan's temporaries are already freed.
-    shape = vmx(state.field.values).shape
-    work, result = _scratch("work", shape), np.empty(shape)
-    p = adaptation_apply(state.field.values, s, spec, grid, 0.5 * dt, plan, out=work)
-    p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors, out=result)
+    work, result = step_buffers(state.field.values)
+    p = adaptation_apply(state.field.values, s, spec, grid, 0.5 * dt, plan, out=result)
+    p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors, out=work)
     p = transport_apply(p, grid, dt, out=result)
     p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors, out=work)
     p = adaptation_apply(p, s, spec, grid, 0.5 * dt, plan, out=result)

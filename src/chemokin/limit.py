@@ -30,7 +30,7 @@ from .elliptic import solve_signal
 from .errors import BadConfig, EmptyField
 from .fields import DensityField, density_of_pbar, number_density, pbar_of, vmx, x_integral
 from .kinetic import (StepperState, TurningTensors, finish_step, run as kinetic_run,
-                      transport_apply, turning_apply)
+                      step_buffers, transport_apply, turning_apply)
 from .model import InitialData, ModelSpec, PhaseGrid, build_scenario
 
 
@@ -63,12 +63,14 @@ def oda_step(state: StepperState, dt: float) -> StepperState:
     The turning frequency is lambda(m0(S(x))) of the lagged signal; the
     step closes like a kinetic macro step (positivity check, signal
     refresh, mass defect), so the two solvers collapse onto each other
-    when the kernel is m-independent.
+    when the kernel is m-independent.  Like a macro step, it runs in this
+    thread's work buffer and one fresh result, which the new state keeps.
     """
     grid, spec = state.grid, state.spec
-    p = turning_apply(state.field.values, spec, grid, 0.5 * dt, state.tensors)
-    p = transport_apply(p, grid, dt)
-    p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors)
+    work, result = step_buffers(state.field.values)
+    p = turning_apply(state.field.values, spec, grid, 0.5 * dt, state.tensors, out=result)
+    p = transport_apply(p, grid, dt, out=work)
+    p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors, out=result)
     state = finish_step(state, p, dt)
     return dc_replace(state, tensors=_adapted_tensors(spec, grid, state.signal.values))
 

@@ -13,7 +13,7 @@ from chemokin.fields import DensityField, in_layout, total_mass, vmx
 from chemokin.kinetic import (StepperState, TurningTensors, adaptation_apply,
                               adaptation_feet, adaptation_plan, macro_step, run,
                               transport_apply, turning_apply)
-from chemokin.limit import oda_run
+from chemokin.limit import oda_run, oda_state, oda_step
 from chemokin.model import (AdaptationModel, ModelSpec, PhaseGrid, TurningModel,
                             build_scenario, package_initial, velocity_set)
 
@@ -238,14 +238,15 @@ def transport_cases(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(transport_cases())
 def test_transport_equals_zero_filled_accumulation_bitwise(case):
-    # The first axis a velocity moves on writes the accumulator whole, so
+    # The first axis a velocity moves on writes its output slab whole, so
     # there is no zero fill; the bits are those of adding into -0.0, signed
-    # zeros of the density included.
+    # zeros of the density included.  A NaN-filled ``out`` shows any cell
+    # left unwritten.
     grid, p, dt = case
     expected = transport_reference(p, grid, dt)
     assert transport_apply(p, grid, dt).tobytes() == expected.tobytes()
-    own = in_layout(p)
-    assert transport_apply(own, grid, dt, out=vmx(own)).tobytes() == expected.tobytes()
+    into = transport_apply(p, grid, dt, out=np.full(vmx(p).shape, np.nan))
+    assert into.tobytes() == expected.tobytes()
 
 
 # -- turning and transport across random grids ------------------------------------
@@ -391,7 +392,7 @@ def test_remap_feet_compose_as_exact_flow(case):
 
 
 def remap_reference(p, s, spec, grid, dt):
-    """Unblocked remap, one (x, v) column at a time, same arithmetic."""
+    """The remap one (x, v) column at a time, with the same arithmetic."""
     u = adaptation_feet(s, spec, grid, dt).T / grid.dm
     idx = np.minimum(np.floor(u), grid.m_nodes - 1).astype(np.intp)
     frac = np.minimum(u - idx, 1.0)
@@ -427,74 +428,13 @@ def test_plan_equals_one_with_an_unconditional_running_maximum(case, jitter):
         plan = adaptation_plan(s, spec, grid, dt)
         frac, at = plan_reference(s, spec, grid, dt)
     assert plan.frac.tobytes() == frac.tobytes()
-    gather = np.concatenate(plan.gather, axis=1)
-    assert gather.dtype == at.dtype and np.array_equal(gather, at)
-
-
-@st.composite
-def blocked_remap_cases(draw):
-    """Adaptation scenario plus a REMAP_BLOCK that splits x into several
-    blocks with a short last one."""
-    dim = draw(st.sampled_from([1, 2]))
-    x_nodes = draw(st.integers(3, 12 if dim == 1 else 5))
-    grid = custom_grid(*velocity_set(dim, draw(st.sampled_from([2, 4]))),
-                       x_nodes=x_nodes, dim=dim, m_nodes=draw(st.integers(2, 24)),
-                       m_max=draw(st.floats(1.25, 4.0)))
-    spec = make_spec(grid, f_family=draw(st.sampled_from(["linear", "cubic"])),
-                     kappa=draw(st.floats(0.1, 5.0)),
-                     eps=10.0 ** draw(st.floats(-6.0, 0.0)))
-    n_x = x_nodes ** dim
-    step = draw(st.sampled_from([k for k in range(2, n_x) if n_x % k]))
-    column = grid.n_v * grid.m_nodes
-    block = step * column + draw(st.integers(0, column - 1))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    return grid, spec, block, step, rng
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(blocked_remap_cases())
-def test_blocked_remap_matches_unblocked_reference(case):
-    grid, spec, block, step, rng = case
-    p = rng.random(grid.field_shape) * (rng.random(grid.field_shape) < 0.8)
-    s = rng.uniform(0.0, 5.0, grid.x_shape)
-    dt = float(rng.uniform(1e-3, 0.5))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kinetic, "REMAP_BLOCK", block)
-        plan = adaptation_plan(s, spec, grid, dt)
-        assert plan.gather[0].shape[1] == step
-        planned = adaptation_apply(p, s, spec, grid, dt, plan)
-        unplanned = adaptation_apply(p, s, spec, grid, dt)
-    expected = remap_reference(p, s, spec, grid, dt)
-    assert np.array_equal(planned, expected)
-    assert np.array_equal(unplanned, expected)
-
-
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(blocked_remap_cases(), st.sampled_from(["periodic", "free"]))
-def test_macro_step_is_strang_composition(case, topology):
-    # One shared plan must give the bits of two independently planned
-    # half steps around turning and transport.
-    grid, spec, block, _, rng = case
-    grid = replace(grid, x_topology=topology)
-    init = package_initial(DensityField(rng.random(grid.field_shape)), grid)
-    state = StepperState.create(grid, spec, init)
-    dt = float(rng.uniform(0.1, 1.0)) * state.cfl_dt()
-    s = state.signal.values
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kinetic, "REMAP_BLOCK", block)
-        stepped = macro_step(state, dt).field.values
-        p = adaptation_apply(state.field.values, s, spec, grid, 0.5 * dt)
-        p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors)
-        p = transport_apply(p, grid, dt)
-        p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors)
-        p = adaptation_apply(p, s, spec, grid, 0.5 * dt)
-    assert np.array_equal(stepped, p)
+    assert plan.gather.dtype == at.dtype and np.array_equal(plan.gather, at)
 
 
 @st.composite
 def layout_cases(draw):
-    """Random grid (dim 1-2, periodic or free, two velocities and more), rate
-    family, REMAP_BLOCK and a density, for the layout-independence checks."""
+    """Random grid (dim 1-2, periodic or free, two velocities and more), turning
+    and rate family and a density seed, for the layout and composition checks."""
     dim = draw(st.sampled_from([1, 2]))
     grid = custom_grid(*velocity_set(dim, draw(st.sampled_from([2, 3, 4, 8]))),
                        x_nodes=draw(st.integers(1, 12 if dim == 1 else 6)),
@@ -506,9 +446,28 @@ def layout_cases(draw):
                                                            "separable-angle"])),
                      f_family=draw(st.sampled_from(["linear", "cubic"])),
                      kappa=draw(st.floats(0.1, 5.0)), eps=10.0 ** draw(st.floats(-6.0, 0.0)))
-    block = draw(st.integers(1, 4 * grid.n_v * grid.m_nodes))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    return grid, spec, block, rng
+    return grid, spec, rng
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(layout_cases())
+def test_macro_step_is_strang_composition(case):
+    # One shared plan, and sub-steps alternating between two buffers, must
+    # give the bits of two independently planned half steps around turning
+    # and transport, each into a fresh array.
+    grid, spec, rng = case
+    init = package_initial(DensityField(rng.random(grid.field_shape)), grid)
+    state = StepperState.create(grid, spec, init)
+    dt = float(rng.uniform(0.1, 1.0)) * state.cfl_dt()
+    s = state.signal.values
+    stepped = macro_step(state, dt).field.values
+    p = adaptation_apply(state.field.values, s, spec, grid, 0.5 * dt)
+    p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors)
+    p = transport_apply(p, grid, dt)
+    p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors)
+    p = adaptation_apply(p, s, spec, grid, 0.5 * dt)
+    assert np.array_equal(stepped, p)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -518,9 +477,9 @@ def test_operators_give_the_same_bits_in_either_layout(case):
     # (v, m, x) buffer give bit-identical results, and every operator
     # returns its result in the (v, m, x) layout.  Written into an ``out``
     # buffer (NaN-filled, so stale contents would show), each operator
-    # gives the same bytes; transport also in place, into its input's own
-    # buffer, while turning and the remap refuse that aliasing.
-    grid, spec, block, rng = case
+    # gives the same bytes, and each refuses an ``out`` that is its input's
+    # own buffer.
+    grid, spec, rng = case
     p = rng.random(grid.field_shape) * (rng.random(grid.field_shape) < 0.8)
     s = rng.uniform(0.0, 5.0, grid.x_shape)
     state = StepperState.create(grid, spec, package_initial(DensityField(p), grid))
@@ -531,22 +490,20 @@ def test_operators_give_the_same_bits_in_either_layout(case):
                 turning_apply(dens, spec, grid, 0.5 * dt, state.tensors, out=out()),
                 transport_apply(dens, grid, dt, out=out()))
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kinetic, "REMAP_BLOCK", block)
-        results = [operators(dens)
-                   + (macro_step(replace(state, field=DensityField(dens)), dt).field.values,)
-                   for dens in (p, in_layout(p))]
-        for dens, fresh in zip((p, in_layout(p)), results):
-            into = operators(dens, out=lambda: np.full(vmx(dens).shape, np.nan))
-            own = in_layout(dens)
-            moved = transport_apply(own, grid, dt, out=vmx(own))
-            assert np.shares_memory(moved, own)
-            for written, expected in zip(into + (moved,), fresh[:3] + fresh[2:3]):
-                assert written.tobytes() == expected.tobytes()
-            with pytest.raises(ValueError, match="shares memory"):
-                adaptation_apply(own, s, spec, grid, 0.5 * dt, out=vmx(own))
-            with pytest.raises(ValueError, match="shares memory"):
-                turning_apply(own, spec, grid, 0.5 * dt, state.tensors, out=vmx(own))
+    results = [operators(dens)
+               + (macro_step(replace(state, field=DensityField(dens)), dt).field.values,)
+               for dens in (p, in_layout(p))]
+    for dens, fresh in zip((p, in_layout(p)), results):
+        into = operators(dens, out=lambda: np.full(vmx(dens).shape, np.nan))
+        for written, expected in zip(into, fresh):
+            assert written.tobytes() == expected.tobytes()
+        own = in_layout(dens)
+        with pytest.raises(ValueError, match="shares memory"):
+            adaptation_apply(own, s, spec, grid, 0.5 * dt, out=vmx(own))
+        with pytest.raises(ValueError, match="shares memory"):
+            turning_apply(own, spec, grid, 0.5 * dt, state.tensors, out=vmx(own))
+        with pytest.raises(ValueError, match="shares memory"):
+            transport_apply(own, grid, dt, out=vmx(own))
     for c_ordered, vmx_backed in zip(*results):
         assert c_ordered.tobytes() == vmx_backed.tobytes()
         assert vmx(c_ordered).flags.c_contiguous and vmx(vmx_backed).flags.c_contiguous
@@ -773,10 +730,13 @@ def test_run_frees_its_scratch():
     assert fresh and fresh[0].tobytes() == here.tobytes()
 
 
-@pytest.mark.parametrize("grid_cfg", [
+STEP_GRIDS = pytest.mark.parametrize("grid_cfg", [
     GridConfig(),
     GridConfig(dim=2, x_nodes=32, x_topology="free", v_count=8, m_nodes=16)],
     ids=["default", "free-2d"])
+
+
+@STEP_GRIDS
 def test_macro_step_allocates_about_one_density(grid_cfg):
     # A warm macro step allocates its result and small per-step arrays (the
     # remap plan, n and the signal); the sub-steps run in reused buffers.
@@ -792,6 +752,54 @@ def test_macro_step_allocates_about_one_density(grid_cfg):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * state.field.values.nbytes
+
+
+@STEP_GRIDS
+def test_reduced_step_allocates_no_more_than_its_turning(grid_cfg):
+    # A warm reduced step runs in the work buffer and its one result, so its
+    # peak is that of one turning call into a fresh array (its (X, V, V)
+    # matrices outweigh the reduced density), not a density more.
+    import tracemalloc
+    grid, spec, init = build_scenario(RunConfig(grid=grid_cfg))
+    state = oda_state(grid, spec, init)
+    dt = state.cfl_dt()
+    state = oda_step(state, dt)
+    peaks = []
+    for call in (lambda: oda_step(state, dt),
+                 lambda: turning_apply(state.field.values, spec, state.grid, 0.5 * dt,
+                                       state.tensors)):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1] + 0.5 * state.field.values.nbytes
+
+
+@STEP_GRIDS
+def test_step_scratch_holds_one_velocity_of_gathers(grid_cfg):
+    # The remap gathers one velocity at a time, so each of its two gather
+    # buffers holds (M+1)*X elements whatever V; transport writes its output
+    # slabs directly and keeps no accumulator.  Stepped on a fresh thread,
+    # whose scratch no earlier step has grown.
+    import math
+    import threading
+    grid, spec, init = build_scenario(RunConfig(grid=grid_cfg))
+    state = StepperState.create(grid, spec, init)
+    sizes = {}
+
+    def step():
+        macro_step(state, state.cfl_dt())
+        sizes.update((role, buf.size) for role, buf in vars(kinetic._SCRATCH).items())
+
+    worker = threading.Thread(target=step)
+    worker.start()
+    worker.join(timeout=60.0)
+    n_x = math.prod(grid.x_shape)
+    assert sizes == {"work": state.field.values.size, "slab": grid.m_nodes * n_x,
+                     "remap_cum": (grid.m_nodes + 1) * n_x,
+                     "remap_p": (grid.m_nodes + 1) * n_x}
 
 
 
