@@ -11,17 +11,20 @@ the m-edges fall, computed edge-major by ``adaptation_feet``, and the gather
 indices) serves both.  Every operator works on the (v, m, *x) view of the
 density (``fields``): the remap's prefix sums and gathers and turning's
 one batched (G, V, V) product per lambda-cell run along contiguous x-rows,
-each of transport's per-velocity shifts is one contiguous product over the
-flattened (m, *x) slab, offset by the axis's stride, and each operator
-returns a density in that layout, whatever the strides of its input.
-Turning and transport are explicit and written in non-negative-coefficient
-form, so positivity is preserved under their CFL bounds: under the turning
-CFL every entry of each cell's (V, V) matrix is >= 0.  Every sub-operation
-conserves the discrete mass up to round-off (periodic transport
-telescopes, the turning integrand is antisymmetric under swapping the two
-velocities, and the remap's cell masses telescope to the full m-integral
-because the adaptation rate points inward at both ends of the truncated
-m-interval).
+each of transport's per-velocity, per-axis shifts is one contiguous product
+over the flattened (m, *x) slab, offset by the axis's stride, and each
+operator returns a density in that layout, whatever the strides of its
+input.  Transport is corner-transport upwind, one 1-d upwind sweep per
+axis, so its CFL bounds the largest per-axis Courant number, not their
+sum.  Turning and transport are explicit and written in
+non-negative-coefficient form, so positivity is preserved under their CFL
+bounds: under the turning CFL every entry of each cell's (V, V) matrix is
+>= 0, and under the transport CFL every sweep is a convex combination.
+Every sub-operation conserves the discrete mass up to round-off (periodic
+transport telescopes, the turning integrand is antisymmetric under
+swapping the two velocities, and the remap's cell masses telescope to the
+full m-integral because the adaptation rate points inward at both ends of
+the truncated m-interval).
 
 A macro step allocates one density-sized array, its result, and never
 writes a density it has returned.  The sub-steps alternate between that
@@ -195,47 +198,52 @@ def _upwind(dst: np.ndarray, slab: np.ndarray, axis: int, cmag: float, sign: int
 
 def transport_apply(p: np.ndarray, grid: PhaseGrid, dt: float,
                     out: np.ndarray | None = None) -> np.ndarray:
-    """First-order upwind x-transport, one step for every velocity node.
+    """First-order corner-transport upwind x-transport, one step for every velocity node.
 
-    Mass is conserved exactly on periodic grids; truncated grids lose only
-    outflow through the boundary.  Positivity holds for per-axis Courant
-    numbers summing to at most one.  Each velocity's (m, *x) slab of the
-    (v, m, *x) view is contiguous and shifts as a whole (``_upwind``): the
-    first axis it moves on writes its output slab, later axes add their
-    shift to it, and then the kept fraction of the slab is added; a
-    velocity that moves on no axis keeps its slab.  The bits are those of
-    adding every inflow into an accumulator filled with -0.0, then adding
-    that to the kept fraction (IEEE addition commutes).  ``out`` is
-    checked by ``_target``, and every velocity's CFL before anything is
-    written.
+    Each velocity moves by one 1-d upwind sweep per axis it moves on, in
+    axis order (corner-transport upwind: Colella, JCP 87, 1990; LeVeque,
+    *Finite Volume Methods for Hyperbolic Problems*, ch. 20).  A sweep with
+    Courant number c is the convex combination (1 - |c|) * cell + |c| *
+    upwind neighbour, so positivity holds while every per-axis |c| is at
+    most one; mass is conserved exactly on periodic grids, and truncated
+    grids lose only outflow through the boundary.  The sweeps are
+    constant-coefficient shifts, so they commute up to round-off, and a
+    velocity that moves on one axis gets the plain 1-d upwind step.
+
+    Each velocity's (m, *x) slab of the (v, m, *x) view is contiguous and
+    shifts as a whole (``_upwind``).  The first sweep writes the output
+    slab (the shift, then the kept fraction of the input added); each
+    later sweep puts its shift of that output in the ``slab`` scratch,
+    scales the output by its kept fraction and adds the shift.  A velocity
+    that moves on no axis keeps its slab.  ``out`` is checked by
+    ``_target``, and every velocity's CFL before anything is written.
     """
     periodic = grid.x_topology == "periodic"
     courants = grid.velocities * dt / grid.dx
     for k, c in enumerate(courants):
-        if np.sum(np.abs(c)) > 1.0 + CFL_SLACK:
+        if np.max(np.abs(c)) > 1.0 + CFL_SLACK:
             raise CflViolation(
-                f"transport step dt = {dt} exceeds dx/|v| for velocity node {k}")
+                f"transport step dt = {dt} exceeds dx/|v_i| for velocity node {k}")
     q = np.ascontiguousarray(vmx(p))
     res = _target(q, out)
+    shifted = _scratch("slab", q.shape[1:])
     for slab, c_k, res_k in zip(q, courants, res):
-        stay, moved = 1.0, False
+        moved = False
         for axis, c in enumerate(c_k):
             if c == 0.0:
                 continue
             cmag = min(abs(float(c)), 1.0)
-            stay -= cmag
             sign = 1 if c > 0 else -1
             if moved:
-                shifted = _scratch("slab", slab.shape)
-                _upwind(shifted, slab, 1 + axis, cmag, sign, periodic)
+                _upwind(shifted, res_k, 1 + axis, cmag, sign, periodic)
+                res_k *= 1.0 - cmag
                 res_k += shifted
             else:
                 _upwind(res_k, slab, 1 + axis, cmag, sign, periodic)
-            moved = True
-        if moved:
-            res_k += np.multiply(slab, max(stay, 0.0), out=_scratch("slab", slab.shape))
-        else:
-            np.multiply(slab, max(stay, 0.0), out=res_k)
+                res_k += np.multiply(slab, 1.0 - cmag, out=shifted)
+                moved = True
+        if not moved:
+            np.copyto(res_k, slab)
     return xvm(res)
 
 
@@ -412,7 +420,11 @@ class StepperState:
         )
 
     def cfl_dt(self) -> float:
-        """Largest macro step compatible with transport and turning CFLs."""
+        """Largest macro step compatible with transport and turning CFLs.
+
+        Transport's is dx over the largest per-axis speed (one upwind sweep
+        per axis, ``transport_apply``).
+        """
         dt_x = self.grid.dx / self.grid.max_speed if self.grid.max_speed > 0 else np.inf
         dt_turn = 1.0 / (self.grid.v_measure * self.spec.turning_cap)
         return min(dt_x, dt_turn)

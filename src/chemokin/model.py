@@ -45,9 +45,11 @@ def velocity_set(dim: int, v_count: int) -> tuple[np.ndarray, np.ndarray]:
 
     dim=1: midpoints of a uniform subdivision of [-1, 1] (symmetric pairs,
     weights summing to 2).  dim=2: ``v_count`` equispaced unit directions
-    with weights 2*pi/v_count.  Symmetry makes the discrete first moment of
-    the velocity set vanish, which the turning operator's exact mass
-    cancellation relies on.
+    (cos, sin) of 2*pi*k/v_count with weights 2*pi/v_count; a component
+    that is zero in exact arithmetic (at a quarter turn) is exactly 0.0, so
+    an axis direction moves on one axis only.  Symmetry makes the discrete
+    first moment of the velocity set vanish, which the turning operator's
+    exact mass cancellation relies on.
     """
     if v_count < 1:
         raise BadConfig(f"v_count must be positive, got {v_count}")
@@ -56,8 +58,11 @@ def velocity_set(dim: int, v_count: int) -> tuple[np.ndarray, np.ndarray]:
         v = (-1.0 + (np.arange(v_count) + 0.5) * dv)[:, None]
         w = np.full(v_count, dv)
     elif dim == 2:
-        theta = 2.0 * np.pi * np.arange(v_count) / v_count
+        k = np.arange(v_count)
+        theta = 2.0 * np.pi * k / v_count
         v = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        v[(4 * k) % (2 * v_count) == v_count, 0] = 0.0  # cos at an odd quarter turn
+        v[(2 * k) % v_count == 0, 1] = 0.0  # sin at a whole half turn
         w = np.full(v_count, 2.0 * np.pi / v_count)
     else:
         raise BadConfig(f"dim must be 1 or 2, got {dim}")
@@ -151,8 +156,8 @@ class PhaseGrid:
 
     @property
     def max_speed(self) -> float:
-        """Largest per-axis speed sum, the transport CFL speed."""
-        return float(np.max(np.sum(np.abs(self.velocities), axis=1)))
+        """Largest per-axis speed max_k,i |v_k,i|, the transport CFL speed."""
+        return float(np.max(np.abs(self.velocities)))
 
     def same_as(self, other: "PhaseGrid") -> bool:
         """Whether ``other`` has this grid's signature: every field, node and weight."""

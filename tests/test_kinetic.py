@@ -189,28 +189,72 @@ def test_transport_2d_positivity_and_mass():
     assert total_mass(new, grid) == pytest.approx(total_mass(p, grid), rel=1e-13)
 
 
-def transport_reference(p, grid, dt):
-    """Upwind transport with a zero-filled accumulator and one add per moving axis.
+def translation_2d_error(n):
+    """Mean per-velocity L1 error of exp(-r^2/0.5) translated to t = 2 on [-4, 4)^2.
 
-    The fill is -0.0, the additive identity of IEEE arithmetic (-0.0 + a == a
-    for every a, -0.0 included), so a cell that nothing enters keeps the
-    bits of what stays in it.
+    Periodic grid, ``velocity_set(2, 8)``, steps of dx / max_speed; the
+    exact translate sums the neighbouring periodic images.
+    """
+    grid = custom_grid(*velocity_set(2, 8), x_nodes=n, x_extent=8.0, m_nodes=1,
+                       m_max=1.0, dim=2)
+    x = grid.x_centers
+
+    def gaussian(cx, cy):
+        return sum(np.exp(-((x[:, None] - cx - sx) ** 2 + (x[None, :] - cy - sy) ** 2) / 0.5)
+                   for sx in (-8.0, 0.0, 8.0) for sy in (-8.0, 0.0, 8.0))
+
+    p = np.repeat(gaussian(0.0, 0.0)[:, :, None, None], grid.n_v, axis=2)
+    dt = grid.dx / grid.max_speed
+    for _ in range(round(2.0 / dt)):
+        p = transport_apply(p, grid, dt)
+    exact = np.stack([gaussian(*(2.0 * v)) for v in grid.velocities], axis=2)[..., None]
+    return float(np.sum(np.abs(p - exact)) * grid.dx ** 2 / grid.n_v)
+
+
+def test_transport_2d_first_order_against_exact_translate():
+    # Corner-transport upwind at its own largest step (Courant 1 per axis).
+    # Unsplit upwind, at its own limit dx/sqrt(2), errs 0.533 / 0.305 / 0.169,
+    # so the bound at n = 64 tells the two schemes apart.
+    errors = [translation_2d_error(n) for n in (32, 64, 128)]
+    assert all(a / b >= 1.7 for a, b in zip(errors, errors[1:])), errors
+    assert errors[1] < 0.15, errors
+
+
+def test_free_2d_grid_runs_one_step_per_quarter_time_unit():
+    # 64^2 cells of dx = 0.25 and 8 directions: the transport CFL is dx
+    # (largest per-axis speed 1), so each 0.25 output interval is one step.
+    grid, spec, init = build_scenario(RunConfig(grid=GridConfig(
+        dim=2, x_nodes=64, x_extent=16.0, x_topology="free", v_count=8, m_nodes=16)))
+    state = StepperState.create(grid, spec, init)
+    assert state.cfl_dt() == grid.dx
+    state, _ = run(state, 2.0, 0.25)
+    assert state.step_count == 8
+
+
+def transport_reference(p, grid, dt):
+    """Corner-transport upwind: the product of one 1-d upwind sweep per moving axis.
+
+    Each sweep is out * (1 - |c|) + inflow, the inflow added into an
+    accumulator filled with -0.0, the additive identity of IEEE arithmetic
+    (-0.0 + a == a for every a, -0.0 included), so a cell that nothing
+    enters keeps the bits of what stays in it.
     """
     q = np.ascontiguousarray(vmx(p))
     res = np.empty(q.shape)
     for k, slab in enumerate(q):
-        acc, stay = np.full(slab.shape, -0.0), 1.0
+        cur = slab.copy()
         for axis, c in enumerate(grid.velocities[k] * dt / grid.dx):
             if c == 0.0:
                 continue
             cmag = min(abs(float(c)), 1.0)
-            stay -= cmag
-            inflow = cmag * np.roll(slab, 1 if c > 0 else -1, axis=1 + axis)
+            inflow = cmag * np.roll(cur, 1 if c > 0 else -1, axis=1 + axis)
             entered = [slice(None)] * slab.ndim
             if grid.x_topology == "free":  # nothing enters the boundary cell
                 entered[1 + axis] = slice(1, None) if c > 0 else slice(None, -1)
+            acc = np.full(slab.shape, -0.0)
             acc[tuple(entered)] += inflow[tuple(entered)]
-        res[k] = slab * max(stay, 0.0) + acc
+            cur = cur * (1.0 - cmag) + acc
+        res[k] = cur
     return res.transpose(*range(2, res.ndim), 0, 1)
 
 
@@ -227,7 +271,7 @@ def transport_cases(draw):
                        x_extent=draw(st.floats(1.0, 20.0)),
                        topology=draw(st.sampled_from(["periodic", "free"])),
                        dim=dim, m_nodes=draw(st.integers(1, 6)))
-    reach = np.abs(grid.velocities).sum(axis=1).max()
+    reach = np.abs(grid.velocities).max()
     dt = draw(st.sampled_from([1.0, 0.5]) | st.floats(0.01, 1.0)) * grid.dx / max(reach, 1e-3)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     p = rng.random(grid.field_shape) * (rng.random(grid.field_shape) < 0.7)
@@ -238,10 +282,9 @@ def transport_cases(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(transport_cases())
 def test_transport_equals_zero_filled_accumulation_bitwise(case):
-    # The first axis a velocity moves on writes its output slab whole, so
-    # there is no zero fill; the bits are those of adding into -0.0, signed
-    # zeros of the density included.  A NaN-filled ``out`` shows any cell
-    # left unwritten.
+    # The first sweep writes a velocity's output slab whole, so there is no
+    # zero fill; the bits are those of adding into -0.0, signed zeros of the
+    # density included.  A NaN-filled ``out`` shows any cell left unwritten.
     grid, p, dt = case
     expected = transport_reference(p, grid, dt)
     assert transport_apply(p, grid, dt).tobytes() == expected.tobytes()

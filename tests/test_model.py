@@ -66,6 +66,20 @@ def test_velocity_set_2d_unit_circle():
     assert np.allclose(w @ v, 0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("v_count", [4, 8, 12])
+def test_velocity_set_2d_quarter_turns_are_exact(v_count):
+    # The components that vanish in exact arithmetic (the four quarter turns)
+    # are exactly 0.0, so an axis direction moves on one axis only; every
+    # other component is the rounded cos or sin.
+    v, _ = velocity_set(2, v_count)
+    theta = 2.0 * np.pi * np.arange(v_count) / v_count
+    rounded = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    vanishing = np.abs(rounded) < 1e-12
+    assert np.count_nonzero(vanishing) == 4
+    assert np.array_equal(v, np.where(vanishing, 0.0, rounded))
+    assert not np.any(np.signbit(v[vanishing]))
+
+
 # -- build_scenario accept/reject cases --------------------------------------
 
 def test_constant_kernel_accepted():
