@@ -21,7 +21,7 @@ from .config import RunConfig, RunSettings, parse_config
 from .diagnostics import DiagnosticsReport
 from .elliptic import kernel_check, solve_signal, stencil_residual
 from .errors import BadConfig, ChemokinError, SolverFailure
-from .fields import DensityField, number_density, total_mass
+from .fields import DensityField, total_mass
 from .kinetic import StepperState, run as kinetic_run
 from .limit import eps_study
 from .model import PhaseGrid, build_scenario, velocity_set
@@ -46,22 +46,21 @@ def _dump_name(t: float) -> str:
 
 def cmd_run(cfg: RunConfig, restart: str | None = None) -> int:
     grid, spec, initial = build_scenario(cfg)
-    state = StepperState.create(grid, spec, initial)
     scenario = cfg.scenario_hash()
 
-    if restart is not None:
+    if restart is None:
+        state = StepperState.create(grid, spec, initial)
+    else:
         dump = dumpio.read_dump(restart)
         dumpio.check_compatible(dump, grid, scenario)
-        # mass0 stays the scenario's initial mass (the hash pins it), and the
-        # step count and largest defect resume from the dump, so the resumed
-        # run reports what the uninterrupted one would.
-        state = dc_replace(
-            state,
-            field=DensityField(dump.values, dump.t),
-            signal=solve_signal(number_density(dump.values, grid), grid),
-            step_count=dump.steps,
-            max_mass_defect=dump.max_mass_defect,
-        )
+        # The state is built from the dump's density, so its one signal solve
+        # reads that density.  mass0 stays the scenario's initial mass
+        # (the hash pins it), and the step count and largest defect resume
+        # from the dump, so the resumed run reports what the uninterrupted
+        # one would.
+        resumed = dc_replace(initial, p0=DensityField(dump.values, dump.t))
+        state = dc_replace(StepperState.create(grid, spec, resumed),
+                           step_count=dump.steps, max_mass_defect=dump.max_mass_defect)
 
     out = _out_dir(cfg)
     report = DiagnosticsReport(initial, spec, grid)

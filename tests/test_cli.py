@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import chemokin
+from chemokin import cli, kinetic
 from chemokin.cli import main
 from chemokin.config import parse_config
 from chemokin.errors import BadConfig
@@ -58,12 +59,17 @@ def test_python_m_chemokin_help():
     assert "study-eps" in proc.stdout
 
 
-def test_importing_the_cli_leaves_scipy_integrate_unloaded():
-    # The origin cell's quadrature is a fixed rule in elliptic; importing
-    # scipy.integrate would add ~15 MiB to every run's resident set.
+def test_importing_the_cli_loads_no_scipy_and_numpy_fft_eagerly():
+    # chemokin runs on numpy alone; any scipy module would add ~20 MiB to
+    # every run's resident set.  numpy.fft and numpy.polynomial.legendre,
+    # which numpy loads lazily, are loaded by the import, so a process
+    # forked after it pays no import in its set-up.
     proc = run_python("-c", "import sys, chemokin.cli; "
-                            "assert 'scipy.integrate' not in sys.modules")
+                            "print([m for m in sys.modules if m.split('.')[0] == 'scipy']); "
+                            "print('numpy.fft' in sys.modules, "
+                            "'numpy.polynomial.legendre' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True True"]
 
 
 EVERY_KEY_CONFIG = """\
@@ -276,6 +282,21 @@ def test_restart_equals_straight_through(tmp_path, capsys):
     # The resumed run carries on the step count and the largest defect.
     assert _run_summary(capsys.readouterr().out) == straight_summary
     assert not straight_summary.startswith("0,")
+
+
+def test_restart_solves_its_signal_once(tmp_path, monkeypatch):
+    # A restart builds its state from the dump's density: one signal solve,
+    # none for the initial data it replaces.  Restarted at t_end, it steps
+    # no further.
+    cfg = write_config(tmp_path, t_end=0.1)
+    assert main(["run", str(cfg)]) == 0
+    solves = []
+    for module in (cli, kinetic):
+        real = module.solve_signal
+        monkeypatch.setattr(module, "solve_signal",
+                            lambda n, grid, real=real: solves.append(1) or real(n, grid))
+    assert main(["run", str(cfg), "--restart", str(tmp_path / "out" / "dump_0.1.chk")]) == 0
+    assert len(solves) == 1
 
 
 def test_restart_rejects_mismatched_scenario(tmp_path):

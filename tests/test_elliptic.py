@@ -1,11 +1,11 @@
 """Signal solver fidelity: spectral residual, kernel properties, Young bounds."""
 import numpy as np
 import pytest
-from scipy import integrate, signal, special
+from scipy import fft, integrate, signal, special
 
-from chemokin.elliptic import (_cell_average_2d, _gauss_kronrod_21, _origin_cell_average_2d,
-                               green_kernel, green_spectrum, kernel_check, solve_signal,
-                               stencil_residual)
+from chemokin.elliptic import (_cell_average_2d, _gauss_kronrod_21, _k0, _k1, _next_fast_len,
+                               _origin_cell_average_2d, green_kernel, green_spectrum,
+                               kernel_check, solve_signal, stencil_residual)
 from chemokin.errors import BadConfig, NonFiniteInput
 from chemokin.model import PhaseGrid, velocity_set
 
@@ -171,6 +171,22 @@ def test_kernel_2d_mass_and_pointwise_values():
         assert kern[c + di, c + dj] == pytest.approx(corrected, rel=2e-4)
 
 
+def test_bessel_k0_k1_match_scipy():
+    # 2400 points over [1e-4, 50], plus 2 (the switch between the two
+    # series) and its neighbouring floats.
+    x = np.concatenate([np.geomspace(1e-4, 50.0, 2000), np.linspace(1.5, 2.5, 400),
+                        [np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0)]])
+    for ours, ref in ((_k0, special.k0), (_k1, special.k1)):
+        assert np.max(np.abs(ours(x) / ref(x) - 1.0)) <= 3e-15
+        # Each element's value is independent of the array it sits in.
+        assert [ours(v) for v in x[::50].tolist()] == ours(x[::50]).tolist()
+
+
+def test_next_fast_len_equals_scipy():
+    assert [_next_fast_len(n) for n in range(1, 4097)] == [
+        fft.next_fast_len(n, real=True) for n in range(1, 4097)]
+
+
 def brute_force_cell_average_2d(offs, dx, n_gauss):
     """Reference tabulation: K0/(2pi) at every Gauss point of every cell."""
     nodes, wts = np.polynomial.legendre.leggauss(n_gauss)
@@ -179,7 +195,7 @@ def brute_force_cell_average_2d(offs, dx, n_gauss):
     xx = offs[:, None, None, None] + nodes[None, None, :, None]
     yy = offs[None, :, None, None] + nodes[None, None, None, :]
     r = np.sqrt(xx ** 2 + yy ** 2)
-    vals = np.where(r > 0, special.k0(np.where(r > 0, r, 1.0)), 0.0) / (2.0 * np.pi)
+    vals = np.where(r > 0, _k0(np.where(r > 0, r, 1.0)), 0.0) / (2.0 * np.pi)
     avg = np.einsum("abij,i,j->ab", vals, wts, wts)
     i0 = np.argmin(np.abs(offs))
     if abs(offs[i0]) < 0.5 * dx:
@@ -220,14 +236,15 @@ def test_gauss_kronrod_21_is_exact_to_degree_31():
 
 def test_origin_cell_rule_equals_quad_bitwise():
     # scipy's quad accepts its first pass, dqk21, on the origin cell's
-    # octant integral at every tested dx; the fixed rule gives its bits,
-    # and so does the cell average built on it.
+    # octant integral at every tested dx; the fixed rule, which evaluates
+    # its 21 nodes in one call, gives its bits on the package's K1, and so
+    # does the cell average built on it.
     for dx in [*np.linspace(0.01, 4.0, 407), 0.25, 0.125, 0.0625]:
         h = 0.5 * dx
 
         def slice_mass(theta):
             rho = h / np.cos(theta)
-            return 1.0 - rho * special.k1(rho)
+            return 1.0 - rho * _k1(rho)
 
         ref, _ = integrate.quad(slice_mass, 0.0, 0.25 * np.pi, epsabs=1e-14, epsrel=1e-12)
         assert _gauss_kronrod_21(slice_mass, 0.0, 0.25 * np.pi) == ref, dx
