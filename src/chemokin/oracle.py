@@ -7,8 +7,9 @@ satisfies an integral identity whose right-hand side collects the
 slope-damping term and the turning gain/loss.  Discretized by the
 trapezoid rule on a time grid, the identity is a Volterra system: node
 tau_l reads only nodes tau_l' <= tau_l.  It is solved by a forward march,
-one node at a time, and then checked by a Picard sweep of the same
-quadrature (P. Linz, Analytical and Numerical Methods for Volterra
+one node at a time, and each node, once solved, is checked against its row
+of the Picard map of the same quadrature, which reuses the integrands the
+march evaluated (P. Linz, Analytical and Numerical Methods for Volterra
 Equations, SIAM 1985).  The kinetic stepper is cross-validated against
 this solver; two independent routes agreeing under refinement is the
 numerical stand-in for uniqueness.
@@ -288,48 +289,102 @@ def _characteristics(s_hist: SignalHistory, spec: ModelSpec, grid: PhaseGrid,
                             lam=lam, loss=slope / spec.epsilon + lam * col_norm)
 
 
-def _pullback(ch: _Characteristics, p0: np.ndarray) -> np.ndarray:
-    """Initial data carried to every node along the characteristics, (L+1, nx, nv, nm).
+def _pullback_node(ch: _Characteristics, p0_src: np.ndarray, l: int) -> np.ndarray:
+    """Initial data carried to node l along the characteristics, (nx, nv, nm).
 
-    Node l reads the initial data at lag l.
+    ``p0_src`` is the initial data as sources; node l reads it at lag l.
+    The copy keeps the node from holding the whole (source, target) gather.
     """
+    return np.einsum("kkxm->xkm", _interp_xm(p0_src, ch.stencils[l])).copy()
+
+
+def _pullback(ch: _Characteristics, p0: np.ndarray) -> np.ndarray:
+    """The pull-back at every node, (L+1, nx, nv, nm): the Picard map's constant term."""
     p0_src = _as_sources(p0)
-    out = np.empty((ch.n_time + 1,) + p0.shape)
-    for l in range(ch.n_time + 1):
-        out[l] = np.einsum("kkxm->xkm", _interp_xm(p0_src, ch.stencils[l]))
-    return out
+    return np.stack([_pullback_node(ch, p0_src, l) for l in range(ch.n_time + 1)])
+
+
+def _picard_row(ch: _Characteristics, pulled: np.ndarray, src: np.ndarray, l: int,
+                known: dict) -> np.ndarray:
+    """Node l >= 1 of the Picard map: its pull-back plus the quadrature over l' = 0..l.
+
+    ``pulled`` is node l's pull-back.  The integrand at l' is ``known[l']``
+    where given, and is read from the source table ``src`` (nodes as from
+    _as_sources) otherwise.
+    """
+    row = pulled.copy()
+    for lp in range(l + 1):
+        row += ch.weight(l, lp) * (known[lp] if lp in known else ch.integrand(src[lp], l, lp))
+    return row
 
 
 def _sweep(ch: _Characteristics, pullback: np.ndarray, prev: np.ndarray) -> np.ndarray:
     """One application of the Picard map: pull-back plus the quadrature of ``prev``."""
     src = _as_sources(prev)
-    nxt = pullback.copy()
+    nxt = np.empty_like(pullback)
+    nxt[0] = pullback[0]
     for l in range(1, ch.n_time + 1):
-        for lp in range(l + 1):
-            nxt[l] += ch.weight(l, lp) * ch.integrand(src[lp], l, lp)
+        nxt[l] = _picard_row(ch, pullback[l], src, l, {})
     return nxt
 
 
-def _march(ch: _Characteristics, pullback: np.ndarray) -> np.ndarray:
-    """Fixed point of the Picard map, solved forward node by node.
+def _march_terms(ch: _Characteristics, src: np.ndarray, l: int) -> dict:
+    """The march's integrands at node l, by l' < l, read from the nodes already solved."""
+    return {lp: ch.integrand(src[lp], l, lp) for lp in range(l)}
 
-    Node l reads only nodes l' <= l.  The l' < l terms are already known.
-    At l' = l the lag is zero and the state is the grid's own, for every
-    node alike, so that term is one (V, V) matrix A per (x, m) cell, and
-    node l solves (I - w A) p_l = rhs with the one inverse.
+
+def _solve_node(inv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Node l from its right-hand side: the (I - w A)^-1 of every (x, m) cell applied."""
+    return np.einsum("xkjm,xjm->xkm", inv, rhs)
+
+
+def _march(ch: _Characteristics, p0: np.ndarray,
+           check: bool) -> tuple[np.ndarray, float | None]:
+    """Fixed point of the Picard map, solved forward node by node, and its check.
+
+    Node l is its pull-back of the initial data ``p0`` plus the quadrature
+    over nodes l' <= l.  The l' < l terms are already known.  At l' = l the
+    lag is zero and the state is the grid's own, for every node alike, so
+    that term is one (V, V) matrix A per (x, m) cell, and node l solves
+    (I - w A) p_l = rhs with the one inverse.
+
+    With ``check``, each node, once solved, is compared with its row of the
+    Picard map (_picard_row, as _sweep builds it).  The row takes the
+    integrands the march evaluated for that node and evaluates any other
+    itself, among them the lag-0 term of the node just solved.  The sup over
+    nodes of |row - node| is the sup-norm move of one Picard sweep of the
+    marched field, to the bit.  After the march each row of its source
+    table must equal its marched node as sources, or SolverFailure is
+    raised.  Returns the marched field and that sup, None without ``check``.
     """
     eye = np.eye(ch.grid.n_v)
     loss = np.moveaxis(ch.loss[0], 0, -1)                          # (nx, nm, k)
     a = ch.lam[0, 0][..., None, None] * ch.gain_w - loss[..., None] * eye
     inv = np.moveaxis(np.linalg.inv(eye - ch.weight(1, 1) * a), 1, -1).copy()  # (nx, k, j, nm)
-    out = pullback.copy()
-    src = _as_sources(out)   # node l's interior is rewritten once it is solved
+    p0_src = _as_sources(p0)
+    out = np.empty((ch.n_time + 1,) + p0.shape)
+    out[0] = _pullback_node(ch, p0_src, 0)
+    src = np.zeros((ch.n_time + 1,) + p0_src.shape)   # node l's row is written once solved
+    src[0, ..., _M_GHOSTS:-_M_GHOSTS] = out[0].swapaxes(0, 1)
+    gaps = []
     for l in range(1, ch.n_time + 1):
-        for lp in range(l):
-            out[l] += ch.weight(l, lp) * ch.integrand(src[lp], l, lp)
-        out[l] = np.einsum("xkjm,xjm->xkm", inv, out[l])
+        pulled = _pullback_node(ch, p0_src, l)
+        terms = _march_terms(ch, src, l)
+        out[l] = pulled
+        for lp, term in terms.items():
+            out[l] += ch.weight(l, lp) * term
+        out[l] = _solve_node(inv, out[l])
         src[l, ..., _M_GHOSTS:-_M_GHOSTS] = out[l].swapaxes(0, 1)
-    return out
+        if check:
+            row = _picard_row(ch, pulled, src, l, terms)
+            row -= out[l]
+            gaps.append(np.abs(row, out=row).max())
+    if check:
+        for l in range(ch.n_time + 1):
+            if not np.array_equal(src[l], _as_sources(out[l]), equal_nan=True):
+                raise SolverFailure(f"Duhamel march: source table row {l} differs "
+                                    "from the marched node it holds")
+    return out, float(np.max(gaps)) if check else None   # np.max keeps a NaN
 
 
 def duhamel_solve(p0: DensityField, s_hist: SignalHistory, spec: ModelSpec,
@@ -342,12 +397,13 @@ def duhamel_solve(p0: DensityField, s_hist: SignalHistory, spec: ModelSpec,
     integral of slope damping and turning gain/loss along each backward
     characteristic, by the trapezoid rule on ``n_time`` intervals.  It is
     lower-triangular in time, so a forward march solves it in one pass
-    (_march).  ``picard_iters`` caps the check sweeps: with one or more, a
-    single Picard sweep is applied to the marched field, and if it moves
-    the field by more than ``tol`` in sup norm, SolverFailure is raised;
-    with zero the check is skipped.  ``iterations`` counts the sweeps run,
-    and the returned field is the marched one either way.  Requires the
-    horizon to contract: t * spec.growth_rate(grid) < 1.
+    (_march).  ``picard_iters`` caps the check sweeps: with one or more, the
+    march checks each node against its row of the Picard map as it goes,
+    which amounts to one Picard sweep of the marched field, and if that
+    sweep would move the field by more than ``tol`` in sup norm (or by NaN),
+    SolverFailure is raised; with zero the check is skipped.  ``iterations``
+    counts the sweeps run, and the returned field is the marched one either
+    way.  Requires the horizon to contract: t * spec.growth_rate(grid) < 1.
     """
     if grid.dim != 1:
         raise BadConfig("the Duhamel oracle is one-dimensional")
@@ -362,18 +418,13 @@ def duhamel_solve(p0: DensityField, s_hist: SignalHistory, spec: ModelSpec,
             f"horizon t = {t} gives contraction factor {t * coef:.3f} >= 1")
 
     ch = _characteristics(s_hist, spec, grid, t, n_time, rk_substeps)
-    pullback = _pullback(ch, p0.values)
-    marched = _march(ch, pullback)
+    marched, residual = _march(ch, p0.values, check=picard_iters >= 1)
 
-    sup_diffs: list[float] = []
-    if picard_iters >= 1:
-        diff = _sweep(ch, pullback, marched)
-        diff -= marched
-        sup_diffs.append(float(np.abs(diff, out=diff).max()))
-        if sup_diffs[0] > tol:
-            raise SolverFailure(
-                f"Duhamel fixed-point residual {sup_diffs[0]:.3e} > tol = {tol:.3e}: "
-                "one Picard sweep moves the marched field")
+    sup_diffs = [] if residual is None else [residual]
+    if sup_diffs and not residual <= tol:   # a NaN residual fails too
+        raise SolverFailure(
+            f"Duhamel fixed-point residual {residual:.3e} > tol = {tol:.3e}: "
+            "one Picard sweep moves the marched field")
 
     return DuhamelResult(field=DensityField(marched[-1], t), iterations=len(sup_diffs),
                          sup_diffs=sup_diffs)

@@ -503,9 +503,9 @@ def test_verify_passes_on_small_scenario(tmp_path, capsys):
 
 
 def test_verify_oracle_residual_failure_exits_4(tmp_path, monkeypatch, capsys):
-    # A march that stops at the pull-back leaves a residual the check sweep sees.
+    # A node solve that returns its right-hand side leaves a residual the check sees.
     from chemokin import oracle
-    monkeypatch.setattr(oracle, "_march", lambda ch, pullback: pullback)
+    monkeypatch.setattr(oracle, "_solve_node", lambda inv, rhs: rhs)
     assert main(["verify", str(write_config(tmp_path))]) == 4
     assert "fixed-point residual" in capsys.readouterr().err
 

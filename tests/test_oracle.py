@@ -9,8 +9,8 @@ from chemokin.fields import DensityField, total_mass
 from chemokin.kinetic import StepperState, macro_step
 from chemokin.model import (AdaptationModel, ModelSpec, PhaseGrid, TurningModel,
                             package_initial, velocity_set)
-from chemokin.oracle import (SignalHistory, _as_sources, _characteristics, _interp_xm,
-                             _march, _pullback, _rk4_backward, _stencil, _sweep,
+from chemokin.oracle import (_M_GHOSTS, SignalHistory, _as_sources, _characteristics,
+                             _interp_xm, _march, _pullback, _rk4_backward, _stencil, _sweep,
                              duhamel_solve)
 
 
@@ -407,25 +407,106 @@ def test_march_is_a_fixed_point_of_the_brute_force_map(case):
     p0 = rng.random(grid.field_shape)
     t = 0.25
     ch = _characteristics(SignalHistory.constant(s_field, grid), spec, grid, t, n_time, 2)
-    marched = _march(ch, _pullback(ch, p0))
+    marched, _ = _march(ch, p0, check=False)
     _, apply = brute_force_map(p0, s_field, spec, grid, t, n_time, rk_substeps=2)
     assert np.max(np.abs(apply(marched) - marched)) <= 1e-12 * np.abs(marched).max()
 
 
-def test_residual_sweep_rejects_an_unsolved_march(monkeypatch):
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(march_cases())
+def test_march_check_residual_equals_one_picard_sweep_bitwise(case):
+    # The march checks each node against its Picard row as it goes, reusing
+    # its own integrands; the sup of those row gaps must be the sup-norm move
+    # of one whole sweep of the marched field, to the bit.
+    grid, spec, n_time, seed = case
+    rng = np.random.default_rng(seed)
+    hist = SignalHistory.constant(0.2 + 0.6 * rng.random(grid.x_nodes), grid)
+    ch = _characteristics(hist, spec, grid, 0.25, n_time, 2)
+    p0 = rng.random(grid.field_shape)
+    pullback = _pullback(ch, p0)
+    marched, residual = _march(ch, p0, check=True)
+    unchecked, none = _march(ch, p0, check=False)
+    assert none is None and np.array_equal(marched, unchecked)
+    assert residual == np.abs(_sweep(ch, pullback, marched) - marched).max()
+
+
+def oracle_case():
     grid, spec = make_setup(nx=8, nm=8, kappa=0.8, lambda0=0.4)
     hist = SignalHistory.constant(0.3 + 0.2 * np.cos(grid.x_centers), grid)
     p0 = DensityField(np.random.default_rng(5).random(grid.field_shape))
-    t = 0.3 / spec.growth_rate(grid)
+    return p0, hist, spec, grid, 0.3 / spec.growth_rate(grid)
+
+
+def test_residual_sweep_rejects_an_unsolved_march(monkeypatch):
+    p0, hist, spec, grid, t = oracle_case()
     res = duhamel_solve(p0, hist, spec, grid, t, picard_iters=1, n_time=6)
     assert res.iterations == 1 and res.sup_diffs[0] <= 1e-10
-    # A march that returns the pull-back is far from the fixed point: the
-    # one check sweep moves it by more than tol.
-    monkeypatch.setattr(oracle, "_march", lambda ch, pullback: pullback)
+    # A node solve that returns its right-hand side leaves every node short
+    # of its lag-0 term, which the check evaluates from the node itself.
+    monkeypatch.setattr(oracle, "_solve_node", lambda inv, rhs: rhs)
     with pytest.raises(SolverFailure, match="residual"):
         duhamel_solve(p0, hist, spec, grid, t, picard_iters=1, n_time=6)
-    # picard_iters = 0 runs no check sweep.
+    # picard_iters = 0 runs no check.
     assert duhamel_solve(p0, hist, spec, grid, t, picard_iters=0, n_time=6).iterations == 0
+
+
+def test_residual_check_rejects_a_non_finite_march(monkeypatch):
+    # A NaN residual compares false with tol, and must fail all the same.
+    p0, hist, spec, grid, t = oracle_case()
+    monkeypatch.setattr(oracle, "_solve_node", lambda inv, rhs: np.full_like(rhs, np.nan))
+    with pytest.raises(SolverFailure, match="residual nan"):
+        duhamel_solve(p0, hist, spec, grid, t, picard_iters=1, n_time=6)
+
+
+def test_residual_check_rejects_a_march_that_drops_a_term(monkeypatch):
+    # The check keeps its own loop over l' = 0..l: a term the march never
+    # evaluated is evaluated by the check, and its absence shows.
+    p0, hist, spec, grid, t = oracle_case()
+    real = oracle._march_terms
+
+    def drop_last(ch, src, l):
+        return {lp: term for lp, term in real(ch, src, l).items() if lp != l - 1}
+
+    monkeypatch.setattr(oracle, "_march_terms", drop_last)
+    with pytest.raises(SolverFailure, match="residual"):
+        duhamel_solve(p0, hist, spec, grid, t, picard_iters=1, n_time=6)
+
+
+def test_check_rejects_a_source_row_that_differs_from_its_node(monkeypatch):
+    # Node l - 1's row is scaled once node l has read it, so later nodes read
+    # a table that is not the marched field.  The row check reuses those
+    # terms and cannot see it; the comparison of each row with its node does.
+    p0, hist, spec, grid, t = oracle_case()
+    real = oracle._march_terms
+
+    def stale(ch, src, l):
+        terms = real(ch, src, l)
+        src[l - 1, ..., _M_GHOSTS:-_M_GHOSTS] *= 2.0
+        return terms
+
+    monkeypatch.setattr(oracle, "_march_terms", stale)
+    with pytest.raises(SolverFailure, match="source table row"):
+        duhamel_solve(p0, hist, spec, grid, t, picard_iters=1, n_time=6)
+
+
+def test_check_evaluates_only_the_lag_zero_terms(monkeypatch):
+    # The march evaluates n(n+1)/2 integrands; the check adds the n lag-0
+    # terms of the nodes it checks, and with picard_iters = 0 nothing.
+    p0, hist, spec, grid, t = oracle_case()
+    lags = []
+    real = oracle._Characteristics.integrand
+
+    def counted(ch, src, l, lp):
+        lags.append(l - lp)
+        return real(ch, src, l, lp)
+
+    monkeypatch.setattr(oracle._Characteristics, "integrand", counted)
+    n_time = 8
+    duhamel_solve(p0, hist, spec, grid, t, picard_iters=0, n_time=n_time)
+    assert len(lags) == n_time * (n_time + 1) // 2 and 0 not in lags
+    lags.clear()
+    duhamel_solve(p0, hist, spec, grid, t, picard_iters=1, n_time=n_time)
+    assert len(lags) == n_time * (n_time + 3) // 2 and lags.count(0) == n_time
 
 
 @st.composite
