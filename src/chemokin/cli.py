@@ -17,14 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from . import dumpio
-from .config import RunConfig, RunSettings, parse_config
+from .config import RunConfig, RunSettings, output_times, parse_config
 from .diagnostics import DiagnosticsReport
 from .elliptic import kernel_check, solve_signal, stencil_residual
 from .errors import BadConfig, ChemokinError, SolverFailure
 from .fields import DensityField, total_mass
 from .kinetic import StepperState, run as kinetic_run
 from .limit import eps_study
-from .model import PhaseGrid, build_scenario, velocity_set
+from .model import InitialData, ModelSpec, PhaseGrid, build_scenario, velocity_set
 from .oracle import SignalHistory, duhamel_solve
 
 EXIT_OK = 0
@@ -44,34 +44,75 @@ def _dump_name(t: float) -> str:
     return f"dump_{t:.9g}.chk"
 
 
+def _check_dump_names(t_start: float, t_end: float, output_every: float) -> None:
+    """Refuse a schedule two of whose output instants would share a dump file.
+
+    ``kinetic.run`` reports t_start and every instant ``output_times``
+    gives after it; ``_dump_name`` keeps nine significant digits, so two
+    instants closer than that would write one file, the later replacing
+    the earlier.
+    """
+    instants = [t_start] + [t for t in output_times(t_start, t_end, output_every)
+                            if t > t_start]
+    named: dict[str, float] = {}
+    for t in instants:
+        name = _dump_name(t)
+        if name in named:
+            raise BadConfig(f"output instants {named[name]!r} and {t!r} would share the "
+                            f"dump file {name}; change t_end or output_every")
+        named[name] = t
+
+
+def _first_state(grid: PhaseGrid, spec: ModelSpec, initial: InitialData,
+                 restart: str | None, scenario: str) -> StepperState:
+    """The state a run starts from: the scenario's, or the dump's on a restart.
+
+    On a restart the ``Dump`` and the resumed initial data end with this
+    call; the state keeps only the dump's density.
+    """
+    if restart is None:
+        return StepperState.create(grid, spec, initial)
+    dump = dumpio.read_dump(restart)
+    dumpio.check_compatible(dump, grid, scenario)
+    # The state is built from the dump's density, so its one signal solve
+    # reads that density.  mass0 stays the scenario's initial mass (the hash
+    # pins it), and the step count and largest defect resume from the dump,
+    # so the resumed run reports what the uninterrupted one would.
+    resumed = dc_replace(initial, p0=DensityField(dump.values, dump.t))
+    return dc_replace(StepperState.create(grid, spec, resumed),
+                      step_count=dump.steps, max_mass_defect=dump.max_mass_defect)
+
+
 def cmd_run(cfg: RunConfig, restart: str | None = None) -> int:
+    """Run a scenario, or resume it from a dump, writing dumps and diagnostics.
+
+    A dump is written at the start and at every output instant, and
+    ``final.chk`` is a copy of the last one.  The run holds no density but
+    its step's: the report keeps the initial data's scalars, and the first
+    state is handed to ``kinetic.run`` with no reference left here, so the
+    initial density (which the first state shares) is freed by the first
+    step.  A schedule two of whose instants would share a dump name is a
+    ``BadConfig`` before the first step.
+    """
     grid, spec, initial = build_scenario(cfg)
     scenario = cfg.scenario_hash()
-
-    if restart is None:
-        state = StepperState.create(grid, spec, initial)
-    else:
-        dump = dumpio.read_dump(restart)
-        dumpio.check_compatible(dump, grid, scenario)
-        # The state is built from the dump's density, so its one signal solve
-        # reads that density.  mass0 stays the scenario's initial mass
-        # (the hash pins it), and the step count and largest defect resume
-        # from the dump, so the resumed run reports what the uninterrupted
-        # one would.
-        resumed = dc_replace(initial, p0=DensityField(dump.values, dump.t))
-        state = dc_replace(StepperState.create(grid, spec, resumed),
-                           step_count=dump.steps, max_mass_defect=dump.max_mass_defect)
-
-    out = _out_dir(cfg)
     report = DiagnosticsReport(initial, spec, grid)
+    first = [_first_state(grid, spec, initial, restart, scenario)]
+    del initial
+    _check_dump_names(first[0].t, cfg.run.t_end, cfg.run.output_every)
+    out = _out_dir(cfg)
 
-    def write(path: Path, st: StepperState) -> None:
-        dumpio.write_dump(path, st.field.values, st.t, grid, spec.epsilon, scenario,
-                          steps=st.step_count, max_mass_defect=st.max_mass_defect)
+    def write(st: StepperState) -> None:
+        dumpio.write_dump(out / _dump_name(st.t), st.field.values, st.t, grid, spec.epsilon,
+                          scenario, steps=st.step_count, max_mass_defect=st.max_mass_defect)
 
-    state, _ = kinetic_run(state, cfg.run.t_end, cfg.run.output_every, report=report,
-                           observer=lambda st: write(out / _dump_name(st.t), st))
-    write(out / "final.chk", state)
+    # Popped into the call, so no name here keeps the first density alive
+    # while the run steps on from it.  (CPython 3.11 and later hand a call's
+    # arguments over to the callee's frame; 3.10 keeps them on the caller's
+    # stack until the call returns, and so still holds the first density.)
+    state, _ = kinetic_run(first.pop(), cfg.run.t_end, cfg.run.output_every,
+                           report=report, observer=write)
+    dumpio.copy_dump(out / _dump_name(state.t), out / "final.chk")
     report.write_csv(out / "diagnostics.csv")
 
     if report.failed:

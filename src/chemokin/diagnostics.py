@@ -84,7 +84,16 @@ def growth_factor(rate: float, t: float) -> float:
         return float(1.0 + rate * t * np.exp(rate * t))
 
 
-def envelope_check(row: ReportRow, initial: InitialData, spec: ModelSpec,
+@dataclass(frozen=True)
+class InitialScalars:
+    """The scalars of ``InitialData`` that the envelopes read, without its density."""
+
+    mass: float
+    p0_sup: float
+    pbar0_sup: float
+
+
+def envelope_check(row: ReportRow, initial: InitialData | InitialScalars, spec: ModelSpec,
                    grid: PhaseGrid) -> dict[str, float]:
     """Fill in margins envelope(t) - observed for all monitored bounds.
 
@@ -107,10 +116,15 @@ def envelope_check(row: ReportRow, initial: InitialData, spec: ModelSpec,
 
 
 class DiagnosticsReport:
-    """Time series of monitored rows with envelope pass/fail tracking."""
+    """Time series of monitored rows with envelope pass/fail tracking.
+
+    The report keeps the initial data's scalars (``InitialScalars``), not
+    its density, so a report that lives as long as a run does not hold the
+    initial density after the first step has replaced it.
+    """
 
     def __init__(self, initial: InitialData, spec: ModelSpec, grid: PhaseGrid):
-        self.initial = initial
+        self.initial = InitialScalars(initial.mass, initial.p0_sup, initial.pbar0_sup)
         self.spec = spec
         self.grid = grid
         self.rows: list[ReportRow] = []

@@ -10,13 +10,17 @@ written with ``repr`` so they round-trip bit-exactly; the payload is the
 density array in row-major order, x outermost and m innermost, whatever
 the layout in memory: the solver's x-innermost (v, m, *x) buffer is
 transposed on write, a block of ``WRITE_BLOCK`` x-cells at a time through
-one small buffer, and on read straight into a fresh buffer of that
-layout.  ``read_dump`` refuses a payload with a non-finite or negative
-cell, so restart and ``compare`` take what it returns as read.
+one small buffer, and on read straight from the file's bytes (a view,
+not a copy) into a fresh buffer of that layout, so a read holds the file
+and the density it returns.  ``final.chk`` is a byte copy of a dump
+(``copy_dump``).  ``read_dump`` refuses a payload with a non-finite or
+negative cell, so restart and ``compare`` take what it returns as read.
 """
 from __future__ import annotations
 
 import os
+import shutil
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -103,17 +107,33 @@ def write_dump(path: str | Path, values: np.ndarray, t: float, grid: PhaseGrid,
     rows = q.reshape(q.shape[0] * q.shape[1], -1)
     n_x = rows.shape[1]
     block = np.empty((min(WRITE_BLOCK, n_x), len(rows)), dtype="<f8")
-    # Write a sibling file and rename it over the target, so a reader (or a
-    # restart after a crash) sees either the old dump or the complete new one.
+    with _replacing(path) as fh:
+        fh.write(("\n".join(header) + "\n").encode("ascii"))
+        for lo in range(0, n_x, WRITE_BLOCK):
+            part = block[:min(WRITE_BLOCK, n_x - lo)]
+            _transpose_into(part, rows[:, lo:lo + WRITE_BLOCK])
+            fh.write(part)
+
+
+def copy_dump(src: str | Path, dst: str | Path) -> None:
+    """Copy the dump file ``src`` to ``dst`` byte for byte, as atomically as ``write_dump``."""
+    with open(src, "rb") as fin, _replacing(dst) as fout:
+        shutil.copyfileobj(fin, fout)
+
+
+@contextmanager
+def _replacing(path: str | Path):
+    """A binary file that replaces ``path`` when the block ends without an error.
+
+    It is written as a sibling and renamed over the target, so a reader (or
+    a restart after a crash) sees either the old file or the complete new
+    one; an error removes the sibling and leaves the target as it was.
+    """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(("\n".join(header) + "\n").encode("ascii"))
-            for lo in range(0, n_x, WRITE_BLOCK):
-                part = block[:min(WRITE_BLOCK, n_x - lo)]
-                _transpose_into(part, rows[:, lo:lo + WRITE_BLOCK])
-                fh.write(part)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -162,12 +182,13 @@ def read_dump(path: str | Path) -> Dump:
         raise BadConfig(f"{path}: bookkeeping out of range (steps = {steps}, "
                         f"max_mass_defect = {max_mass_defect})")
 
-    payload = raw[cut + len(end_marker):]
-    data = np.frombuffer(payload, dtype="<f8")
+    # The payload is read in place, a view of the file's bytes, not a copy.
+    start = cut + len(end_marker)
     expected = int(np.prod(grid.field_shape))
-    if data.size != expected:
-        raise BadConfig(
-            f"{path}: payload holds {data.size} values, header promises {expected}")
+    if len(raw) - start != 8 * expected:
+        raise BadConfig(f"{path}: payload holds {len(raw) - start} bytes, header promises "
+                        f"{expected} float64 values")
+    data = np.frombuffer(raw, dtype="<f8", offset=start)
     # A dump is outside input, so a bad cell is a bad config, not a solver
     # failure met later.  "< 0" lets -0.0 through: it is a valid density.
     if not np.all(np.isfinite(data)):

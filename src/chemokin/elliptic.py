@@ -221,6 +221,10 @@ def _origin_cell_average_2d(dx: float) -> float:
     return (8.0 * val) / (2.0 * np.pi) / dx ** 2
 
 
+#: Rows of cell averages gathered and summed at a time (``_cell_average_2d``).
+AVERAGE_BLOCK = 16
+
+
 def _cell_average_2d(offs: np.ndarray, dx: float, n_gauss: int = 8) -> np.ndarray:
     """Cell averages of K0(r)/(2pi) on the grid of cell centers offs x offs.
 
@@ -232,11 +236,16 @@ def _cell_average_2d(offs: np.ndarray, dx: float, n_gauss: int = 8) -> np.ndarra
     r = sqrt(x^2 + y^2), which depends only on |x| and |y|: squaring is
     exact in sign, and x^2 + y^2 == y^2 + x^2 in IEEE arithmetic.  So K0 is
     evaluated once per pair of distinct |x| values, on the upper triangle
-    of a table (in blocks of rows, mirrored below), and the table is
-    gathered back into the (a, b, i, j) array that evaluating every point
-    would give.  Each entry carries the bits of its direct evaluation, and
-    the einsum sums the same array in the same order, so the averages are
-    bitwise those of the point-by-point tabulation.
+    of a table (32 rows at a time, mirrored below), and the table is
+    gathered back into the (a, b, i, j) values that evaluating every point
+    would give, ``AVERAGE_BLOCK`` rows a at a time, each block summed by
+    its own einsum.  Each entry carries the bits of its direct evaluation,
+    and every average sums the same values in the same order, so the
+    averages are bitwise those of the point-by-point tabulation.
+
+    Memory: the table plus one block's temporaries.  A block holds
+    AVERAGE_BLOCK * offs.size * n_gauss^2 values (1 MiB at offs.size = 127,
+    n_gauss = 8); the whole (a, b, i, j) array would hold 7.9 MiB.
     """
     nodes, wts = legendre.leggauss(n_gauss)
     nodes = 0.5 * dx * nodes
@@ -245,15 +254,18 @@ def _cell_average_2d(offs: np.ndarray, dx: float, n_gauss: int = 8) -> np.ndarra
     ax, inv = np.unique(np.abs(offs[:, None] + nodes), return_inverse=True)
     sq = ax ** 2
     tab = np.empty((ax.size, ax.size))
-    for lo in range(0, ax.size, 64):
-        hi = lo + 64
+    for lo in range(0, ax.size, 32):
+        hi = lo + 32
         r = np.sqrt(sq[lo:hi, None] + sq[lo:])
         tab[lo:hi, lo:] = np.where(r > 0, _k0(np.where(r > 0, r, 1.0)), 0.0) / (2.0 * np.pi)
         tab[hi:, lo:hi] = tab[lo:hi, hi:].T
 
     inv = inv.reshape(offs.size, n_gauss)
-    vals = tab[inv[:, None, :, None], inv[None, :, None, :]]
-    avg = np.einsum("abij,i,j->ab", vals, wts, wts)
+    avg = np.empty((offs.size, offs.size))
+    for lo in range(0, offs.size, AVERAGE_BLOCK):
+        rows = inv[lo:lo + AVERAGE_BLOCK, None, :, None]
+        avg[lo:lo + AVERAGE_BLOCK] = np.einsum(
+            "abij,i,j->ab", tab[rows, inv[None, :, None, :]], wts, wts)
 
     i0 = np.argmin(np.abs(offs))
     if abs(offs[i0]) < 0.5 * dx:

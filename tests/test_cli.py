@@ -251,6 +251,64 @@ def test_run_writes_dumps_and_diagnostics(tmp_path, capsys):
     assert (out / "dump_0.2.chk").exists()
 
 
+def test_final_dump_is_the_t_end_dump_byte_for_byte(tmp_path):
+    # final.chk is a copy of the dump written at t_end, in a straight run
+    # and in a restart.
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg)]) == 0
+    assert (out / "final.chk").read_bytes() == (out / "dump_0.2.chk").read_bytes()
+    (out / "final.chk").unlink()
+    (out / "dump_0.1.chk").rename(tmp_path / "mid.chk")
+    assert main(["run", str(cfg), "--restart", str(tmp_path / "mid.chk")]) == 0
+    assert (out / "final.chk").read_bytes() == (out / "dump_0.2.chk").read_bytes()
+    assert not list(out.glob(".*.tmp"))
+
+
+def test_run_refuses_output_instants_that_share_a_dump_name(tmp_path, capsys):
+    # dump_0.2.chk would be written at t = 0.2 and again at t_end; the
+    # schedule is refused before the first step, and no dump is written.
+    cfg = write_config(tmp_path, t_end=0.2000000001)
+    assert main(["run", str(cfg)]) == 2
+    assert "dump_0.2.chk" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out/*.chk"))
+
+
+PERIODIC_2D_CONFIG = """\
+[grid]
+dim = 2
+x_nodes = 64
+x_extent = 16.0
+v_count = 8
+m_nodes = 16
+
+[model]
+eps = 3.0
+
+[run]
+t_end = 0.5
+output_every = 0.25
+out_dir = {out}
+"""
+
+
+def test_run_holds_only_its_steps_densities(tmp_path):
+    # A run holds the step's input, its result and the work buffer, plus
+    # small scratch: neither the initial density nor the report keeps a
+    # density once the first step has replaced it.
+    import tracemalloc
+    cfg = tmp_path / "periodic_2d.cfg"
+    cfg.write_text(PERIODIC_2D_CONFIG.format(out=tmp_path / "out"))
+    density = 64 * 64 * 8 * 16 * 8
+    tracemalloc.start()
+    try:
+        assert main(["run", str(cfg)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * density, peak / density
+
+
 def test_run_determinism_bitwise(tmp_path):
     cfg_path = write_config(tmp_path)
     assert main(["run", str(cfg_path)]) == 0

@@ -225,6 +225,22 @@ def test_kernel_2d_table_equals_brute_force_without_origin_cell(n_gauss):
     assert np.array_equal(_cell_average_2d(offs, dx, n_gauss), ref)
 
 
+def test_kernel_2d_table_peak_stays_below_one_free_2d_density():
+    # The (a, b, i, j) quadrature values are gathered a block of rows at a
+    # time: free_2d's table (n_offsets = 63) peaks below one 64^2 x 8 x 16
+    # density, where the whole array alone is 127^2 * 8^2 doubles (7.9 MiB).
+    import tracemalloc
+    dx = 0.25
+    offs = np.arange(-63, 64) * dx
+    tracemalloc.start()
+    try:
+        _cell_average_2d(offs, dx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 64 * 8 * 16 * 8, peak / 2 ** 20
+
+
 def test_gauss_kronrod_21_is_exact_to_degree_31():
     # 21 Kronrod nodes integrate polynomials of degree 3 * 10 + 1 exactly.
     for deg in (0, 1, 7, 20, 31):

@@ -106,3 +106,24 @@ def test_dump_payload_is_the_row_major_density(tmp_path, dim, x_nodes):
     assert payload == np.ascontiguousarray(values, "<f8").tobytes()
     read = dumpio.read_dump(path).values
     assert backed_by_vmx_buffer(read) and read.tobytes() == values.tobytes()
+
+
+def test_read_dump_holds_the_file_and_the_density_only(tmp_path):
+    # The payload is read in place from the file's bytes, so a read peaks at
+    # the file plus the density it returns (and a byte mask), not a third
+    # density for a copy of the payload.
+    import tracemalloc
+    v, w = velocity_set(2, 8)
+    grid = PhaseGrid(dim=2, x_nodes=32, x_extent=8.0, x_topology="free",
+                     velocities=v, weights=w, m_nodes=16, m_max=1.7)
+    values = in_layout(np.random.default_rng(0).random(grid.field_shape))
+    path = tmp_path / "d.chk"
+    dumpio.write_dump(path, values, 0.0, grid, 1.0, "x")
+    tracemalloc.start()
+    try:
+        read = dumpio.read_dump(path).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read.tobytes() == values.tobytes()
+    assert peak < 2.5 * values.nbytes, peak / values.nbytes

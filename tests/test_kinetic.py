@@ -1034,9 +1034,10 @@ def test_dump_rejects_corruption(tmp_path):
         dumpio.read_dump(not_a_dump)
 
     truncated = tmp_path / "short.chk"
-    truncated.write_bytes(path.read_bytes()[:-16])
-    with pytest.raises(BadConfig, match="payload"):
-        dumpio.read_dump(truncated)
+    for cut in (16, 3):  # whole values short, and a part of one
+        truncated.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(BadConfig, match="payload"):
+            dumpio.read_dump(truncated)
 
     negative = tmp_path / "negative.chk"
     negative.write_bytes(path.read_bytes().replace(b"steps=0\n", b"steps=-1\n"))
