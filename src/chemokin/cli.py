@@ -21,7 +21,7 @@ from .config import RunConfig, RunSettings, output_times, parse_config
 from .diagnostics import DiagnosticsReport
 from .elliptic import kernel_check, solve_signal, stencil_residual
 from .errors import BadConfig, ChemokinError, SolverFailure
-from .fields import DensityField, total_mass
+from .fields import DensityField, total_mass, vmx
 from .kinetic import StepperState, run as kinetic_run
 from .limit import eps_study
 from .model import InitialData, ModelSpec, PhaseGrid, build_scenario, velocity_set
@@ -256,9 +256,9 @@ def cmd_compare(path_a: str, path_b: str) -> int:
     return EXIT_OK
 
 
-def _dump_bytes(dump: dumpio.Dump) -> bytes:
-    """The time stamp and the payload as CHKIN1 stores them, x outermost."""
-    return np.float64(dump.t).tobytes() + np.ascontiguousarray(dump.values).tobytes()
+def _dump_bytes(dump: dumpio.Dump) -> tuple[bytes, bytes]:
+    """The time stamp and the payload as a dump stores them, in (v, m, *x) order."""
+    return np.float64(dump.t).tobytes(), vmx(dump.values).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,23 @@
 """Field dump format: text header, then raw little-endian float64 payload.
 
-The header starts with the magic ``CHKIN1`` and carries the grid
+The header starts with the magic ``CHKIN2`` and carries the grid
 signature (dims, spacings, the velocity nodes with their weights), the
 time stamp, the adaptation time scale and the scenario hash, plus the
 run's bookkeeping: macro steps taken and the largest mass defect so far.
 The two bookkeeping keys are optional on reading (0 and 0.0), so dumps
 written without them still read.  Floats are
 written with ``repr`` so they round-trip bit-exactly; the payload is the
-density array in row-major order, x outermost and m innermost, whatever
-the layout in memory: the solver's x-innermost (v, m, *x) buffer is
-transposed on write, a block of ``WRITE_BLOCK`` x-cells at a time through
-one small buffer, and on read straight from the file's bytes (a view,
-not a copy) into a fresh buffer of that layout, so a read holds the file
-and the density it returns.  ``final.chk`` is a byte copy of a dump
+density's own C-contiguous (v, m, *x) buffer (``fields``), byte for byte:
+``write_dump`` writes ``vmx(values)`` in one write, and ``read_dump`` reads
+the payload straight into a fresh buffer of that layout, so a read holds
+one density.  A ``CHKIN1`` file, the older format with x outermost, is
+refused, never misread.  ``final.chk`` is a byte copy of a dump
 (``copy_dump``).  ``read_dump`` refuses a payload with a non-finite or
 negative cell, so restart and ``compare`` take what it returns as read.
 """
 from __future__ import annotations
 
+import math
 import os
 import shutil
 from contextlib import contextmanager
@@ -30,12 +30,10 @@ from .errors import BadConfig, ChemokinError
 from .fields import vmx, xvm
 from .model import PhaseGrid
 
-MAGIC = "CHKIN1"
+MAGIC = "CHKIN2"
+#: The magic of the older format, whose payload is x outermost.
+_OLD_MAGIC = "CHKIN1"
 _END = "END_HEADER"
-#: x-cells per block of the payload transposed and written at a time.
-WRITE_BLOCK = 256
-#: Rows of the source per tile of a transposing copy (``_transpose_into``).
-TILE_ROWS = 32
 
 
 @dataclass
@@ -44,7 +42,8 @@ class Dump:
 
     The flat grid fields repeat the header's numbers next to ``grid``, so a
     reader that wants them (the benchmark's mass check) needs no
-    ``PhaseGrid``.
+    ``PhaseGrid``.  ``values`` is the (*x, v, m) view of the (v, m, *x)
+    buffer the payload was read into.
     """
 
     grid: PhaseGrid
@@ -66,16 +65,6 @@ class Dump:
 
 def _floats_csv(arr: np.ndarray) -> str:
     return ",".join(repr(float(v)) for v in np.asarray(arr).ravel())
-
-
-def _transpose_into(dst: np.ndarray, src: np.ndarray) -> None:
-    """dst[...] = src.T, TILE_ROWS rows of src at a time.
-
-    Tiles keep the strided side of the copy in cache: a 4 MiB dump copies
-    in under half the time of one whole transposing copy.
-    """
-    for lo in range(0, len(src), TILE_ROWS):
-        dst[:, lo:lo + TILE_ROWS] = src[lo:lo + TILE_ROWS].T
 
 
 def write_dump(path: str | Path, values: np.ndarray, t: float, grid: PhaseGrid,
@@ -101,18 +90,9 @@ def write_dump(path: str | Path, values: np.ndarray, t: float, grid: PhaseGrid,
         f"max_mass_defect={float(max_mass_defect)!r}",
         _END,
     ]
-    # The (v*m, X) rows of the x-innermost buffer; each block of x-cells is
-    # transposed into ``block`` (x outermost) and written from there.
-    q = np.ascontiguousarray(vmx(values), dtype="<f8")
-    rows = q.reshape(q.shape[0] * q.shape[1], -1)
-    n_x = rows.shape[1]
-    block = np.empty((min(WRITE_BLOCK, n_x), len(rows)), dtype="<f8")
     with _replacing(path) as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
-        for lo in range(0, n_x, WRITE_BLOCK):
-            part = block[:min(WRITE_BLOCK, n_x - lo)]
-            _transpose_into(part, rows[:, lo:lo + WRITE_BLOCK])
-            fh.write(part)
+        fh.write(np.ascontiguousarray(vmx(values), dtype="<f8"))
 
 
 def copy_dump(src: str | Path, dst: str | Path) -> None:
@@ -141,63 +121,70 @@ def _replacing(path: str | Path):
 
 
 def read_dump(path: str | Path) -> Dump:
-    raw = Path(path).read_bytes()
     end_marker = (_END + "\n").encode("ascii")
-    cut = raw.find(end_marker)
-    if cut < 0 or not raw.startswith((MAGIC + "\n").encode("ascii")):
-        raise BadConfig(f"{path}: not a CHKIN1 dump")
-    fields: dict[str, str] = {}
-    for line in raw[:cut].decode("ascii").splitlines()[1:]:
-        key, _, val = line.partition("=")
-        fields[key] = val
+    with open(path, "rb") as fh:
+        magic = fh.readline(len(MAGIC) + 1)
+        if magic == (_OLD_MAGIC + "\n").encode("ascii"):
+            raise BadConfig(f"{path}: a {_OLD_MAGIC} dump, the older format with x "
+                            f"outermost; only {MAGIC} dumps are read")
+        if magic != (MAGIC + "\n").encode("ascii"):
+            raise BadConfig(f"{path}: not a {MAGIC} dump")
+        lines = []
+        for line in fh:
+            if line == end_marker:
+                break
+            lines.append(line)
+        else:
+            raise BadConfig(f"{path}: not a {MAGIC} dump (no {_END} line)")
+        try:
+            fields = dict(line.decode("ascii").rstrip("\n").partition("=")[::2]
+                          for line in lines)
+            dim = int(fields["dim"])
+            v_count = int(fields["v_count"])
+            weights = np.array([float(v) for v in fields["w"].split(",")])
+            velocities = np.array([float(v) for v in fields["v"].split(",")])
+            if v_count != weights.size:
+                raise ValueError(f"v_count = {v_count} but {weights.size} weights")
+            header = dict(
+                dim=dim,
+                x_nodes=int(fields["x_nodes"]),
+                x_extent=float(fields["x_extent"]),
+                x_topology=fields["x_topology"],
+                velocities=velocities.reshape(v_count, dim),
+                weights=weights,
+                m_nodes=int(fields["m_nodes"]),
+                m_max=float(fields["m_max"]),
+            )
+            t, eps, scenario = float(fields["t"]), float(fields["eps"]), fields["scenario"]
+            steps = int(fields.get("steps", "0"))
+            max_mass_defect = float(fields.get("max_mass_defect", "0.0"))
+        except (KeyError, ValueError) as exc:
+            raise BadConfig(f"{path}: malformed dump header ({exc})") from exc
+        try:
+            grid = PhaseGrid(**header)
+        except ChemokinError as exc:
+            raise BadConfig(f"{path}: grid out of range ({exc})") from exc
+        if not (0.0 <= t < np.inf and 0.0 < eps < np.inf):
+            raise BadConfig(f"{path}: time stamp or eps out of range (t = {t}, eps = {eps})")
+        if steps < 0 or not 0.0 <= max_mass_defect < np.inf:
+            raise BadConfig(f"{path}: bookkeeping out of range (steps = {steps}, "
+                            f"max_mass_defect = {max_mass_defect})")
 
-    try:
-        dim = int(fields["dim"])
-        v_count = int(fields["v_count"])
-        weights = np.array([float(v) for v in fields["w"].split(",")])
-        if v_count != weights.size:
-            raise ValueError(f"v_count = {v_count} but {weights.size} weights")
-        header = dict(
-            dim=dim,
-            x_nodes=int(fields["x_nodes"]),
-            x_extent=float(fields["x_extent"]),
-            x_topology=fields["x_topology"],
-            velocities=np.array([float(v) for v in fields["v"].split(",")]).reshape(v_count, dim),
-            weights=weights,
-            m_nodes=int(fields["m_nodes"]),
-            m_max=float(fields["m_max"]),
-        )
-        t, eps, scenario = float(fields["t"]), float(fields["eps"]), fields["scenario"]
-        steps = int(fields.get("steps", "0"))
-        max_mass_defect = float(fields.get("max_mass_defect", "0.0"))
-    except (KeyError, ValueError) as exc:
-        raise BadConfig(f"{path}: malformed dump header ({exc})") from exc
-    try:
-        grid = PhaseGrid(**header)
-    except ChemokinError as exc:
-        raise BadConfig(f"{path}: grid out of range ({exc})") from exc
-    if not (0.0 <= t < np.inf and 0.0 < eps < np.inf):
-        raise BadConfig(f"{path}: time stamp or eps out of range (t = {t}, eps = {eps})")
-    if steps < 0 or not 0.0 <= max_mass_defect < np.inf:
-        raise BadConfig(f"{path}: bookkeeping out of range (steps = {steps}, "
-                        f"max_mass_defect = {max_mass_defect})")
-
-    # The payload is read in place, a view of the file's bytes, not a copy.
-    start = cut + len(end_marker)
-    expected = int(np.prod(grid.field_shape))
-    if len(raw) - start != 8 * expected:
-        raise BadConfig(f"{path}: payload holds {len(raw) - start} bytes, header promises "
-                        f"{expected} float64 values")
-    data = np.frombuffer(raw, dtype="<f8", offset=start)
+        # The size is checked in exact integers before anything is allocated.
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        expected = math.prod(grid.field_shape)
+        if size != 8 * expected:
+            raise BadConfig(f"{path}: payload holds {size} bytes, header promises "
+                            f"{expected} float64 values")
+        buf = np.empty((grid.n_v, grid.m_nodes) + grid.x_shape, dtype="<f8")
+        if fh.readinto(buf) != size:
+            raise BadConfig(f"{path}: payload shrank while it was read")
     # A dump is outside input, so a bad cell is a bad config, not a solver
     # failure met later.  "< 0" lets -0.0 through: it is a valid density.
-    if not np.all(np.isfinite(data)):
+    if not np.all(np.isfinite(buf)):
         raise BadConfig(f"{path}: dump holds non-finite density values")
-    if np.any(data < 0.0):
-        raise BadConfig(f"{path}: dump holds negative density values (min {data.min():.6g})")
-    buf = np.empty((grid.n_v, grid.m_nodes) + grid.x_shape)
-    _transpose_into(buf.reshape(grid.n_v * grid.m_nodes, -1),
-                    data.reshape(-1, grid.n_v * grid.m_nodes))
+    if np.any(buf < 0.0):
+        raise BadConfig(f"{path}: dump holds negative density values (min {buf.min():.6g})")
     return Dump(grid=grid, **header, t=t, eps=eps, scenario=scenario,
                 values=xvm(buf), steps=steps, max_mass_defect=max_mass_defect)
 

@@ -6,8 +6,8 @@ density in x-cell ``...``, velocity node ``k`` and m-cell ``j``, of shape
 x-innermost, as a C-contiguous (v, m, *x) buffer, and ``values`` is the
 (*x, v, m) view of that buffer.  ``vmx`` gives the (v, m, *x) view of any
 density and ``xvm`` gives back the (*x, v, m) view; ``in_layout`` copies a
-density of any strides into a fresh buffer of this layout.  Dumps stay
-x-outermost on disk (``dumpio``).
+density of any strides into a fresh buffer of this layout.  A dump's
+payload is that buffer, byte for byte (``dumpio``).
 
 This module is the one home of the measure dx^dim * w_v * dm.  ``pbar_of``
 sums the m axis of the (v, m, *x) buffer and ``density_of_pbar`` takes the

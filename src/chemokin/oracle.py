@@ -38,6 +38,11 @@ from .errors import BadConfig, NoContraction, SolverFailure
 from .fields import DensityField
 from .model import ModelSpec, PhaseGrid
 
+#: RK4 steps per interval of the tau grid along each backward characteristic.
+RK_SUBSTEPS = 4
+#: Largest sup-norm move of the check sweep that ``duhamel_solve`` accepts.
+RESIDUAL_TOL = 1e-10
+
 
 # ---------------------------------------------------------------------------
 # Frozen signal
@@ -389,8 +394,7 @@ def _march(ch: _Characteristics, p0: np.ndarray,
 
 def duhamel_solve(p0: DensityField, s_hist: SignalHistory, spec: ModelSpec,
                   grid: PhaseGrid, t: float, picard_iters: int,
-                  n_time: int = 32, rk_substeps: int = 4,
-                  tol: float = 1e-10) -> DuhamelResult:
+                  n_time: int = 32) -> DuhamelResult:
     """Fixed point of the characteristic integral identity on a frozen signal.
 
     The representation is the pull-back of the initial data plus the time
@@ -400,16 +404,16 @@ def duhamel_solve(p0: DensityField, s_hist: SignalHistory, spec: ModelSpec,
     (_march).  ``picard_iters`` caps the check sweeps: with one or more, the
     march checks each node against its row of the Picard map as it goes,
     which amounts to one Picard sweep of the marched field, and if that
-    sweep would move the field by more than ``tol`` in sup norm (or by NaN),
-    SolverFailure is raised; with zero the check is skipped.  ``iterations``
-    counts the sweeps run, and the returned field is the marched one either
-    way.  Requires the horizon to contract: t * spec.growth_rate(grid) < 1.
+    sweep would move the field by more than ``RESIDUAL_TOL`` in sup norm (or
+    by NaN), SolverFailure is raised; with zero the check is skipped.
+    ``iterations`` counts the sweeps run, and the returned field is the
+    marched one either way.  Requires the horizon to contract:
+    t * spec.growth_rate(grid) < 1.
     """
     if grid.dim != 1:
         raise BadConfig("the Duhamel oracle is one-dimensional")
-    if n_time < 1 or rk_substeps < 1:
-        raise BadConfig(f"oracle resolution needs n_time >= 1 and rk_substeps >= 1, "
-                        f"got n_time = {n_time}, rk_substeps = {rk_substeps}")
+    if n_time < 1:
+        raise BadConfig(f"oracle resolution needs n_time >= 1, got n_time = {n_time}")
     if not spec.certified:
         raise BadConfig("spec must be validated on a grid before oracle use")
     coef = spec.growth_rate(grid)
@@ -417,13 +421,13 @@ def duhamel_solve(p0: DensityField, s_hist: SignalHistory, spec: ModelSpec,
         raise NoContraction(
             f"horizon t = {t} gives contraction factor {t * coef:.3f} >= 1")
 
-    ch = _characteristics(s_hist, spec, grid, t, n_time, rk_substeps)
+    ch = _characteristics(s_hist, spec, grid, t, n_time, RK_SUBSTEPS)
     marched, residual = _march(ch, p0.values, check=picard_iters >= 1)
 
     sup_diffs = [] if residual is None else [residual]
-    if sup_diffs and not residual <= tol:   # a NaN residual fails too
+    if sup_diffs and not residual <= RESIDUAL_TOL:   # a NaN residual fails too
         raise SolverFailure(
-            f"Duhamel fixed-point residual {residual:.3e} > tol = {tol:.3e}: "
+            f"Duhamel fixed-point residual {residual:.3e} > tol = {RESIDUAL_TOL:.3e}: "
             "one Picard sweep moves the marched field")
 
     return DuhamelResult(field=DensityField(marched[-1], t), iterations=len(sup_diffs),

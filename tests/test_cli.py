@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import chemokin
-from chemokin import cli, kinetic
+from chemokin import cli, dumpio, kinetic
 from chemokin.cli import main
 from chemokin.config import parse_config
 from chemokin.errors import BadConfig
@@ -499,11 +499,26 @@ def test_compare_rejects_out_of_range_grid_header(tmp_path, capsys, key, value):
     fields["v"] = ",".join(["0.5"] * max(v_count * dim, 1))
     fields["w"] = ",".join(["1.0"] * max(v_count, 1))
     size = int(fields["x_nodes"]) ** dim * v_count * int(fields["m_nodes"])
-    header = "\n".join(["CHKIN1"] + [f"{k}={v}" for k, v in fields.items()] + ["END_HEADER\n"])
+    header = "\n".join([dumpio.MAGIC] + [f"{k}={v}" for k, v in fields.items()]
+                       + ["END_HEADER\n"])
     bad = tmp_path / "bad.chk"
     bad.write_bytes(header.encode() + np.zeros(max(size, 0)).tobytes())
     assert main(["compare", str(bad), str(bad)]) == 2
-    assert capsys.readouterr().err.startswith("bad-config:")
+    err = capsys.readouterr().err
+    assert err.startswith("bad-config:")
+    assert "out of range" in err or "malformed dump header" in err, err
+
+
+def test_compare_refuses_a_header_whose_size_overflows_int64(tmp_path, capsys):
+    # (2**32)**2 cells wrap a 64-bit count to 0, which an empty payload would
+    # match; counted exactly, the header is refused before any allocation.
+    header = [dumpio.MAGIC, "dim=2", f"x_nodes={2 ** 32}", "x_extent=1.0",
+              "x_topology=periodic", "v_count=1", "v=0.0,0.0", "w=1.0", "m_nodes=1",
+              "m_max=1.0", "t=0.0", "eps=1.0", "scenario=x", "END_HEADER\n"]
+    bad = tmp_path / "bad.chk"
+    bad.write_bytes("\n".join(header).encode())
+    assert main(["compare", str(bad), str(bad)]) == 2
+    assert "payload holds 0 bytes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [

@@ -79,7 +79,7 @@ def test_solver_state_stays_in_the_vmx_layout(tmp_path, monkeypatch):
     assert written and all(written)
 
 
-def test_dump_payload_stays_x_outermost(tmp_path):
+def test_dump_payload_is_the_vmx_buffer(tmp_path):
     v, w = velocity_set(2, 2)
     grid = PhaseGrid(dim=2, x_nodes=3, x_extent=3.0, x_topology="periodic",
                      velocities=v, weights=w, m_nodes=4, m_max=1.7)
@@ -87,31 +87,35 @@ def test_dump_payload_stays_x_outermost(tmp_path):
     path = tmp_path / "d.chk"
     dumpio.write_dump(path, in_layout(p), 0.0, grid, 1.0, "x")
     raw = path.read_bytes()
-    assert raw[raw.index(b"END_HEADER\n") + len(b"END_HEADER\n"):] == p.astype("<f8").tobytes()
+    payload = raw[raw.index(b"END_HEADER\n") + len(b"END_HEADER\n"):]
+    assert payload == vmx(p).tobytes()
+    assert payload != p.astype("<f8").tobytes()
     assert np.array_equal(dumpio.read_dump(path).values, p)
 
 
 @pytest.mark.parametrize("dim, x_nodes", [(1, 7), (1, 300), (2, 3), (2, 24)])
 def test_dump_payload_is_the_row_major_density(tmp_path, dim, x_nodes):
-    # Written a block of x-cells at a time, also when the last block is short
-    # (24^2 = 576 cells), the payload is the C-ordered (x, v, m) array's bytes.
+    # The payload is the row-major (v, m, *x) buffer's bytes, also when the
+    # density written is x-outermost in memory, and the read is bitwise the
+    # written density.
     v, w = velocity_set(dim, 4)
     grid = PhaseGrid(dim=dim, x_nodes=x_nodes, x_extent=3.0, x_topology="free",
                      velocities=v, weights=w, m_nodes=5, m_max=1.7)
     values = in_layout(np.random.default_rng(x_nodes).random(grid.field_shape))
-    path = tmp_path / "d.chk"
-    dumpio.write_dump(path, values, 0.0, grid, 1.0, "x")
-    raw = path.read_bytes()
-    payload = raw[raw.index(b"END_HEADER\n") + len(b"END_HEADER\n"):]
-    assert payload == np.ascontiguousarray(values, "<f8").tobytes()
-    read = dumpio.read_dump(path).values
-    assert backed_by_vmx_buffer(read) and read.tobytes() == values.tobytes()
+    for written in (values, np.ascontiguousarray(values)):
+        path = tmp_path / "d.chk"
+        dumpio.write_dump(path, written, 0.0, grid, 1.0, "x")
+        raw = path.read_bytes()
+        payload = raw[raw.index(b"END_HEADER\n") + len(b"END_HEADER\n"):]
+        assert payload == vmx(values).tobytes()
+        read = dumpio.read_dump(path).values
+        assert backed_by_vmx_buffer(read) and read.tobytes() == values.tobytes()
 
 
 def test_read_dump_holds_the_file_and_the_density_only(tmp_path):
-    # The payload is read in place from the file's bytes, so a read peaks at
-    # the file plus the density it returns (and a byte mask), not a third
-    # density for a copy of the payload.
+    # The payload is read straight into the buffer it returns, so a read
+    # peaks at that density (and a byte mask), not a second density for the
+    # file's bytes or a transposing copy.
     import tracemalloc
     v, w = velocity_set(2, 8)
     grid = PhaseGrid(dim=2, x_nodes=32, x_extent=8.0, x_topology="free",
@@ -126,4 +130,4 @@ def test_read_dump_holds_the_file_and_the_density_only(tmp_path):
     finally:
         tracemalloc.stop()
     assert read.tobytes() == values.tobytes()
-    assert peak < 2.5 * values.nbytes, peak / values.nbytes
+    assert peak < 1.5 * values.nbytes, peak / values.nbytes

@@ -1030,8 +1030,19 @@ def test_dump_rejects_corruption(tmp_path):
 
     not_a_dump = tmp_path / "junk.chk"
     not_a_dump.write_bytes(b"not a dump at all")
-    with pytest.raises(BadConfig, match="not a CHKIN1 dump"):
+    with pytest.raises(BadConfig, match=f"not a {dumpio.MAGIC} dump"):
         dumpio.read_dump(not_a_dump)
+
+    # The older format, x outermost, is refused by name, never misread.
+    old_format = tmp_path / "old.chk"
+    old_format.write_bytes(path.read_bytes().replace(dumpio.MAGIC.encode(), b"CHKIN1", 1))
+    with pytest.raises(BadConfig, match="CHKIN1 dump, the older format with x outermost"):
+        dumpio.read_dump(old_format)
+
+    not_ascii = tmp_path / "not_ascii.chk"
+    not_ascii.write_bytes(path.read_bytes().replace(b"scenario=", b"scenario=\xff", 1))
+    with pytest.raises(BadConfig, match="malformed dump header"):
+        dumpio.read_dump(not_ascii)
 
     truncated = tmp_path / "short.chk"
     for cut in (16, 3):  # whole values short, and a part of one
