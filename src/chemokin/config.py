@@ -60,7 +60,6 @@ class InitialConfig:
 class RunSettings:
     t_end: float = 1.0
     output_every: float = 0.1
-    threads: int = 1
     out_dir: str = "out"
 
 
@@ -104,8 +103,11 @@ def _key_schema(section: type) -> dict[str, tuple[str, type]]:
 
 _SCHEMA: dict[str, dict[str, tuple[str, type]]] = {
     name: _key_schema(kind) for name, kind in typing.get_type_hints(RunConfig).items()}
-# A file-only flag: m_max stays None, which selects the auto rule.
+# File-only keys.  m_max_auto: m_max stays None, which selects the auto rule.
+# threads: a removed option, still read at its old default so that configs
+# carrying ``threads = 1`` keep parsing.
 _SCHEMA["grid"]["m_max_auto"] = ("m_max_auto", bool)
+_SCHEMA["run"]["threads"] = ("threads", str)
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
@@ -132,7 +134,8 @@ def parse_config(path: str | Path) -> RunConfig:
     ------
     BadConfig
         On unknown sections/keys, unparsable values, both ``m_max`` and
-        ``m_max_auto=true``, or a value ``validate_config`` rejects.
+        ``m_max_auto=true``, a ``threads`` other than 1, or a value
+        ``validate_config`` rejects.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keys are case-sensitive (F_family, S_ref, ...)
@@ -156,6 +159,11 @@ def parse_config(path: str | Path) -> RunConfig:
             value = _convert(sec_name, key, raw, kind)
             if attr == "m_max_auto":
                 m_max_auto = value
+            elif attr == "threads":
+                if value != "1":
+                    raise BadConfig(f"[run] threads = {value}: the option was removed "
+                                    "(the eps study runs its members one after another); "
+                                    "delete the key")
             else:
                 setattr(getattr(cfg, sec_name), attr, value)
 
@@ -169,10 +177,10 @@ def parse_config(path: str | Path) -> RunConfig:
 def validate_config(cfg: RunConfig) -> None:
     """Check the values that no domain type checks.
 
-    Every real is finite, and the [run] section is usable: at least one
-    thread and an output schedule ``output_times`` accepts.  Grid, model,
-    profile and initial values are checked by the types and builders
-    ``build_scenario`` uses, and rejected there as ``BadConfig``.
+    Every real is finite, and the [run] section's output schedule is one
+    ``output_times`` accepts.  Grid, model, profile and initial values are
+    checked by the types and builders ``build_scenario`` uses, and
+    rejected there as ``BadConfig``.
     """
     # NaN passes a "<= 0" test, and some reals (the initial centre) have no
     # other check.
@@ -182,8 +190,6 @@ def validate_config(cfg: RunConfig) -> None:
             val = getattr(section, attr) if kind is float else None
             if val is not None and not math.isfinite(val):
                 raise BadConfig(f"[{sec_name}] {key} must be finite, got {val}")
-    if cfg.run.threads < 1:
-        raise BadConfig(f"[run] threads must be >= 1, got {cfg.run.threads}")
     output_times(0.0, cfg.run.t_end, cfg.run.output_every)
 
 

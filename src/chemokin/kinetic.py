@@ -34,8 +34,8 @@ C-contiguous (v, m, *x) array to write, allocates only without one, and
 refuses an ``out`` that shares memory with its input.  The work buffer
 and the operators' temporaries (the remap's two (M+1, X) gathers and one
 (m, *x) slab for transport's products) are per-thread scratch
-(``_scratch``), reused from step to step, so the concurrent members of a
-threaded eps study never share one.
+(``_scratch``), reused from step to step, so two threads that step at
+once never share one.
 
 The step epilogue (``finish_step``) and the output scheduler (``run``)
 also serve the reduced model of ``limit``, a state on one m-cell.  The
@@ -490,16 +490,18 @@ def run(state: StepperState, t_end: float, output_every: float,
     ``step(state, dt)`` (default ``macro_step``; the reduced model passes
     its own); the state's clock is snapped to the exact scheduled instant
     at every interval end so runs and restarts share bitwise-identical
-    schedules.  ``report.observe`` fires at t_start (fresh reports only)
-    and at every output instant; ``observer(state)`` after each output.
-    A schedule ``output_times`` refuses raises ``BadConfig`` before the
-    first observation.  This thread's scratch buffers are freed when the
-    run returns or raises.
+    schedules.  A fresh run (no report, or a report with no rows) is
+    observed at t_start, and every run at each output instant, by
+    ``report.observe`` and then ``observer(state)``.  A schedule
+    ``output_times`` refuses raises ``BadConfig`` before the first
+    observation.  This thread's scratch buffers are freed when the run
+    returns or raises.
     """
     step = macro_step if step is None else step
     times = output_times(state.t, t_end, output_every)
-    if report is not None and not report.rows:
-        report.observe(state.field.values, state.signal.values, state.t)
+    if report is None or not report.rows:
+        if report is not None:
+            report.observe(state.field.values, state.signal.values, state.t)
         if observer is not None:
             observer(state)
     if t_end == state.t:

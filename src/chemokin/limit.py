@@ -18,7 +18,6 @@ shares one scenario, each member swapping its eps into the one spec.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field, replace as dc_replace
 from pathlib import Path
 
@@ -63,8 +62,8 @@ def oda_step(state: StepperState, dt: float) -> StepperState:
     The turning frequency is lambda(m0(S(x))) of the lagged signal; the
     step closes like a kinetic macro step (positivity check, signal
     refresh, mass defect), so the two solvers collapse onto each other
-    when the kernel is m-independent.  Like a macro step, it runs in this
-    thread's work buffer and one fresh result, which the new state keeps.
+    when the kernel is m-independent.  Like a macro step, it runs in the
+    scratch work buffer and one fresh result, which the new state keeps.
     """
     grid, spec = state.grid, state.spec
     work, result = step_buffers(state.field.values)
@@ -81,10 +80,8 @@ def oda_run(grid: PhaseGrid, spec: ModelSpec, initial: InitialData, t_end: float
 
     ``observer(state)`` fires at t_start and at every output instant.
     """
-    state = oda_state(grid, spec, initial)
-    if observer is not None:
-        observer(state)
-    state, _ = kinetic_run(state, t_end, output_every, observer=observer, step=oda_step)
+    state, _ = kinetic_run(oda_state(grid, spec, initial), t_end, output_every,
+                           observer=observer, step=oda_step)
     return state
 
 
@@ -184,7 +181,7 @@ def eps_study(cfg: RunConfig, eps_list: list[float],
     initial data and the reduced model do not depend on it).  Rows hold the
     Wasserstein-1 concentration width, the L1 gap to the reduced solution,
     mass, envelope margins, m-tail moment and <x>-moment rate per output
-    time and eps.
+    time and eps.  The members run one after another.
     """
     if not eps_list or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise BadConfig("eps_list must be non-empty and strictly decreasing")
@@ -196,10 +193,6 @@ def eps_study(cfg: RunConfig, eps_list: list[float],
     oda_bars: list[np.ndarray] = []
     oda_run(grid, spec, initial, t_end, cfg.run.output_every,
             observer=lambda st: oda_bars.append(pbar_of(st.field.values, st.grid)))
-
-    def run_one(spec_eps: ModelSpec) -> list[StudyRow]:
-        return _run_one_eps(grid, spec_eps, initial, t_end, cfg.run.output_every, oda_bars)
-
-    with ThreadPoolExecutor(cfg.run.threads) as pool:
-        members = list(pool.map(run_one, specs))
+    members = [_run_one_eps(grid, spec_eps, initial, t_end, cfg.run.output_every, oda_bars)
+               for spec_eps in specs]
     return StudyReport(rows=[row for rows in members for row in rows], t_end=t_end)

@@ -43,6 +43,15 @@ def write_config(tmp_path: Path, name="scenario.cfg", extra="", t_end=None) -> P
     return path
 
 
+def free_config(tmp_path: Path, x_extent: float = 8.0) -> Path:
+    """The small scenario on a free grid of the given extent."""
+    text = SMALL_CONFIG.format(out=tmp_path / "out").replace(
+        "x_extent = 8.0", f"x_extent = {x_extent}\nx_topology = free")
+    path = tmp_path / "free.cfg"
+    path.write_text(text)
+    return path
+
+
 def run_python(*args):
     """``python *args`` with this checkout's package importable."""
     src = str(Path(chemokin.__file__).resolve().parent.parent)
@@ -63,13 +72,15 @@ def test_importing_the_cli_loads_no_scipy_and_numpy_fft_eagerly():
     # chemokin runs on numpy alone; any scipy module would add ~20 MiB to
     # every run's resident set.  numpy.fft and numpy.polynomial.legendre,
     # which numpy loads lazily, are loaded by the import, so a process
-    # forked after it pays no import in its set-up.
+    # forked after it pays no import in its set-up.  chemokin runs in one
+    # thread, so no thread pool is imported either.
     proc = run_python("-c", "import sys, chemokin.cli; "
                             "print([m for m in sys.modules if m.split('.')[0] == 'scipy']); "
                             "print('numpy.fft' in sys.modules, "
-                            "'numpy.polynomial.legendre' in sys.modules)")
+                            "'numpy.polynomial.legendre' in sys.modules, "
+                            "'concurrent.futures' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "True True"]
+    assert proc.stdout.splitlines() == ["[]", "True True False"]
 
 
 EVERY_KEY_CONFIG = """\
@@ -105,7 +116,6 @@ mass = 2.0
 [run]
 t_end = 0.5
 output_every = 0.05
-threads = 2
 out_dir = elsewhere
 """
 
@@ -127,7 +137,7 @@ def test_parse_config_roundtrip(tmp_path):
                           t_family="separable-angle", lambda0=0.8, beta=0.3, m_c=0.6,
                           delta=0.2, eps=0.05),
         initial=InitialConfig(profile="two-bumps", center=0.5, width=0.9, mass=2.0),
-        run=RunSettings(t_end=0.5, output_every=0.05, threads=2, out_dir="elsewhere"),
+        run=RunSettings(t_end=0.5, output_every=0.05, out_dir="elsewhere"),
     )
     path = tmp_path / "every_key.cfg"
     path.write_text(EVERY_KEY_CONFIG)
@@ -148,6 +158,23 @@ def test_unknown_key_rejected_naming_it(tmp_path, capsys):
     path.write_text("[model]\nfoo = 1\n")
     assert main(["run", str(path)]) == 2
     assert "foo" in capsys.readouterr().err
+
+
+def test_threads_one_is_read_and_dropped(tmp_path):
+    # The removed option stays readable at its old default, so configs that
+    # carry ``threads = 1`` parse to what they parse to without it.
+    plain = write_config(tmp_path)
+    with_key = write_config(tmp_path, "threads.cfg", extra="threads = 1\n")
+    assert parse_config(with_key) == parse_config(plain)
+
+
+@pytest.mark.parametrize("value", ["2", "0", "many"])
+def test_threads_other_than_one_is_bad_config(tmp_path, capsys, value):
+    path = write_config(tmp_path, extra=f"threads = {value}\n")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"threads = {value}" in err and "removed" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_section_rejected(tmp_path):
@@ -573,6 +600,36 @@ def test_verify_passes_on_small_scenario(tmp_path, capsys):
     assert "check sweeps = 1, fixed-point residual" in out
     assert "PASS envelopes" in out
     assert (tmp_path / "out" / "kernel_check.csv").exists()
+
+
+def test_verify_passes_on_free_grid_that_loses_outflow(tmp_path, capsys):
+    # A free boundary lets mass out, so the run's relative defect is not
+    # round-off; verify checks that the mass never grows instead.
+    assert main(["verify", str(free_config(tmp_path))]) == 0
+    out = capsys.readouterr().out
+    assert "PASS mass never grows: outflow through the free boundary = 2.497e-05" in out
+    assert "verify: OK" in out
+
+
+def test_verify_fails_when_free_grid_mass_grows(tmp_path, monkeypatch, capsys):
+    # On a wide free grid the outflow is ~1e-14, so a transport that gains
+    # 1e-9 of the mass per call makes it grow between output rows.
+    path = free_config(tmp_path, x_extent=16.0)
+    assert main(["verify", str(path)]) == 0
+    assert "PASS mass never grows" in capsys.readouterr().out
+
+    transport = kinetic.transport_apply
+
+    def gaining(p, grid, dt, out=None):
+        res = transport(p, grid, dt, out=out)
+        res *= 1.0 + 1e-9
+        return res
+
+    monkeypatch.setattr(kinetic, "transport_apply", gaining)
+    assert main(["verify", str(path)]) == 4
+    out = capsys.readouterr().out
+    assert "FAIL mass never grows: mass grew from" in out
+    assert "verify: FAILED" in out
 
 
 def test_verify_oracle_residual_failure_exits_4(tmp_path, monkeypatch, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from chemokin import kinetic
 from chemokin.config import GridConfig, RunConfig
+from chemokin.diagnostics import DiagnosticsReport
 from chemokin.errors import (BadConfig, CflViolation, NonFiniteInput, PositivityError,
                              SpecViolation)
 from chemokin.fields import DensityField, in_layout, total_mass, vmx
@@ -718,8 +719,9 @@ def test_macro_step_never_writes_a_returned_density():
 
 
 def test_concurrent_steps_keep_their_own_scratch():
-    # Threaded eps-study members step concurrently; each thread's sub-steps
-    # run in its own scratch buffers, so every thread gets the serial bits.
+    # A caller may step two states in two threads at once; each thread's
+    # sub-steps run in its own scratch buffers, so every thread gets the
+    # serial bits.
     import sys
     import threading
     cfg, grid, spec, init = default_scenario()
@@ -930,6 +932,24 @@ def test_run_refuses_a_bad_schedule(t_end, output_every):
     state = StepperState.create(grid, spec, init)
     with pytest.raises(BadConfig):
         run(state, t_end, output_every, observer=pytest.fail)
+
+
+def test_run_observes_a_fresh_run_at_start_and_each_output_once():
+    # With no report, the observer still sees t_start, then each instant once.
+    cfg, grid, spec, init = default_scenario()
+    seen = []
+    state, _ = run(StepperState.create(grid, spec, init), 0.3, 0.1,
+                   observer=lambda st: seen.append((st.t, st.step_count)))
+    assert [t for t, _ in seen] == [0.0, 0.1, 0.2, 0.3]
+    assert seen[0][1] == 0 and seen[-1][1] == state.step_count
+
+    # A run resumed with a report that already has rows does not repeat t_start.
+    report = DiagnosticsReport(init, spec, grid)
+    half, _ = run(StepperState.create(grid, spec, init), 0.1, 0.1, report=report)
+    resumed = []
+    run(half, 0.3, 0.1, report=report, observer=lambda st: resumed.append(st.t))
+    assert resumed == [0.2, 0.3]
+    assert [row.t for row in report.rows] == [0.0, 0.1, 0.2, 0.3]
 
 
 def test_run_determinism_bitwise():

@@ -1,5 +1,5 @@
 """Adapted state, reduced velocity-jump model, concentration metrics, study."""
-from dataclasses import astuple, replace as dc_replace
+from dataclasses import replace as dc_replace
 from pathlib import Path
 
 import numpy as np
@@ -295,18 +295,6 @@ def test_eps_study_rejects_non_positive_member(last):
     # non-positive eps, before any member runs.
     with pytest.raises(BadConfig, match="epsilon must be positive"):
         eps_study(RunConfig(), [0.1, last])
-
-
-def test_eps_study_threads_match_serial():
-    cfg = RunConfig()
-    cfg.grid = GridConfig(x_nodes=16, x_extent=6.0, v_count=2, m_nodes=16)
-    cfg.run.t_end = 0.2
-    cfg.run.output_every = 0.1
-    serial = eps_study(cfg, [0.4, 0.2])
-    cfg.run.threads = 2
-    threaded = eps_study(cfg, [0.4, 0.2])
-    assert len(serial.rows) == 6
-    assert [astuple(r) for r in threaded.rows] == [astuple(r) for r in serial.rows]
 
 
 def test_vanishing_eps_keeps_step_count_mass_and_positivity():
