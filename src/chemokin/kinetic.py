@@ -8,7 +8,9 @@ flow, and the adaptation half steps are one conservative remap along it:
 no eps-CFL, and a cost independent of eps.  Both half steps share the
 frozen signal and dt/2, so one plan (``adaptation_plan``: where the feet of
 the m-edges fall, computed edge-major by ``adaptation_feet``, and the gather
-indices) serves both.  Every operator works on the (v, m, *x) view of the
+indices) serves both.  The remap sums and gathers only over the band of
+m-rows that holds mass, and writes +0.0 elsewhere, the bits the full remap
+gives there.  Every operator works on the (v, m, *x) view of the
 density (``fields``): the remap's prefix sums and gathers and turning's
 one batched (G, V, V) product per lambda-cell run along contiguous x-rows,
 each of transport's per-velocity, per-axis shifts is one contiguous product
@@ -32,8 +34,8 @@ result and one (v, m, *x) work buffer (``step_buffers``), each writing the
 buffer it did not read: each operator takes an optional ``out``, the
 C-contiguous (v, m, *x) array to write, allocates only without one, and
 refuses an ``out`` that shares memory with its input.  The work buffer
-and the operators' temporaries (the remap's two (M+1, X) gathers and one
-(m, *x) slab for transport's products) are per-thread scratch
+and the operators' temporaries (the remap's two gathers, at most (M+1, X)
+each, and one (m, *x) slab for transport's products) are per-thread scratch
 (``_scratch``), reused from step to step, so two threads that step at
 once never share one.
 
@@ -276,11 +278,16 @@ class AdaptationPlan:
     fraction ``frac[e, x]`` (shape (M+1, X)) of a cell past its start.
     ``gather[e, x]`` (same shape) is the flat index idx*X + x of that foot
     into one velocity's (m, x) slab; all velocities share it.  Nothing of
-    shape (V, M+1, X) is kept.
+    shape (V, M+1, X) is kept.  ``min_cell[e]`` and ``max_cell[e]`` (shape
+    (M+1,)) are the lowest and highest idx[e, x] over x.  Every column's
+    feet are non-decreasing, so both are too, and ``np.searchsorted`` on
+    them finds the edges whose feet reach a band of m-rows.
     """
 
     frac: np.ndarray
     gather: np.ndarray
+    min_cell: np.ndarray
+    max_cell: np.ndarray
 
 
 def adaptation_plan(s: np.ndarray, spec: ModelSpec, grid: PhaseGrid,
@@ -311,9 +318,11 @@ def adaptation_plan(s: np.ndarray, spec: ModelSpec, grid: PhaseGrid,
     np.minimum(cell, n_m - 1, out=cell)
     frac = np.subtract(u, cell, out=u)
     np.minimum(frac, 1.0, out=frac)
+    min_cell, max_cell = cell.min(axis=1), cell.max(axis=1)
     cell *= n_x
     cell += np.arange(n_x)
-    return AdaptationPlan(frac=frac, gather=cell.astype(np.intp))
+    return AdaptationPlan(frac=frac, gather=cell.astype(np.intp),
+                          min_cell=min_cell.astype(np.intp), max_cell=max_cell.astype(np.intp))
 
 
 def adaptation_apply(p: np.ndarray, s: np.ndarray, spec: ModelSpec, grid: PhaseGrid,
@@ -335,32 +344,58 @@ def adaptation_apply(p: np.ndarray, s: np.ndarray, spec: ModelSpec, grid: PhaseG
 
     ``plan`` is ``adaptation_plan(s, spec, grid, dt)``, built here when not
     given; ``macro_step`` builds one per step for both half steps.  The
-    remap works on the (v, m, x) view.  The prefix sums fill the output
-    buffer (``out``, see ``_target``), one add of whole (v, x) rows per
-    m-cell.  One velocity at a time then gathers at the feet, through the
-    plan's one index, into two (M+1, X) per-thread scratch buffers (the
-    plan keeps every index in range, so ``mode="clip"``, which gathers
-    without an internal copy, never clips), and overwrites its own (m, x)
-    slab with the differences, which only that velocity reads.
+    remap works on the (v, m, x) view, and only on the band of m-rows
+    [lo, hi) that holds mass.  It is every row when the first and the last
+    row hold mass; otherwise one ``any`` over the density finds it.  Either
+    way NaN, inf and negative cells count as held.  The prefix sums fill the
+    output buffer (``out``, see ``_target``), one add of whole (v, x) rows
+    per m-cell of the band; below it cum is 0.0, and above it a copy of
+    cum[hi].  These are the bits of the sum over every row: x + (+-0.0) = x
+    for every x but -0.0, and a sum that starts at +0.0 is never -0.0.
+    Two ``searchsorted`` calls on the plan's per-edge bounds give the edges
+    with a foot in the band or next to it.  One velocity at a time then
+    gathers at those edges' feet, through the plan's one index, into two
+    per-thread scratch buffers sized to them (the plan keeps every index in
+    range, so ``mode="clip"``, which gathers without an internal copy,
+    never clips), and overwrites its own (m, x) slab there with the
+    differences, which only that velocity reads.  Every other row is +0.0,
+    as in the full remap: both of its edges interpolate 0.0 below the band,
+    or the column total above it.
     """
     if plan is None:
         plan = adaptation_plan(s, spec, grid, dt)
     n_v, n_m = grid.n_v, grid.m_nodes
     res = _target(vmx(p), out)
     q = np.ascontiguousarray(vmx(p)).reshape(n_v, n_m, -1)
+    # When both end rows hold mass the band is every row: skip the scan,
+    # which there costs more than the band saves.
+    if q[:, 0].any() and q[:, -1].any():
+        lo, hi = 0, n_m
+    else:
+        held = np.flatnonzero(q.any(axis=(0, 2)))
+        lo, hi = (int(held[0]), int(held[-1]) + 1) if held.size else (0, 0)
     cum = res.reshape(q.shape)
     cum_rows = cum.swapaxes(0, 1)
-    cum_rows[0] = 0.0
-    for prev, row, nxt in zip(cum_rows, q.swapaxes(0, 1), cum_rows[1:]):
+    cum_rows[:lo + 1] = 0.0
+    for prev, row, nxt in zip(cum_rows[lo:hi], q.swapaxes(0, 1)[lo:hi], cum_rows[lo + 1:]):
         np.add(prev, row, out=nxt)
-    at = plan.gather
+    if hi < n_m - 1:
+        # From a copy of the row: numpy resolves the overlap of the row with
+        # the rows above it by copying the whole broadcast source first.
+        cum_rows[hi + 1:] = cum_rows[hi].copy()
+    # Edges [first, last] are the ones with a foot in the band or next to it.
+    first = max(int(np.searchsorted(plan.max_cell, lo)) - 1, 0)
+    last = min(int(np.searchsorted(plan.min_cell, hi)), n_m)
+    at, frac = plan.gather[first:last + 1], plan.frac[first:last + 1]
     at_feet, gathered = _scratch("remap_cum", at.shape), _scratch("remap_p", at.shape)
     for cum_v, q_v in zip(cum, q):
         np.take(cum_v, at, mode="clip", out=at_feet)
         np.take(q_v, at, mode="clip", out=gathered)
-        gathered *= plan.frac
+        gathered *= frac
         at_feet += gathered
-        np.subtract(at_feet[1:], at_feet[:-1], out=cum_v)
+        np.subtract(at_feet[1:], at_feet[:-1], out=cum_v[first:last])
+    cum[:, :first] = 0.0
+    cum[:, last:] = 0.0
     return xvm(res)
 
 
@@ -457,19 +492,21 @@ def macro_step(state: StepperState, dt: float) -> StepperState:
 def finish_step(state: StepperState, p: np.ndarray, dt: float) -> StepperState:
     """Close a step that produced density ``p``: check, refresh, account.
 
-    Positivity is asserted on the result: a negative or NaN cell is a
-    scheme bug, never something to clip.  The signal is then re-solved
-    from ``p`` (unless the state freezes it) and the largest relative mass
-    defect against ``mass0`` so far is kept.
+    Positivity is asserted on the result: a negative, NaN or infinite
+    cell is a scheme bug, never something to clip.  The min catches the
+    first two; a +inf cell of an otherwise non-negative density makes its
+    column's n infinite.  The signal is then re-solved from ``p`` (unless
+    the state freezes it) and the largest relative mass defect against
+    ``mass0`` so far is kept.
     """
+    grid = state.grid
     pmin = float(p.min())
-    if not pmin >= 0.0:  # also catches NaN, which compares false
+    n = number_density(p, grid)
+    if not (pmin >= 0.0 and np.all(np.isfinite(n))):  # NaN compares false
         raise PositivityError(
             f"negative or non-finite density (min {pmin:.3e}) after macro step "
             f"at t = {state.t + dt:.6g}")
 
-    grid = state.grid
-    n = number_density(p, grid)
     signal = state.signal if state.freeze_signal else solve_signal(n, grid)
     defect = (x_integral(n, grid) - state.mass0) / state.mass0 if state.mass0 else 0.0
     return replace(

@@ -369,13 +369,30 @@ def test_transport_at_cfl_edge_positive_and_conservative(case):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(operator_cases())
 def test_nan_cell_anywhere_raises_positivity_error(case):
+    # Also on a density that is zero outside a band of m-rows, with the NaN,
+    # a +inf or a negative cell in an otherwise empty row: the remap's scan
+    # for the rows that hold mass must count that row as held.
     grid, spec, p, rng = case
     state = StepperState.create(grid, spec, package_initial(DensityField(p), grid))
     bad = p.copy()
     bad[tuple(int(rng.integers(n)) for n in grid.field_shape)] = np.nan
-    state = replace(state, field=DensityField(bad, state.t))
-    with pytest.raises(PositivityError, match="non-finite"):
-        macro_step(state, state.cfl_dt())
+    inputs = [bad]
+    n_m = grid.m_nodes
+    if n_m > 1:
+        lo = int(rng.integers(n_m - 1))
+        hi = int(rng.integers(lo + 1, n_m if lo == 0 else n_m + 1))
+        row = int(rng.choice([*range(lo), *range(hi, n_m)]))
+        cell = tuple(int(rng.integers(n)) for n in grid.field_shape[:-1]) + (row,)
+        for value in (np.nan, np.inf, -1e3):
+            banded = np.zeros(grid.field_shape)
+            banded[..., lo:hi] = p[..., lo:hi]
+            banded[cell] = value
+            inputs.append(banded)
+    # inf - inf and 0 * inf, which make the NaN, warn on the way.
+    with np.errstate(invalid="ignore"):
+        for dens in inputs:
+            with pytest.raises(PositivityError, match="non-finite"):
+                macro_step(replace(state, field=DensityField(dens, state.t)), state.cfl_dt())
 
 
 # -- adaptation ----------------------------------------------------------------
@@ -473,6 +490,96 @@ def test_plan_equals_one_with_an_unconditional_running_maximum(case, jitter):
         frac, at = plan_reference(s, spec, grid, dt)
     assert plan.frac.tobytes() == frac.tobytes()
     assert plan.gather.dtype == at.dtype and np.array_equal(plan.gather, at)
+    # The remap finds the edges that reach a band of m-rows by searchsorted
+    # on the per-edge lowest and highest foot cells, so both must be sorted.
+    cells = at // s.size
+    assert np.array_equal(plan.min_cell, cells.min(axis=1))
+    assert np.array_equal(plan.max_cell, cells.max(axis=1))
+    assert np.all(np.diff(plan.min_cell) >= 0) and np.all(np.diff(plan.max_cell) >= 0)
+
+
+def full_remap_reference(p, s, spec, grid, dt):
+    """The remap over all M m-rows, whatever they hold: a sequential prefix
+    sum over every row, then every edge gathered and differenced."""
+    frac, at = plan_reference(s, spec, grid, dt)
+    q = np.ascontiguousarray(vmx(p)).reshape(grid.n_v, grid.m_nodes, -1)
+    cum = np.zeros((grid.n_v, grid.m_nodes + 1, q.shape[2]))
+    for i in range(grid.m_nodes):
+        cum[:, i + 1] = cum[:, i] + q[:, i]
+    out = np.empty(q.shape)
+    for v in range(grid.n_v):
+        at_feet = cum[v, :-1].ravel()[at] + frac * q[v].ravel()[at]
+        out[v] = at_feet[1:] - at_feet[:-1]
+    return out.reshape(vmx(p).shape)
+
+
+@st.composite
+def banded_remap_cases(draw):
+    """A remap case whose density holds mass only in the m-rows [lo, hi):
+    empty, one row, from row 0, up to row M-1, M-2 or M-3 (so that zero,
+    one or two rows lie above it), the full range or inside it, and -0.0
+    everywhere else."""
+    grid, spec, s, dt, rng = draw(remap_cases())
+    n_m = grid.m_nodes
+    kind = draw(st.sampled_from(["empty", "one row", "from row 0", "to row M-1", "to row M-2",
+                                 "to row M-3", "full", "inside"]))
+    lo = 0 if kind in ("empty", "from row 0", "full") else draw(st.integers(0, n_m - 1))
+    if kind == "empty":
+        hi = 0
+    elif kind == "one row":
+        hi = lo + 1
+    elif kind == "full":
+        hi = n_m
+    elif kind.startswith("to row"):
+        hi = max(n_m + 1 - int(kind[-1]), 1)
+        lo = min(lo, hi - 1)
+    else:
+        hi = draw(st.integers(lo + 1, n_m))
+    p = np.full(grid.field_shape, -0.0)
+    band = p[..., lo:hi]
+    band[...] = np.where(rng.random(band.shape) < 0.8, rng.random(band.shape), -0.0)
+    if hi > lo:  # the band's end rows hold mass
+        p.reshape(-1, n_m)[0, [lo, hi - 1]] = 1.0
+    return grid, spec, s, dt, p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(banded_remap_cases())
+def test_banded_remap_equals_a_full_range_remap_bitwise(case):
+    # The remap sums, gathers and differences only near the rows that hold
+    # mass and writes +0.0 elsewhere: the bits of the remap over every row.
+    # The -0.0 rows of the input come out +0.0, as the full remap gives
+    # them, and a NaN-filled ``out`` shows any row left unwritten.
+    grid, spec, s, dt, p = case
+    expected = full_remap_reference(p, s, spec, grid, dt)
+    new = vmx(adaptation_apply(p, s, spec, grid, dt))
+    assert new.tobytes() == expected.tobytes()
+    assert not np.any(np.signbit(new))
+    into = adaptation_apply(p, s, spec, grid, dt, out=np.full(vmx(p).shape, np.nan))
+    assert vmx(into).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_banded_remap_fills_the_rows_above_the_band_without_a_copy_of_them(dim):
+    # A warm remap into ``out`` of a density held in m-rows 2-5 of 64
+    # allocates one (v, x) row to fill the rows above the band from, not a
+    # broadcast copy of those rows (numpy's way to resolve the overlap).
+    import tracemalloc
+    grid = custom_grid(*velocity_set(dim, 4), x_nodes=32, dim=dim, m_nodes=64)
+    spec = make_spec(grid)
+    s = np.random.default_rng(0).uniform(0.0, 2.0, grid.x_shape)
+    dens = np.zeros(grid.field_shape)
+    dens[..., 2:6] = 1.0
+    p, out = in_layout(dens), np.empty(vmx(dens).shape)
+    plan = adaptation_plan(s, spec, grid, 0.1)
+    adaptation_apply(p, s, spec, grid, 0.1, plan, out=out)
+    tracemalloc.start()
+    try:
+        adaptation_apply(p, s, spec, grid, 0.1, plan, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * p.nbytes
 
 
 @st.composite
