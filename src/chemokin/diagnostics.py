@@ -49,18 +49,20 @@ class ReportRow:
 
 
 def reduce_norms(p: np.ndarray, s: np.ndarray, grid: PhaseGrid, m_plus: float,
-                 t: float) -> ReportRow:
+                 t: float, pbar: np.ndarray | None = None) -> ReportRow:
     """One report row of discrete norms and moments (margins left open).
 
     L1 sums weight cells by dx^dim * w_v * dm; sup norms are plain maxima.
     The tail moment integrates m*p over m > 2*m_plus, the region whose
     initial-moment domination justifies the m-grid truncation.  p is read
-    by one pbar pass (n, mass and x-moment follow from pbar), one
-    m-weighted sum and its maximum.
+    by one m-weighted sum and its maximum; n, mass and x-moment follow from
+    pbar, ``pbar_of(p)`` unless the caller passes the one it has (the one a
+    field carries, ``DensityField.pbar``).
     """
     if p.shape != grid.field_shape:
         raise BadConfig(f"field shape {p.shape} != grid shape {grid.field_shape}")
-    pbar = pbar_of(p, grid)
+    if pbar is None:
+        pbar = pbar_of(p, grid)
     n = density_of_pbar(pbar, grid)
     m_moment, tail_moment = m_moments(p, grid, m_tail=2.0 * m_plus)
 
@@ -130,12 +132,16 @@ class DiagnosticsReport:
         self.rows: list[ReportRow] = []
         self.failures: list[str] = []
 
-    def observe(self, p: np.ndarray, s: np.ndarray, t: float) -> ReportRow:
-        """Reduce (p, s) at time t to a row, check its margins and keep it."""
+    def observe(self, p: np.ndarray, s: np.ndarray, t: float,
+                pbar: np.ndarray | None = None) -> ReportRow:
+        """Reduce (p, s) at time t to a row, check its margins and keep it.
+
+        ``pbar``, when given, is p's m-integral (``reduce_norms``).
+        """
         if self.rows and t <= self.rows[-1].t:
             raise BadConfig(
                 f"report rows must be strictly increasing in t: {t} after {self.rows[-1].t}")
-        row = reduce_norms(p, s, self.grid, self.spec.m_plus, t)
+        row = reduce_norms(p, s, self.grid, self.spec.m_plus, t, pbar)
         for name, scale in envelope_check(row, self.initial, self.spec, self.grid).items():
             margin = getattr(row, name)
             if np.isfinite(scale) and margin < -ENVELOPE_TOL * abs(scale):

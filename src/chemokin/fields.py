@@ -16,7 +16,9 @@ first copied into this one, so every layout gives the same bits.  For a
 non-negative density the m-sum of M terms stays within (M - 1) * 2**-53
 of the exact sum, relatively (Higham 1993).  Full integrals go through n:
 the mass is sum_x n(x) * dx^dim, so the initial mass, the per-step mass
-defect and the diagnostics agree bit for bit.
+defect and the diagnostics agree bit for bit.  A ``DensityField`` carries
+the pbar that the step which made it computed, so a run's outputs read it
+instead of summing the density over m again.
 """
 from __future__ import annotations
 
@@ -35,10 +37,22 @@ class DensityField:
     ``values[..., k, j]`` is the density in x-cell ``...``, velocity node
     ``k`` and m-cell ``j``.  Non-negative with finite total mass.  The
     solver's densities are (*x, v, m) views of (v, m, *x) buffers.
+
+    ``pbar`` is ``pbar_of(values)`` when whoever built the field computed
+    it (a stepper state and each macro step do), else None.  It is passed
+    along, not cached: a field built from another density, as
+    ``dataclasses.replace(state, field=DensityField(...))`` builds one, has
+    none, and ``m_integral`` sums its own values.  Changing ``values`` in
+    place leaves a carried ``pbar`` stale.
     """
 
     values: np.ndarray
     t: float = 0.0
+    pbar: np.ndarray | None = None
+
+    def m_integral(self, grid: PhaseGrid) -> np.ndarray:
+        """The carried ``pbar``, or ``pbar_of(values)`` without one."""
+        return pbar_of(self.values, grid) if self.pbar is None else self.pbar
 
 
 @dataclass
@@ -64,13 +78,21 @@ def in_layout(p: np.ndarray) -> np.ndarray:
     return xvm(np.array(vmx(p), dtype=float, order="C"))
 
 
-def pbar_of(p: np.ndarray, grid: PhaseGrid) -> np.ndarray:
+def pbar_of(p: np.ndarray, grid: PhaseGrid,
+            band: tuple[int, int] | None = None) -> np.ndarray:
     """m-integrated density over (x, v): the (*x, v) view of a (v, *x) array.
 
     Sums the m axis of the (v, m, *x) buffer; a density in another layout
-    is copied into one first.
+    is copied into one first.  ``band`` = (lo, hi) is the caller's promise
+    that p is +0.0 outside m-rows [lo, hi); then only those rows are
+    summed.  Row by row, each add over the contiguous x-row, the sum is
+    sequential in m, and +0.0 rows change no bit of it.  With one x-cell m
+    is the contiguous axis, which numpy sums pairwise, so there every row
+    is summed.
     """
-    pbar = np.sum(np.ascontiguousarray(vmx(p)), axis=1)
+    q = np.ascontiguousarray(vmx(p))
+    lo, hi = (0, q.shape[1]) if band is None or q[0, 0].size == 1 else band
+    pbar = np.sum(q[:, lo:hi], axis=1)
     pbar *= grid.dm
     return pbar.transpose(*range(1, pbar.ndim), 0)
 

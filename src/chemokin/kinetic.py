@@ -8,30 +8,36 @@ flow, and the adaptation half steps are one conservative remap along it:
 no eps-CFL, and a cost independent of eps.  Both half steps share the
 frozen signal and dt/2, so one plan (``adaptation_plan``: where the feet of
 the m-edges fall, computed edge-major by ``adaptation_feet``, and the gather
-indices) serves both.  The remap sums and gathers only over the band of
-m-rows that holds mass, and writes +0.0 elsewhere, the bits the full remap
-gives there.  Every operator works on the (v, m, *x) view of the
-density (``fields``): the remap's prefix sums and gathers and turning's
-one batched (G, V, V) product per lambda-cell run along contiguous x-rows,
-each of transport's per-velocity, per-axis shifts is one contiguous product
-over the flattened (m, *x) slab, offset by the axis's stride, and each
-operator returns a density in that layout, whatever the strides of its
-input.  Transport is corner-transport upwind, one 1-d upwind sweep per
-axis, so its CFL bounds the largest per-axis Courant number, not their
-sum.  Turning and transport are explicit and written in
-non-negative-coefficient form, so positivity is preserved under their CFL
-bounds: under the turning CFL every entry of each cell's (V, V) matrix is
->= 0, and under the transport CFL every sweep is a convex combination.
+indices) serves both.  The step finds the band of m-rows its input holds
+once (``held_band``), and every sub-step works on a band: each operator
+takes the m-rows [lo, hi) outside which its input is zero as ``band``,
+reads and writes only what those rows need, and leaves the other rows of
+its output as they are, +0.0 in a step; the epilogue sums pbar over the
+band too.  Zero rows add no bit to a sum along m, so every band gives the
+bits of the same operator over every row.  Every operator works on the
+(v, m, *x) view of the density (``fields``): the remap's prefix sums and
+gathers and turning's one batched (G, V, V) product per lambda-cell run
+along contiguous x-rows, each of transport's per-velocity, per-axis shifts
+is one contiguous product over the flattened (m, *x) slab, offset by the
+axis's stride, and each operator returns a density in that layout,
+whatever the strides of its input.  Transport is corner-transport upwind,
+one 1-d upwind sweep per axis, so its CFL bounds the largest per-axis
+Courant number, not their sum.  Turning and transport are explicit and
+written in non-negative-coefficient form, so positivity is preserved under
+their CFL bounds: under the turning CFL every entry of each cell's (V, V)
+matrix is >= 0, and under the transport CFL every sweep is a convex
+combination.
 Every sub-operation conserves the discrete mass up to round-off (periodic
 transport telescopes, the turning integrand is antisymmetric under
 swapping the two velocities, and the remap's cell masses telescope to the
 full m-integral because the adaptation rate points inward at both ends of
 the truncated m-interval).
 
-A macro step allocates one density-sized array, its result, and never
-writes a density it has returned.  The sub-steps alternate between that
-result and one (v, m, *x) work buffer (``step_buffers``), each writing the
-buffer it did not read: each operator takes an optional ``out``, the
+A macro step allocates one density-sized array, its result (zero-filled,
+so rows a banded sub-step leaves are +0.0), and never writes a density it
+has returned.  The sub-steps alternate between that result and one
+(v, m, *x) work buffer (``step_buffers``), each writing the buffer it did
+not read: each operator takes an optional ``out``, the
 C-contiguous (v, m, *x) array to write, allocates only without one, and
 refuses an ``out`` that shares memory with its input.  The work buffer
 and the operators' temporaries (the remap's two gathers, at most (M+1, X)
@@ -40,10 +46,11 @@ each, and one (m, *x) slab for transport's products) are per-thread scratch
 once never share one.
 
 The step epilogue (``finish_step``) and the output scheduler (``run``)
-also serve the reduced model of ``limit``, a state on one m-cell.  The
-epilogue takes the mass from the n it computes for the signal, the way
-``fields.total_mass`` gave the initial mass, so a step that changes
-nothing has zero defect.
+also serve the reduced model of ``limit``, a state on one m-cell, which
+passes no band.  The epilogue takes the mass from the n it computes for
+the signal, the way ``fields.total_mass`` gave the initial mass, so a step
+that changes nothing has zero defect, and the new field carries the pbar
+that n came from, which the run's outputs read.
 """
 from __future__ import annotations
 
@@ -57,7 +64,8 @@ from .config import output_times
 from .diagnostics import DiagnosticsReport
 from .elliptic import solve_signal
 from .errors import BadConfig, CflViolation, NonFiniteInput, PositivityError, SpecViolation
-from .fields import DensityField, SignalField, in_layout, number_density, vmx, x_integral, xvm
+from .fields import (DensityField, SignalField, density_of_pbar, in_layout, pbar_of, vmx,
+                     x_integral, xvm)
 from .model import InitialData, ModelSpec, PhaseGrid
 
 #: Relative slack when comparing a step against its CFL bound.
@@ -101,9 +109,26 @@ def step_buffers(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A step's sub-steps alternate between the two, each writing the one it
     did not read, and the last writes ``result``, which the step returns.
+    ``result`` starts +0.0, so a banded sub-step may leave its other rows.
     """
     shape = vmx(p).shape
-    return _scratch("work", shape), np.empty(shape)
+    return _scratch("work", shape), np.zeros(shape)
+
+
+def held_band(p: np.ndarray) -> tuple[int, int]:
+    """The band [lo, hi) of m-rows of density ``p`` that holds anything but zeros.
+
+    Every row when the first and the last row hold something: the scan
+    costs more there than the band saves.  Otherwise one ``any`` over the
+    density finds it, and an empty density gives (0, 0).  Either way NaN,
+    inf and negative cells count as held.
+    """
+    q = np.ascontiguousarray(vmx(p))
+    q = q.reshape(q.shape[0], q.shape[1], -1)
+    if q[:, 0].any() and q[:, -1].any():
+        return 0, q.shape[1]
+    held = np.flatnonzero(q.any(axis=0).any(axis=1))
+    return (int(held[0]), int(held[-1]) + 1) if held.size else (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +167,8 @@ class TurningTensors:
 
 def turning_apply(p: np.ndarray, spec: ModelSpec, grid: PhaseGrid, dt: float,
                   tensors: TurningTensors | None = None,
-                  out: np.ndarray | None = None) -> np.ndarray:
+                  out: np.ndarray | None = None, *,
+                  band: tuple[int, int] | None = None) -> np.ndarray:
     """One explicit Euler step of the velocity-jump operator.
 
     One batched (G, V, V) product of the matrices A_g (``TurningTensors``)
@@ -152,6 +178,12 @@ def turning_apply(p: np.ndarray, spec: ModelSpec, grid: PhaseGrid, dt: float,
     V_d * turning_cap): then every entry of every A_g is >= 0, so each
     output is a sum of non-negative products; w @ A_g = w for the velocity
     weights w, so mass moves only by round-off.
+
+    ``band`` = (lo, hi) is the caller's promise that ``p`` is zero and
+    ``out`` +0.0 outside m-rows [lo, hi) (``macro_step``); then only the
+    lambda-cells of those rows are multiplied, and the other rows of
+    ``out`` are left as they are, which is what the step over every row
+    writes there.  Each cell's product is the same with or without it.
     """
     tensors = tensors or TurningTensors.build(spec, grid)
     max_loss = tensors.loss.max()
@@ -160,11 +192,15 @@ def turning_apply(p: np.ndarray, spec: ModelSpec, grid: PhaseGrid, dt: float,
             f"turning step dt = {dt} exceeds positivity bound {1.0 / max_loss}")
     q = vmx(p)
     res = _target(q, out)
-    n_v, n_g = len(q), tensors.lam.size
-    a = (dt * tensors.lam.reshape(n_g, 1, 1)) * tensors.gain
-    a[:, range(n_v), range(n_v)] += 1.0 - dt * tensors.loss
-    np.matmul(a, np.ascontiguousarray(q).reshape(n_v, n_g, -1).transpose(1, 0, 2),
-              out=res.reshape(n_v, n_g, -1).transpose(1, 0, 2))
+    n_v, n_m, n_g = len(q), q.shape[1], tensors.lam.size
+    lo, hi = (0, n_m) if band is None else band
+    # The lambda-cells are consecutive blocks of the flattened (m, *x) slab,
+    # so m-rows [lo, hi) are the cells [lo, hi) * G / M.
+    lo, hi = lo * n_g // n_m, hi * n_g // n_m
+    a = (dt * tensors.lam[lo:hi].reshape(-1, 1, 1)) * tensors.gain
+    a.reshape(-1, n_v * n_v)[:, ::n_v + 1] += 1.0 - dt * tensors.loss[lo:hi]  # the diagonals
+    np.matmul(a, np.ascontiguousarray(q).reshape(n_v, n_g, -1)[:, lo:hi].transpose(1, 0, 2),
+              out=res.reshape(n_v, n_g, -1)[:, lo:hi].transpose(1, 0, 2))
     return xvm(res)
 
 
@@ -199,7 +235,8 @@ def _upwind(dst: np.ndarray, slab: np.ndarray, axis: int, cmag: float, sign: int
 
 
 def transport_apply(p: np.ndarray, grid: PhaseGrid, dt: float,
-                    out: np.ndarray | None = None) -> np.ndarray:
+                    out: np.ndarray | None = None, *,
+                    band: tuple[int, int] | None = None) -> np.ndarray:
     """First-order corner-transport upwind x-transport, one step for every velocity node.
 
     Each velocity moves by one 1-d upwind sweep per axis it moves on, in
@@ -219,17 +256,24 @@ def transport_apply(p: np.ndarray, grid: PhaseGrid, dt: float,
     scales the output by its kept fraction and adds the shift.  A velocity
     that moves on no axis keeps its slab.  ``out`` is checked by
     ``_target``, and every velocity's CFL before anything is written.
+
+    ``band`` = (lo, hi) is the caller's promise that ``p`` is zero and
+    ``out`` +0.0 outside m-rows [lo, hi) (``macro_step``); then each slab
+    is cut to those rows, still one contiguous block, and the other rows
+    of ``out`` are left as they are.  The sweeps act along x only, so each
+    cell gets the bits it gets without a band.
     """
     periodic = grid.x_topology == "periodic"
     courants = grid.velocities * dt / grid.dx
-    for k, c in enumerate(courants):
-        if np.max(np.abs(c)) > 1.0 + CFL_SLACK:
-            raise CflViolation(
-                f"transport step dt = {dt} exceeds dx/|v_i| for velocity node {k}")
+    over = np.flatnonzero(np.abs(courants).max(axis=1) > 1.0 + CFL_SLACK)
+    if over.size:
+        raise CflViolation(
+            f"transport step dt = {dt} exceeds dx/|v_i| for velocity node {over[0]}")
     q = np.ascontiguousarray(vmx(p))
     res = _target(q, out)
-    shifted = _scratch("slab", q.shape[1:])
-    for slab, c_k, res_k in zip(q, courants, res):
+    lo, hi = (0, q.shape[1]) if band is None else band
+    shifted = _scratch("slab", q.shape[1:])[lo:hi]
+    for slab, c_k, res_k in zip(q[:, lo:hi], courants, res[:, lo:hi]):
         moved = False
         for axis, c in enumerate(c_k):
             if c == 0.0:
@@ -281,13 +325,26 @@ class AdaptationPlan:
     shape (V, M+1, X) is kept.  ``min_cell[e]`` and ``max_cell[e]`` (shape
     (M+1,)) are the lowest and highest idx[e, x] over x.  Every column's
     feet are non-decreasing, so both are too, and ``np.searchsorted`` on
-    them finds the edges whose feet reach a band of m-rows.
+    them finds the edges whose feet reach a band of m-rows (``reach``).
     """
 
     frac: np.ndarray
     gather: np.ndarray
     min_cell: np.ndarray
     max_cell: np.ndarray
+
+    def reach(self, band: tuple[int, int]) -> tuple[int, int]:
+        """The output rows [first, last) a remap of a density held in m-rows ``band`` can fill.
+
+        Edges [first, last] are the ones with a foot in the band or next to
+        it.  Every other output row is 0.0: both of its edges' feet lie
+        below the band in every column, where the prefix sum is 0.0, or
+        above it, where it is the column total.
+        """
+        lo, hi = band
+        first = max(int(np.searchsorted(self.max_cell, lo)) - 1, 0)
+        last = min(int(np.searchsorted(self.min_cell, hi)), len(self.min_cell) - 1)
+        return first, last
 
 
 def adaptation_plan(s: np.ndarray, spec: ModelSpec, grid: PhaseGrid,
@@ -327,7 +384,8 @@ def adaptation_plan(s: np.ndarray, spec: ModelSpec, grid: PhaseGrid,
 
 def adaptation_apply(p: np.ndarray, s: np.ndarray, spec: ModelSpec, grid: PhaseGrid,
                      dt: float, plan: AdaptationPlan | None = None,
-                     out: np.ndarray | None = None) -> np.ndarray:
+                     out: np.ndarray | None = None, *,
+                     band: tuple[int, int] | None = None) -> np.ndarray:
     """Conservative semi-Lagrangian remap of the m-drift term over dt.
 
     The signal is frozen over the step, so dm/dt = F(m, S(x))/eps has a
@@ -344,48 +402,43 @@ def adaptation_apply(p: np.ndarray, s: np.ndarray, spec: ModelSpec, grid: PhaseG
 
     ``plan`` is ``adaptation_plan(s, spec, grid, dt)``, built here when not
     given; ``macro_step`` builds one per step for both half steps.  The
-    remap works on the (v, m, x) view, and only on the band of m-rows
-    [lo, hi) that holds mass.  It is every row when the first and the last
-    row hold mass; otherwise one ``any`` over the density finds it.  Either
-    way NaN, inf and negative cells count as held.  The prefix sums fill the
-    output buffer (``out``, see ``_target``), one add of whole (v, x) rows
-    per m-cell of the band; below it cum is 0.0, and above it a copy of
-    cum[hi].  These are the bits of the sum over every row: x + (+-0.0) = x
-    for every x but -0.0, and a sum that starts at +0.0 is never -0.0.
-    Two ``searchsorted`` calls on the plan's per-edge bounds give the edges
-    with a foot in the band or next to it.  One velocity at a time then
-    gathers at those edges' feet, through the plan's one index, into two
-    per-thread scratch buffers sized to them (the plan keeps every index in
-    range, so ``mode="clip"``, which gathers without an internal copy,
-    never clips), and overwrites its own (m, x) slab there with the
-    differences, which only that velocity reads.  Every other row is +0.0,
-    as in the full remap: both of its edges interpolate 0.0 below the band,
-    or the column total above it.
+    remap works on the (v, m, x) view.  ``band`` = (lo, hi) is the caller's
+    promise that ``p`` is zero and ``out`` +0.0 outside m-rows [lo, hi);
+    without it the band is every row.  The prefix sums fill the output
+    buffer (``out``, see ``_target``), one add of whole (v, x) rows per
+    m-cell of the band; at and below lo cum is 0.0, and above hi a copy of
+    cum[hi], written only in the rows the gathers read.  These are the bits
+    of the sum over every row: x + (+-0.0) = x for every x but -0.0, and a
+    sum that starts at +0.0 is never -0.0.  The plan's ``reach`` gives the
+    output rows [first, last) and the edges whose feet it gathers at.  One
+    velocity at a time then gathers at those feet, through the plan's one
+    index, into two per-thread scratch buffers sized to them (the plan
+    keeps every index in range, so ``mode="clip"``, which gathers without
+    an internal copy, never clips), and overwrites its own (m, x) slab
+    there with the differences, which only that velocity reads.  The other
+    rows it wrote are set to +0.0, and the rows of ``out`` it did not
+    write are left as they are: +0.0 as promised, which is what the remap
+    over every row gives there.
     """
     if plan is None:
         plan = adaptation_plan(s, spec, grid, dt)
     n_v, n_m = grid.n_v, grid.m_nodes
     res = _target(vmx(p), out)
     q = np.ascontiguousarray(vmx(p)).reshape(n_v, n_m, -1)
-    # When both end rows hold mass the band is every row: skip the scan,
-    # which there costs more than the band saves.
-    if q[:, 0].any() and q[:, -1].any():
-        lo, hi = 0, n_m
-    else:
-        held = np.flatnonzero(q.any(axis=(0, 2)))
-        lo, hi = (int(held[0]), int(held[-1]) + 1) if held.size else (0, 0)
+    lo, hi = (0, n_m) if band is None else band
+    first, last = plan.reach((lo, hi))
+    # cum is needed in rows [bottom, top], from the lowest foot to the highest:
+    # bottom <= lo, and top >= hi unless the band reaches row M-1.
+    bottom, top = int(plan.min_cell[first]), int(plan.max_cell[last])
     cum = res.reshape(q.shape)
     cum_rows = cum.swapaxes(0, 1)
-    cum_rows[:lo + 1] = 0.0
+    cum_rows[bottom:lo + 1] = 0.0
     for prev, row, nxt in zip(cum_rows[lo:hi], q.swapaxes(0, 1)[lo:hi], cum_rows[lo + 1:]):
         np.add(prev, row, out=nxt)
-    if hi < n_m - 1:
+    if hi < top:
         # From a copy of the row: numpy resolves the overlap of the row with
         # the rows above it by copying the whole broadcast source first.
-        cum_rows[hi + 1:] = cum_rows[hi].copy()
-    # Edges [first, last] are the ones with a foot in the band or next to it.
-    first = max(int(np.searchsorted(plan.max_cell, lo)) - 1, 0)
-    last = min(int(np.searchsorted(plan.min_cell, hi)), n_m)
+        cum_rows[hi + 1:top + 1] = cum_rows[hi].copy()
     at, frac = plan.gather[first:last + 1], plan.frac[first:last + 1]
     at_feet, gathered = _scratch("remap_cum", at.shape), _scratch("remap_p", at.shape)
     for cum_v, q_v in zip(cum, q):
@@ -394,8 +447,8 @@ def adaptation_apply(p: np.ndarray, s: np.ndarray, spec: ModelSpec, grid: PhaseG
         gathered *= frac
         at_feet += gathered
         np.subtract(at_feet[1:], at_feet[:-1], out=cum_v[first:last])
-    cum[:, :first] = 0.0
-    cum[:, last:] = 0.0
+    cum[:, bottom:first] = 0.0
+    cum[:, last:top + 1] = 0.0
     return xvm(res)
 
 
@@ -438,14 +491,16 @@ class StepperState:
         (``build_initial`` builds one) is kept, not copied: no operator
         writes a density it was given or has returned (``macro_step``), so
         the state and ``initial`` can share it.  Any other density is
-        copied into the layout (``in_layout``).
+        copied into the layout (``in_layout``).  The field carries the pbar
+        the signal solve read.
         """
         p0 = initial.p0
-        signal = solve_signal(number_density(p0.values, grid), grid)
+        pbar = pbar_of(p0.values, grid)
+        signal = solve_signal(density_of_pbar(pbar, grid), grid)
         q = vmx(p0.values)
         shared = q.flags.c_contiguous and q.dtype == np.float64
         return cls(
-            field=DensityField(p0.values if shared else in_layout(p0.values), p0.t),
+            field=DensityField(p0.values if shared else in_layout(p0.values), p0.t, pbar),
             signal=signal,
             spec=spec,
             grid=grid,
@@ -472,6 +527,15 @@ def macro_step(state: StepperState, dt: float) -> StepperState:
     density afterwards (unless the state freezes it for oracle runs).  The
     sub-steps alternate between this thread's work buffer and ``result``,
     the step's one fresh array, which the new state keeps.
+
+    The step finds the band of m-rows its input holds once (``held_band``)
+    and gives every sub-step its band.  Remap 1 can fill only the rows the
+    plan's ``reach`` gives for it, band1; it writes +0.0 in ``result``'s
+    other rows, and the work buffer's are set to +0.0 here, so both
+    buffers hold +0.0 outside band1 from then on.  Turning, transport and
+    remap 2 work on band1, and the epilogue sums pbar over the rows remap 2
+    can fill.  Every band holds all the mass of its density, so each
+    sub-step gives the bits it gives over every row.
     """
     if dt <= 0:
         raise BadConfig(f"macro step dt must be positive, got {dt}")
@@ -481,27 +545,39 @@ def macro_step(state: StepperState, dt: float) -> StepperState:
     plan = adaptation_plan(s, spec, grid, 0.5 * dt)
     # Allocated after the plan, so the plan's temporaries are already freed.
     work, result = step_buffers(state.field.values)
-    p = adaptation_apply(state.field.values, s, spec, grid, 0.5 * dt, plan, out=result)
-    p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors, out=work)
-    p = transport_apply(p, grid, dt, out=result)
-    p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors, out=work)
-    p = adaptation_apply(p, s, spec, grid, 0.5 * dt, plan, out=result)
-    return finish_step(state, p, dt)
+    band = held_band(state.field.values)
+    p = adaptation_apply(state.field.values, s, spec, grid, 0.5 * dt, plan, out=result,
+                         band=band)
+    band = plan.reach(band)
+    work_rows = work.reshape(grid.n_v, grid.m_nodes, -1)
+    work_rows[:, :band[0]] = 0.0
+    work_rows[:, band[1]:] = 0.0
+    p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors, out=work, band=band)
+    p = transport_apply(p, grid, dt, out=result, band=band)
+    p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors, out=work, band=band)
+    p = adaptation_apply(p, s, spec, grid, 0.5 * dt, plan, out=result, band=band)
+    return finish_step(state, p, dt, band=plan.reach(band))
 
 
-def finish_step(state: StepperState, p: np.ndarray, dt: float) -> StepperState:
+def finish_step(state: StepperState, p: np.ndarray, dt: float, *,
+                band: tuple[int, int] | None = None) -> StepperState:
     """Close a step that produced density ``p``: check, refresh, account.
 
     Positivity is asserted on the result: a negative, NaN or infinite
-    cell is a scheme bug, never something to clip.  The min catches the
-    first two; a +inf cell of an otherwise non-negative density makes its
-    column's n infinite.  The signal is then re-solved from ``p`` (unless
-    the state freezes it) and the largest relative mass defect against
-    ``mass0`` so far is kept.
+    cell is a scheme bug, never something to clip.  The min, over every
+    cell of ``p``, catches the first two wherever a sub-step left them; a
+    +inf cell of an otherwise non-negative density makes its column's n
+    infinite.  n comes from pbar, summed over the m-rows ``band`` only
+    when given (the caller's promise that ``p`` is +0.0 outside them; see
+    ``fields.pbar_of``), and the new field carries that pbar for the
+    run's outputs.  The signal is then re-solved from n (unless the state
+    freezes it) and the largest relative mass defect against ``mass0`` so
+    far is kept.
     """
     grid = state.grid
     pmin = float(p.min())
-    n = number_density(p, grid)
+    pbar = pbar_of(p, grid, band)
+    n = density_of_pbar(pbar, grid)
     if not (pmin >= 0.0 and np.all(np.isfinite(n))):  # NaN compares false
         raise PositivityError(
             f"negative or non-finite density (min {pmin:.3e}) after macro step "
@@ -511,7 +587,7 @@ def finish_step(state: StepperState, p: np.ndarray, dt: float) -> StepperState:
     defect = (x_integral(n, grid) - state.mass0) / state.mass0 if state.mass0 else 0.0
     return replace(
         state,
-        field=DensityField(p, state.t + dt),
+        field=DensityField(p, state.t + dt, pbar),
         signal=signal,
         step_count=state.step_count + 1,
         max_mass_defect=max(state.max_mass_defect, abs(defect)),
@@ -529,7 +605,8 @@ def run(state: StepperState, t_end: float, output_every: float,
     at every interval end so runs and restarts share bitwise-identical
     schedules.  A fresh run (no report, or a report with no rows) is
     observed at t_start, and every run at each output instant, by
-    ``report.observe`` and then ``observer(state)``.  A schedule
+    ``report.observe`` (given the pbar the state's field carries) and then
+    ``observer(state)``.  A schedule
     ``output_times`` refuses raises ``BadConfig`` before the first
     observation.  This thread's scratch buffers are freed when the run
     returns or raises.
@@ -538,7 +615,8 @@ def run(state: StepperState, t_end: float, output_every: float,
     times = output_times(state.t, t_end, output_every)
     if report is None or not report.rows:
         if report is not None:
-            report.observe(state.field.values, state.signal.values, state.t)
+            report.observe(state.field.values, state.signal.values, state.t,
+                           pbar=state.field.pbar)
         if observer is not None:
             observer(state)
     if t_end == state.t:
@@ -552,9 +630,10 @@ def run(state: StepperState, t_end: float, output_every: float,
             dt = span / n_steps
             for _ in range(n_steps):
                 state = step(state, dt)
-            state = replace(state, field=DensityField(state.field.values, t_next))
+            state = replace(state, field=replace(state.field, t=t_next))
             if report is not None:
-                report.observe(state.field.values, state.signal.values, t_next)
+                report.observe(state.field.values, state.signal.values, t_next,
+                               pbar=state.field.pbar)
             if observer is not None:
                 observer(state)
     finally:

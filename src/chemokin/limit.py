@@ -90,15 +90,17 @@ def oda_run(grid: PhaseGrid, spec: ModelSpec, initial: InitialData, t_end: float
 # ---------------------------------------------------------------------------
 
 def concentration_metrics(p: np.ndarray, s: np.ndarray, spec: ModelSpec,
-                          grid: PhaseGrid) -> float:
+                          grid: PhaseGrid, pbar: np.ndarray | None = None) -> float:
     """Distance of the normalized m-marginals from the adapted Dirac profile.
 
     Returns the Wasserstein-1 distance of each spatial cell's normalized
     m-marginal to the Dirac at m0(S(x)) (the first absolute moment about
     it, equivalently the integral of |CDF - step|), mass-weighted over the
-    cells above the vacuum floor.
+    cells above the vacuum floor.  The cells' n comes from ``pbar``, p's
+    m-integral, when the caller has it (``DensityField.pbar``), else from
+    ``pbar_of(p)``.
     """
-    n_x = number_density(p, grid).reshape(-1)
+    n_x = density_of_pbar(pbar_of(p, grid) if pbar is None else pbar, grid).reshape(-1)
     total = x_integral(n_x, grid)
     if total <= 0.0:
         raise EmptyField("concentration metrics need positive total mass")
@@ -159,10 +161,10 @@ def _run_one_eps(grid: PhaseGrid, spec: ModelSpec, initial: InitialData, t_end: 
     w1_gaps: list[tuple[float, float]] = []
 
     def observer(st: StepperState) -> None:
-        p = st.field.values
-        gap = x_integral(density_of_pbar(np.abs(pbar_of(p, grid) - oda_bars[len(w1_gaps)]),
-                                         grid), grid)
-        w1_gaps.append((concentration_metrics(p, st.signal.values, spec, grid), gap))
+        pbar = st.field.m_integral(grid)
+        gap = x_integral(density_of_pbar(np.abs(pbar - oda_bars[len(w1_gaps)]), grid), grid)
+        w1_gaps.append((concentration_metrics(st.field.values, st.signal.values, spec, grid,
+                                              pbar), gap))
 
     kinetic_run(state, t_end, output_every, report=report, observer=observer)
     rates = [0.0] + [float(r) for r in report.x_moment_rates()]
@@ -192,7 +194,7 @@ def eps_study(cfg: RunConfig, eps_list: list[float],
     specs = [dc_replace(spec, epsilon=eps) for eps in eps_list]
     oda_bars: list[np.ndarray] = []
     oda_run(grid, spec, initial, t_end, cfg.run.output_every,
-            observer=lambda st: oda_bars.append(pbar_of(st.field.values, st.grid)))
+            observer=lambda st: oda_bars.append(st.field.m_integral(st.grid)))
     members = [_run_one_eps(grid, spec_eps, initial, t_end, cfg.run.output_every, oda_bars)
                for spec_eps in specs]
     return StudyReport(rows=[row for rows in members for row in rows], t_end=t_end)

@@ -620,8 +620,8 @@ def test_verify_fails_when_free_grid_mass_grows(tmp_path, monkeypatch, capsys):
 
     transport = kinetic.transport_apply
 
-    def gaining(p, grid, dt, out=None):
-        res = transport(p, grid, dt, out=out)
+    def gaining(p, grid, dt, out=None, **kw):
+        res = transport(p, grid, dt, out=out, **kw)
         res *= 1.0 + 1e-9
         return res
 
@@ -669,6 +669,32 @@ def test_nan_mid_run_is_verification_failure(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(kinetic, "transport_apply", poisoned)
     assert main(["run", str(write_config(tmp_path))]) == 4
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["transport_apply", "turning_apply"])
+@pytest.mark.parametrize("row, step", [(0, 1), (12, 1), (23, 1), (12, 2)],
+                         ids=["row-0", "band-row", "row-M-1", "band-row-banded-step"])
+def test_nan_in_any_m_row_is_verification_failure(tmp_path, monkeypatch, capsys, name, row,
+                                                   step):
+    # A NaN that turning or transport leaves in m-row ``row`` (of 24) from
+    # macro step ``step`` on stops the run with exit 4.  The first step's
+    # band is every row; the second step's is narrower, and the NaN sits in
+    # it, where the next sub-step reads it.
+    real = getattr(kinetic, name)
+    bands = []
+
+    def poisoned(*args, **kw):
+        out = real(*args, **kw)
+        bands.append(kw["band"])
+        if len(bands) > (step - 1) * (2 if name == "turning_apply" else 1):
+            out[0, 0, row] = float("nan")
+        return out
+
+    monkeypatch.setattr(kinetic, name, poisoned)
+    assert main(["run", str(write_config(tmp_path))]) == 4
+    assert "non-finite" in capsys.readouterr().err
+    lo, hi = bands[-1]
+    assert lo <= row < hi and (hi - lo < 24) == (step == 2)
 
 
 def test_restart_keeps_the_run_mass_reference(tmp_path, capsys):

@@ -1,5 +1,5 @@
 """Stepper sub-operations against independent oracles, plus full-step invariants."""
-from dataclasses import replace
+from dataclasses import fields as dc_fields, replace
 
 import numpy as np
 import pytest
@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from chemokin import kinetic
 from chemokin.config import GridConfig, RunConfig
-from chemokin.diagnostics import DiagnosticsReport
+from chemokin.diagnostics import DiagnosticsReport, ReportRow, reduce_norms
 from chemokin.errors import (BadConfig, CflViolation, NonFiniteInput, PositivityError,
                              SpecViolation)
-from chemokin.fields import DensityField, in_layout, total_mass, vmx
+from chemokin.fields import DensityField, in_layout, pbar_of, total_mass, vmx
 from chemokin.kinetic import (StepperState, TurningTensors, adaptation_apply,
                               adaptation_feet, adaptation_plan, macro_step, run,
                               transport_apply, turning_apply)
@@ -572,14 +572,74 @@ def test_banded_remap_fills_the_rows_above_the_band_without_a_copy_of_them(dim):
     dens[..., 2:6] = 1.0
     p, out = in_layout(dens), np.empty(vmx(dens).shape)
     plan = adaptation_plan(s, spec, grid, 0.1)
-    adaptation_apply(p, s, spec, grid, 0.1, plan, out=out)
+    adaptation_apply(p, s, spec, grid, 0.1, plan, out=out, band=(2, 6))
     tracemalloc.start()
     try:
-        adaptation_apply(p, s, spec, grid, 0.1, plan, out=out)
+        adaptation_apply(p, s, spec, grid, 0.1, plan, out=out, band=(2, 6))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 0.25 * p.nbytes
+
+
+@st.composite
+def band_cases(draw):
+    """A grid (dim 1-2, periodic or free), turning and rate family, signal and a
+    density held in the m-rows [lo, hi): empty, one row, from row 0, up to row
+    M-1, inside or every row, with -0.0 in every other row; and the fraction
+    of each operator's CFL step to take, often the edge itself."""
+    dim = draw(st.sampled_from([1, 2]))
+    grid = custom_grid(*velocity_set(dim, draw(st.sampled_from([2, 4, 8]))),
+                       x_nodes=draw(st.integers(1, 16 if dim == 1 else 6)),
+                       x_extent=draw(st.floats(1.0, 20.0)),
+                       topology=draw(st.sampled_from(["periodic", "free"])),
+                       dim=dim, m_nodes=draw(st.integers(1, 40)))
+    spec = make_spec(grid, t_family=draw(st.sampled_from(["constant", "separable-uniform",
+                                                           "separable-angle"])),
+                     lambda0=draw(st.floats(0.05, 20.0)),
+                     f_family=draw(st.sampled_from(["linear", "cubic"])),
+                     kappa=draw(st.floats(0.1, 5.0)), eps=10.0 ** draw(st.floats(-6.0, 0.0)))
+    n_m = grid.m_nodes
+    kind = draw(st.sampled_from(["empty", "one row", "from row 0", "to row M-1", "inside",
+                                 "full"]))
+    lo = 0 if kind in ("empty", "from row 0", "full") else draw(st.integers(0, n_m - 1))
+    hi = {"empty": 0, "one row": lo + 1, "to row M-1": n_m, "full": n_m}.get(kind)
+    if hi is None:
+        hi = draw(st.integers(lo + 1, n_m))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    p = np.full(grid.field_shape, -0.0)
+    held = p[..., lo:hi]
+    held[...] = np.where(rng.random(held.shape) < 0.8, rng.random(held.shape), -0.0)
+    s = rng.uniform(0.0, 3.0, grid.x_shape)
+    edge = draw(st.sampled_from([1.0]) | st.floats(0.05, 1.0))
+    return grid, spec, s, p, (lo, hi), edge
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(band_cases())
+def test_banded_operators_equal_full_row_operators_bitwise(case):
+    # Given the band that holds the density, each operator gives the bits of
+    # its call over every row.  ``out`` is NaN-filled: turning and transport
+    # must write every band row and leave every other row untouched; the
+    # remap must leave only rows that the call over every row sets to +0.0.
+    grid, spec, s, p, band, edge = case
+    lo, hi = band
+    tensors = TurningTensors.build(spec, grid)
+    dt_turn = edge / tensors.loss.max()
+    dt_move = edge * grid.dx / grid.max_speed
+    nan_out = lambda: np.full(vmx(p).shape, np.nan)
+    for op in (lambda **kw: turning_apply(p, spec, grid, dt_turn, tensors, **kw),
+               lambda **kw: transport_apply(p, grid, dt_move, **kw)):
+        full, banded = vmx(op()), vmx(op(out=nan_out(), band=band))
+        assert banded[:, lo:hi].tobytes() == full[:, lo:hi].tobytes()
+        assert np.isnan(banded[:, :lo]).all() and np.isnan(banded[:, hi:]).all()
+    plan = adaptation_plan(s, spec, grid, 0.5 * dt_move)
+    full = vmx(adaptation_apply(p, s, spec, grid, 0.5 * dt_move, plan))
+    banded = vmx(adaptation_apply(p, s, spec, grid, 0.5 * dt_move, plan, out=nan_out(),
+                                  band=band))
+    first, last = plan.reach(band)
+    assert not np.isnan(banded[:, first:last]).any()
+    assert np.where(np.isnan(banded), 0.0, banded).tobytes() == full.tobytes()
 
 
 @st.composite
@@ -601,24 +661,33 @@ def layout_cases(draw):
     return grid, spec, rng
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(layout_cases())
-def test_macro_step_is_strang_composition(case):
-    # One shared plan, and sub-steps alternating between two buffers, must
-    # give the bits of two independently planned half steps around turning
-    # and transport, each into a fresh array.
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(layout_cases(), st.booleans())
+def test_macro_step_is_strang_composition(case, banded):
+    # One shared plan, sub-steps alternating between two buffers, and the
+    # band of m-rows passed through the step must give the bits of two
+    # independently planned half steps around turning and transport, each
+    # over every row into a fresh array.  A ``banded`` density is -0.0
+    # outside a random band of m-rows, so the step runs on a narrow band.
     grid, spec, rng = case
-    init = package_initial(DensityField(rng.random(grid.field_shape)), grid)
+    dens = rng.random(grid.field_shape)
+    if banded:
+        lo = int(rng.integers(grid.m_nodes))
+        hi = int(rng.integers(lo + 1, grid.m_nodes + 1))
+        dens[..., :lo] = -0.0
+        dens[..., hi:] = -0.0
+    init = package_initial(DensityField(dens), grid)
     state = StepperState.create(grid, spec, init)
     dt = float(rng.uniform(0.1, 1.0)) * state.cfl_dt()
     s = state.signal.values
-    stepped = macro_step(state, dt).field.values
+    stepped = macro_step(state, dt).field
     p = adaptation_apply(state.field.values, s, spec, grid, 0.5 * dt)
     p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors)
     p = transport_apply(p, grid, dt)
     p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors)
     p = adaptation_apply(p, s, spec, grid, 0.5 * dt)
-    assert np.array_equal(stepped, p)
+    assert np.array_equal(stepped.values, p)
+    assert stepped.pbar.tobytes() == pbar_of(p, grid).tobytes()
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -1017,6 +1086,23 @@ def test_nan_density_raises_positivity_error():
     state = replace(state, field=DensityField(p, state.t))
     with pytest.raises(PositivityError, match="non-finite"):
         macro_step(state, 0.05)
+
+
+def test_a_replaced_field_is_reported_from_its_own_density():
+    # A state's field carries the pbar of its density; a field built from
+    # another density carries none, so the report sums the new density.
+    cfg, grid, spec, init = default_scenario()
+    state = StepperState.create(grid, spec, init)
+    assert state.field.pbar is not None
+    other = 2.0 * state.field.values
+    report = DiagnosticsReport(init, spec, grid)
+    run(replace(state, field=DensityField(other, state.t)), 0.1, 0.1, report=report)
+    expected = reduce_norms(other, state.signal.values, grid, spec.m_plus, state.t)
+    assert report.rows[0].mass == expected.mass == 2.0 * init.mass
+    # The report fills in the margins; every reduced norm is the same.
+    margins = dict.fromkeys((f.name for f in dc_fields(ReportRow)
+                             if f.name.startswith("margin_")), 0.0)
+    assert replace(report.rows[0], **margins) == replace(expected, **margins)
 
 
 def test_run_identity_when_t_end_equals_t():
