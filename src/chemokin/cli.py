@@ -83,6 +83,13 @@ def _first_state(grid: PhaseGrid, spec: ModelSpec, initial: InitialData,
                       step_count=dump.steps, max_mass_defect=dump.max_mass_defect)
 
 
+def _print_failures(failures: list[str]) -> bool:
+    """Print each envelope failure on stderr; whether there was any."""
+    for line in failures:
+        print(f"FAIL envelope: {line}", file=sys.stderr)
+    return bool(failures)
+
+
 def cmd_run(cfg: RunConfig, restart: str | None = None) -> int:
     """Run a scenario, or resume it from a dump, writing dumps and diagnostics.
 
@@ -115,21 +122,26 @@ def cmd_run(cfg: RunConfig, restart: str | None = None) -> int:
     dumpio.copy_dump(out / _dump_name(state.t), out / "final.chk")
     report.write_csv(out / "diagnostics.csv")
 
-    if report.failed:
-        for line in report.failures:
-            print(f"FAIL envelope: {line}", file=sys.stderr)
+    if _print_failures(report.failures):
         return EXIT_VERIFY
     print(f"run complete: t = {state.t:g}, steps = {state.step_count}, "
           f"max mass defect = {state.max_mass_defect:.3e}, out = {out}")
     return EXIT_OK
 
 
-def cmd_study_eps(cfg: RunConfig, eps_list: list[float],
-                  t_end: float | None = None) -> int:
-    report = eps_study(cfg, eps_list, t_end)
+def cmd_study_eps(cfg: RunConfig, eps_list: list[float]) -> int:
+    """Run the eps family over the config's schedule and write ``study_eps.csv``.
+
+    The table is written either way.  A member whose margin fell below its
+    envelope is a verification failure, as in ``run``: each failure is
+    printed on stderr, and no summary.
+    """
+    report = eps_study(cfg, eps_list)
     out = _out_dir(cfg)
     path = out / "study_eps.csv"
     report.write_csv(path)
+    if _print_failures(report.failures):
+        return EXIT_VERIFY
     finals = report.final_rows()
     print(f"eps study written to {path}")
     for row in finals:
@@ -296,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("config")
     p_study.add_argument("--eps", required=True,
                          help="comma-separated, strictly decreasing eps values")
-    p_study.add_argument("--t-end", type=float, default=None)
 
     p_verify = sub.add_parser("verify", help="kernel, oracle and envelope self-checks")
     p_verify.add_argument("config")
@@ -313,8 +324,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return cmd_run(parse_config(args.config), restart=args.restart)
         if args.command == "study-eps":
-            return cmd_study_eps(parse_config(args.config),
-                                 _parse_eps_list(args.eps), args.t_end)
+            return cmd_study_eps(parse_config(args.config), _parse_eps_list(args.eps))
         if args.command == "verify":
             return cmd_verify(parse_config(args.config))
         if args.command == "compare":

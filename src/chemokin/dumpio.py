@@ -4,14 +4,14 @@ The header starts with the magic ``CHKIN2`` and carries the grid
 signature (dims, spacings, the velocity nodes with their weights), the
 time stamp, the adaptation time scale and the scenario hash, plus the
 run's bookkeeping: macro steps taken and the largest mass defect so far.
-The two bookkeeping keys are optional on reading (0 and 0.0), so dumps
-written without them still read.  Floats are
-written with ``repr`` so they round-trip bit-exactly; the payload is the
-density's own C-contiguous (v, m, *x) buffer (``fields``), byte for byte:
-``write_dump`` writes ``vmx(values)`` in one write, and ``read_dump`` reads
-the payload straight into a fresh buffer of that layout, so a read holds
-one density.  A ``CHKIN1`` file, the older format with x outermost, is
-refused, never misread.  ``final.chk`` is a byte copy of a dump
+Every key is required on reading: a header without one, the bookkeeping
+keys included, is a malformed dump.  Floats are written with ``repr`` so
+they round-trip bit-exactly; the payload is the density's own
+C-contiguous (v, m, *x) buffer (``fields``), byte for byte:
+``write_dump`` writes ``vmx(values)`` in one write, and ``read_dump``
+reads the payload straight into a fresh buffer of that layout, so a read
+holds one density.  A ``CHKIN1`` file, the older format with x outermost,
+is refused, never misread.  ``final.chk`` is a byte copy of a dump
 (``copy_dump``).  ``read_dump`` refuses a payload with a non-finite or
 negative cell, so restart and ``compare`` take what it returns as read.
 """
@@ -59,8 +59,8 @@ class Dump:
     eps: float
     scenario: str
     values: np.ndarray
-    steps: int = 0
-    max_mass_defect: float = 0.0
+    steps: int
+    max_mass_defect: float
 
 
 def _floats_csv(arr: np.ndarray) -> str:
@@ -156,8 +156,7 @@ def read_dump(path: str | Path) -> Dump:
                 m_max=float(fields["m_max"]),
             )
             t, eps, scenario = float(fields["t"]), float(fields["eps"]), fields["scenario"]
-            steps = int(fields.get("steps", "0"))
-            max_mass_defect = float(fields.get("max_mass_defect", "0.0"))
+            steps, max_mass_defect = int(fields["steps"]), float(fields["max_mass_defect"])
         except (KeyError, ValueError) as exc:
             raise BadConfig(f"{path}: malformed dump header ({exc})") from exc
         try:

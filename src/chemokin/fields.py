@@ -39,20 +39,16 @@ class DensityField:
     solver's densities are (*x, v, m) views of (v, m, *x) buffers.
 
     ``pbar`` is ``pbar_of(values)`` when whoever built the field computed
-    it (a stepper state and each macro step do), else None.  It is passed
-    along, not cached: a field built from another density, as
-    ``dataclasses.replace(state, field=DensityField(...))`` builds one, has
-    none, and ``m_integral`` sums its own values.  Changing ``values`` in
-    place leaves a carried ``pbar`` stale.
+    it (a stepper state, the reduced model's first state and each step
+    do), else None.  It is passed along, not cached: a field built from
+    another density, as ``dataclasses.replace(state, field=DensityField(...))``
+    builds one, has none, and a reader sums that field's values itself.
+    Changing ``values`` in place leaves a carried ``pbar`` stale.
     """
 
     values: np.ndarray
     t: float = 0.0
     pbar: np.ndarray | None = None
-
-    def m_integral(self, grid: PhaseGrid) -> np.ndarray:
-        """The carried ``pbar``, or ``pbar_of(values)`` without one."""
-        return pbar_of(self.values, grid) if self.pbar is None else self.pbar
 
 
 @dataclass

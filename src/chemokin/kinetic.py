@@ -187,7 +187,7 @@ def turning_apply(p: np.ndarray, spec: ModelSpec, grid: PhaseGrid, dt: float,
     """
     tensors = tensors or TurningTensors.build(spec, grid)
     max_loss = tensors.loss.max()
-    if dt * max_loss > 1.0 + CFL_SLACK:
+    if not dt * max_loss <= 1.0 + CFL_SLACK:  # NaN fails it too
         raise CflViolation(
             f"turning step dt = {dt} exceeds positivity bound {1.0 / max_loss}")
     q = vmx(p)
@@ -265,7 +265,7 @@ def transport_apply(p: np.ndarray, grid: PhaseGrid, dt: float,
     """
     periodic = grid.x_topology == "periodic"
     courants = grid.velocities * dt / grid.dx
-    over = np.flatnonzero(np.abs(courants).max(axis=1) > 1.0 + CFL_SLACK)
+    over = np.flatnonzero(~(np.abs(courants).max(axis=1) <= 1.0 + CFL_SLACK))  # NaN too
     if over.size:
         raise CflViolation(
             f"transport step dt = {dt} exceeds dx/|v_i| for velocity node {over[0]}")
@@ -352,8 +352,11 @@ def adaptation_plan(s: np.ndarray, spec: ModelSpec, grid: PhaseGrid,
     """Check the rate's sign at the m-truncation and locate the feet over dt.
 
     Depends only on the frozen signal and dt, so one plan serves both
-    adaptation half steps of a macro step.
+    adaptation half steps of a macro step.  A non-finite dt or signal is
+    refused before any foot is cast to an index.
     """
+    if not math.isfinite(dt):
+        raise NonFiniteInput(f"adaptation step dt = {dt} is not finite")
     if not np.all(np.isfinite(s)):
         raise NonFiniteInput("adaptation signal holds NaN or infinite values")
     f_ends = np.asarray(spec.adaptation_rate(np.array([0.0, grid.m_max]),
@@ -535,10 +538,11 @@ def macro_step(state: StepperState, dt: float) -> StepperState:
     buffers hold +0.0 outside band1 from then on.  Turning, transport and
     remap 2 work on band1, and the epilogue sums pbar over the rows remap 2
     can fill.  Every band holds all the mass of its density, so each
-    sub-step gives the bits it gives over every row.
+    sub-step gives the bits it gives over every row.  A ``dt`` that is not
+    finite and positive is a ``BadConfig``.
     """
-    if dt <= 0:
-        raise BadConfig(f"macro step dt must be positive, got {dt}")
+    if not 0.0 < dt < math.inf:  # NaN fails it too
+        raise BadConfig(f"macro step dt must be finite and positive, got {dt}")
     grid, spec = state.grid, state.spec
     s = state.signal.values
 
@@ -604,21 +608,24 @@ def run(state: StepperState, t_end: float, output_every: float,
     its own); the state's clock is snapped to the exact scheduled instant
     at every interval end so runs and restarts share bitwise-identical
     schedules.  A fresh run (no report, or a report with no rows) is
-    observed at t_start, and every run at each output instant, by
-    ``report.observe`` (given the pbar the state's field carries) and then
-    ``observer(state)``.  A schedule
-    ``output_times`` refuses raises ``BadConfig`` before the first
-    observation.  This thread's scratch buffers are freed when the run
-    returns or raises.
+    observed at t_start, and every run at each output instant, by one
+    helper: ``report.observe`` (given the pbar the state's field carries)
+    and then ``observer(state)``.  Each step is given its state without
+    that pbar, which only outputs read.  A schedule ``output_times``
+    refuses raises ``BadConfig`` before the first observation.  This
+    thread's scratch buffers are freed when the run returns or raises.
     """
     step = macro_step if step is None else step
+
+    def output(st: StepperState) -> None:
+        if report is not None:
+            report.observe(st.field.values, st.signal.values, st.t, pbar=st.field.pbar)
+        if observer is not None:
+            observer(st)
+
     times = output_times(state.t, t_end, output_every)
     if report is None or not report.rows:
-        if report is not None:
-            report.observe(state.field.values, state.signal.values, state.t,
-                           pbar=state.field.pbar)
-        if observer is not None:
-            observer(state)
+        output(state)
     if t_end == state.t:
         return state, report
 
@@ -629,13 +636,12 @@ def run(state: StepperState, t_end: float, output_every: float,
             n_steps = max(1, math.ceil(span / dt_cap - 1e-9))
             dt = span / n_steps
             for _ in range(n_steps):
+                # Only outputs read a field's pbar: dropping it here lets the
+                # step free it, so a step holds its own pbar only.
+                state = replace(state, field=replace(state.field, pbar=None))
                 state = step(state, dt)
             state = replace(state, field=replace(state.field, t=t_next))
-            if report is not None:
-                report.observe(state.field.values, state.signal.values, t_next,
-                               pbar=state.field.pbar)
-            if observer is not None:
-                observer(state)
+            output(state)
     finally:
         vars(_SCRATCH).clear()  # a finished run keeps no step-sized buffers
     return state, report

@@ -27,7 +27,7 @@ from .config import RunConfig
 from .diagnostics import DiagnosticsReport, write_rows_csv
 from .elliptic import solve_signal
 from .errors import BadConfig, EmptyField
-from .fields import DensityField, density_of_pbar, number_density, pbar_of, vmx, x_integral
+from .fields import DensityField, density_of_pbar, pbar_of, vmx, x_integral
 from .kinetic import (StepperState, TurningTensors, finish_step, run as kinetic_run,
                       step_buffers, transport_apply, turning_apply)
 from .model import InitialData, ModelSpec, PhaseGrid, build_scenario
@@ -46,13 +46,16 @@ def oda_state(grid: PhaseGrid, spec: ModelSpec, initial: InitialData) -> Stepper
 
     The density is the m-integral of the kinetic initial data, held in one
     m-cell of unit width, so ``pbar_of``, ``number_density`` and
-    ``total_mass`` read it unchanged; ``mass0`` is the kinetic run's mass.
+    ``total_mass`` read it unchanged; the field carries that m-integral as
+    its pbar, which is the density's own buffer.  ``mass0`` is the kinetic
+    run's mass.
     """
     rgrid = dc_replace(grid, m_nodes=1, m_max=1.0)
-    p0 = pbar_of(initial.p0.values, grid)[..., None]
-    signal = solve_signal(number_density(p0, rgrid), rgrid)
-    return StepperState(field=DensityField(p0, initial.p0.t), signal=signal, spec=spec,
-                        grid=rgrid, tensors=_adapted_tensors(spec, rgrid, signal.values),
+    pbar = pbar_of(initial.p0.values, grid)
+    signal = solve_signal(density_of_pbar(pbar, rgrid), rgrid)
+    return StepperState(field=DensityField(pbar[..., None], initial.p0.t, pbar),
+                        signal=signal, spec=spec, grid=rgrid,
+                        tensors=_adapted_tensors(spec, rgrid, signal.values),
                         mass0=initial.mass)
 
 
@@ -135,8 +138,11 @@ class StudyRow:
 
 @dataclass
 class StudyReport:
+    """The members' rows, and each member's envelope failures as ``eps = <eps>: <failure>``."""
+
     rows: list[StudyRow] = dc_field(default_factory=list)
     t_end: float = 0.0
+    failures: list[str] = dc_field(default_factory=list)
 
     def final_rows(self) -> list[StudyRow]:
         return [r for r in self.rows if r.t == self.t_end]
@@ -153,48 +159,54 @@ class StudyReport:
         write_rows_csv(path, StudyRow, self.rows)
 
 
-def _run_one_eps(grid: PhaseGrid, spec: ModelSpec, initial: InitialData, t_end: float,
-                 output_every: float, oda_bars: list[np.ndarray]) -> list[StudyRow]:
-    """Rows of one member: w1 and the L1 gap observed, the rest from its diagnostics."""
+def _run_one_eps(grid: PhaseGrid, spec: ModelSpec, initial: InitialData, output_every: float,
+                 oda_bars: list[np.ndarray], study: StudyReport) -> None:
+    """Add one member's rows and envelope failures to ``study``.
+
+    w1 and the L1 gap are observed, the rest comes from its diagnostics.
+    """
     state = StepperState.create(grid, spec, initial)
     report = DiagnosticsReport(initial, spec, grid)
     w1_gaps: list[tuple[float, float]] = []
 
     def observer(st: StepperState) -> None:
-        pbar = st.field.m_integral(grid)
+        pbar = st.field.pbar
         gap = x_integral(density_of_pbar(np.abs(pbar - oda_bars[len(w1_gaps)]), grid), grid)
         w1_gaps.append((concentration_metrics(st.field.values, st.signal.values, spec, grid,
                                               pbar), gap))
 
-    kinetic_run(state, t_end, output_every, report=report, observer=observer)
+    kinetic_run(state, study.t_end, output_every, report=report, observer=observer)
     rates = [0.0] + [float(r) for r in report.x_moment_rates()]
-    return [StudyRow(eps=spec.epsilon, t=row.t, w1=w1, l1_gap=gap, mass=row.mass,
-                     env_pbar_margin=row.margin_pbar, env_n_margin=row.margin_n,
-                     tail_moment=row.tail_moment, xmoment_rate=rate)
-            for row, (w1, gap), rate in zip(report.rows, w1_gaps, rates)]
+    study.rows += [StudyRow(eps=spec.epsilon, t=row.t, w1=w1, l1_gap=gap, mass=row.mass,
+                            env_pbar_margin=row.margin_pbar, env_n_margin=row.margin_n,
+                            tail_moment=row.tail_moment, xmoment_rate=rate)
+                   for row, (w1, gap), rate in zip(report.rows, w1_gaps, rates)]
+    study.failures += [f"eps = {spec.epsilon:g}: {line}" for line in report.failures]
 
 
-def eps_study(cfg: RunConfig, eps_list: list[float],
-              t_end: float | None = None) -> StudyReport:
+def eps_study(cfg: RunConfig, eps_list: list[float]) -> StudyReport:
     """Run the kinetic solver per eps and the reduced model once; tabulate.
 
     The family is one scenario, the config's, built once and shared by all
-    runs; each member swaps only eps into the spec (the certificates, the
-    initial data and the reduced model do not depend on it).  Rows hold the
+    runs, and every run follows the config's schedule to ``[run] t_end``;
+    each member swaps only eps into the spec (the certificates, the initial
+    data and the reduced model do not depend on it).  Rows hold the
     Wasserstein-1 concentration width, the L1 gap to the reduced solution,
     mass, envelope margins, m-tail moment and <x>-moment rate per output
-    time and eps.  The members run one after another.
+    time and eps, and the report keeps every member's envelope failures.
+    The members run one after another.  Every state the observers see
+    carries its pbar (``oda_state``, ``StepperState.create``, the steps).
     """
     if not eps_list or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise BadConfig("eps_list must be non-empty and strictly decreasing")
     if not all(map(math.isfinite, eps_list)):
         raise BadConfig(f"eps values must be finite, got {eps_list}")
-    t_end = cfg.run.t_end if t_end is None else t_end
     grid, spec, initial = build_scenario(cfg)
     specs = [dc_replace(spec, epsilon=eps) for eps in eps_list]
     oda_bars: list[np.ndarray] = []
-    oda_run(grid, spec, initial, t_end, cfg.run.output_every,
-            observer=lambda st: oda_bars.append(st.field.m_integral(st.grid)))
-    members = [_run_one_eps(grid, spec_eps, initial, t_end, cfg.run.output_every, oda_bars)
-               for spec_eps in specs]
-    return StudyReport(rows=[row for rows in members for row in rows], t_end=t_end)
+    oda_run(grid, spec, initial, cfg.run.t_end, cfg.run.output_every,
+            observer=lambda st: oda_bars.append(st.field.pbar))
+    study = StudyReport(t_end=cfg.run.t_end)
+    for spec_eps in specs:
+        _run_one_eps(grid, spec_eps, initial, cfg.run.output_every, oda_bars, study)
+    return study

@@ -227,9 +227,7 @@ def test_bad_grid_model_or_profile_value_is_bad_config(tmp_path, monkeypatch, ca
     ("output_every = 0.1", "output_every = nan", None),
     (None, None, ["--eps", "0.2,nan"]),
     (None, None, ["--eps", "inf,0.1"]),
-    (None, None, ["--eps", "0.2", "--t-end", "nan"]),
-], ids=["eps", "kappa", "lambda0", "output_every", "eps-list-nan", "eps-list-inf",
-        "t-end-nan"])
+], ids=["eps", "kappa", "lambda0", "output_every", "eps-list-nan", "eps-list-inf"])
 def test_non_finite_input_is_bad_config(tmp_path, capsys, old, new, args):
     # NaN slips through every "<= 0" check; it must still be a bad config
     # (exit 2) naming the value, not a crash or a verification failure.
@@ -256,12 +254,6 @@ def test_unbounded_output_schedule_rejected(tmp_path):
         parse_config(path)
     path.write_text(path.read_text().replace("output_every = 1e-5", "output_every = 2e-4"))
     assert parse_config(path).run.output_every == 2e-4
-
-
-def test_unbounded_study_t_end_is_bad_config(tmp_path, capsys):
-    argv = ["study-eps", str(write_config(tmp_path)), "--eps", "0.2", "--t-end", "1e4"]
-    assert main(argv) == 2
-    assert "output instants" in capsys.readouterr().err
 
 
 def test_missing_config_is_io_error(tmp_path):
@@ -541,7 +533,8 @@ def test_compare_refuses_a_header_whose_size_overflows_int64(tmp_path, capsys):
     # match; counted exactly, the header is refused before any allocation.
     header = [dumpio.MAGIC, "dim=2", f"x_nodes={2 ** 32}", "x_extent=1.0",
               "x_topology=periodic", "v_count=1", "v=0.0,0.0", "w=1.0", "m_nodes=1",
-              "m_max=1.0", "t=0.0", "eps=1.0", "scenario=x", "END_HEADER\n"]
+              "m_max=1.0", "t=0.0", "eps=1.0", "scenario=x", "steps=0",
+              "max_mass_defect=0.0", "END_HEADER\n"]
     bad = tmp_path / "bad.chk"
     bad.write_bytes("\n".join(header).encode())
     assert main(["compare", str(bad), str(bad)]) == 2
@@ -782,6 +775,25 @@ def test_run_envelope_failure_exits_4_and_keeps_outputs(tmp_path, monkeypatch, c
     out = tmp_path / "out"
     assert (out / "final.chk").exists()
     assert len((out / "diagnostics.csv").read_text().splitlines()) == 1 + 3  # t = 0, 0.1, 0.2
+
+
+def test_study_envelope_failure_exits_4_and_keeps_the_table(tmp_path, monkeypatch, capsys):
+    # As in run: a member's margin below its envelope is a verification
+    # failure, named with its eps, and study_eps.csv is still written.
+    from chemokin import diagnostics
+    real_growth = diagnostics.growth_factor
+    monkeypatch.setattr(diagnostics, "growth_factor",
+                        lambda rate, t: 0.5 * real_growth(rate, t))
+    assert main(["study-eps", str(write_config(tmp_path)), "--eps", "0.2,0.1"]) == 4
+    captured = capsys.readouterr()
+    fails = captured.err.splitlines()
+    assert fails and all(line.startswith("FAIL envelope: eps = ") for line in fails)
+    for eps in ("0.2", "0.1"):
+        assert any(line.startswith(f"FAIL envelope: eps = {eps}: t=") and "margin_pbar" in line
+                   for line in fails), fails
+    assert captured.out == ""
+    table = (tmp_path / "out" / "study_eps.csv").read_text().splitlines()
+    assert len(table) == 1 + 2 * 3  # two members at t = 0, 0.1, 0.2
 
 
 def test_cfl_violation_mid_run_is_verification_failure(tmp_path, monkeypatch, capsys):

@@ -846,6 +846,27 @@ def test_adaptation_rejects_non_finite_signal(bad):
 
 # -- macro step and run ---------------------------------------------------------
 
+@pytest.mark.parametrize("target, dt, error", [
+    ("macro_step", np.nan, BadConfig), ("macro_step", np.inf, BadConfig),
+    ("macro_step", 0.0, BadConfig), ("macro_step", -1.0, BadConfig),
+    ("turning", np.nan, CflViolation), ("transport", np.nan, CflViolation),
+    ("plan", np.nan, NonFiniteInput),
+])
+def test_a_step_that_is_not_finite_and_positive_is_refused(target, dt, error):
+    # NaN compares false with every bound, so a check written as "dt above
+    # the bound fails" would let it through: the step would return NaN or,
+    # with the feet cast to indices, an empty density.
+    cfg, grid, spec, init = default_scenario()
+    state = StepperState.create(grid, spec, init)
+    p, s = state.field.values, state.signal.values
+    call = {"macro_step": lambda: macro_step(state, dt),
+            "turning": lambda: turning_apply(p, spec, grid, dt, state.tensors),
+            "transport": lambda: transport_apply(p, grid, dt),
+            "plan": lambda: adaptation_plan(s, spec, grid, dt)}[target]
+    with pytest.raises(error):
+        call()
+
+
 def test_uncertified_spec_is_refused_before_stepping():
     # The caps stay 0.0 until validate_on sets them; stepping on them would
     # divide by zero in cfl_dt.  The reduced model builds its state directly.
@@ -1145,6 +1166,23 @@ def test_run_observes_a_fresh_run_at_start_and_each_output_once():
     assert [row.t for row in report.rows] == [0.0, 0.1, 0.2, 0.3]
 
 
+def test_run_steps_each_state_without_its_pbar():
+    # Only outputs read a field's pbar, so each step is given its state
+    # without one and can free it; every output still carries its own.
+    cfg, grid, spec, init = default_scenario()
+    given, seen = [], []
+
+    def step(st, dt):
+        given.append(st.field.pbar)
+        return macro_step(st, dt)
+
+    run(StepperState.create(grid, spec, init), 0.2, 0.1, step=step,
+        observer=lambda st: seen.append(st.field.pbar.tobytes()
+                                        == pbar_of(st.field.values, grid).tobytes()))
+    assert given and all(pbar is None for pbar in given)
+    assert seen == [True] * 3
+
+
 def test_run_determinism_bitwise():
     cfg, grid, spec, init = default_scenario()
     a = StepperState.create(grid, spec, init)
@@ -1216,10 +1254,11 @@ def test_dump_roundtrip_bitwise(tmp_path):
     dumpio.check_compatible(dump, grid, "abc123")
 
 
-def test_dump_without_bookkeeping_keys_still_reads(tmp_path):
-    # Dumps written before the header carried steps and max_mass_defect
-    # read with both at zero.
+def test_dump_without_bookkeeping_keys_is_refused(tmp_path):
+    # Every CHKIN2 dump carries steps and max_mass_defect; a header without
+    # either is malformed, read directly or by a command (exit 2).
     from chemokin import dumpio
+    from chemokin.cli import main
     cfg, grid, spec, init = default_scenario()
     path = tmp_path / "state.chk"
     dumpio.write_dump(path, init.p0.values, 0.0, grid, spec.epsilon, "abc123",
@@ -1227,11 +1266,15 @@ def test_dump_without_bookkeeping_keys_still_reads(tmp_path):
     raw = path.read_bytes()
     lines = raw.split(b"\n")
     assert b"steps=7" in lines and b"max_mass_defect=1e-15" in lines
-    legacy = tmp_path / "legacy.chk"
-    legacy.write_bytes(raw.replace(b"steps=7\n", b"").replace(b"max_mass_defect=1e-15\n", b""))
-    dump = dumpio.read_dump(legacy)
-    assert (dump.steps, dump.max_mass_defect) == (0, 0.0)
-    assert np.array_equal(dump.values, init.p0.values)
+    assert dumpio.read_dump(path).steps == 7
+    no_steps = raw.replace(b"steps=7\n", b"")
+    no_defect = raw.replace(b"max_mass_defect=1e-15\n", b"")
+    for short in (no_steps, no_defect, no_steps.replace(b"max_mass_defect=1e-15\n", b"")):
+        legacy = tmp_path / "legacy.chk"
+        legacy.write_bytes(short)
+        with pytest.raises(BadConfig, match="malformed dump header"):
+            dumpio.read_dump(legacy)
+        assert main(["compare", str(legacy), str(path)]) == 2
 
 
 def test_dump_rejects_corruption(tmp_path):
