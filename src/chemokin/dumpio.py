@@ -68,8 +68,13 @@ def _floats_csv(arr: np.ndarray) -> str:
 
 
 def write_dump(path: str | Path, values: np.ndarray, t: float, grid: PhaseGrid,
-               eps: float, scenario_hash: str, steps: int = 0,
-               max_mass_defect: float = 0.0) -> None:
+               eps: float, scenario_hash: str, *, steps: int,
+               max_mass_defect: float) -> None:
+    """Write ``values`` and the run's bookkeeping to ``path`` atomically.
+
+    ``steps`` and ``max_mass_defect`` have no default: a dump written
+    without them would read back as a fresh run's.
+    """
     header = [
         MAGIC,
         f"dim={grid.dim}",

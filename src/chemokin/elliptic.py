@@ -308,6 +308,22 @@ def green_spectrum(dx: float, x_nodes: int) -> tuple[np.ndarray, tuple[int, ...]
     return spectrum, shape
 
 
+@functools.cache
+def periodic_symbol(dx: float, x_nodes: int, dim: int) -> np.ndarray:
+    """Fourier symbol of (-lap_h + 1), the 3/5-point stencil, on a periodic grid.
+
+    On ``numpy.fft.rfftn``'s half spectrum: 1 + sum over axes of
+    (4/dx^2) sin^2(pi k/x_nodes), the last axis cut to x_nodes//2 + 1
+    wavenumbers.  Computed once per argument; every caller shares the one
+    read-only array.
+    """
+    full = (4.0 / dx ** 2) * np.sin(np.pi * np.arange(x_nodes) / x_nodes) ** 2
+    half = full[:x_nodes // 2 + 1]
+    sym = 1.0 + half if dim == 1 else 1.0 + full[:, None] + half
+    sym.flags.writeable = False
+    return sym
+
+
 # ---------------------------------------------------------------------------
 # Signal solve
 # ---------------------------------------------------------------------------
@@ -315,10 +331,11 @@ def green_spectrum(dx: float, x_nodes: int) -> tuple[np.ndarray, tuple[int, ...]
 def solve_signal(n: np.ndarray, grid: PhaseGrid) -> SignalField:
     """Signal field solving the screened Poisson balance for density n.
 
-    Periodic grids invert the discrete symbol exactly, so the 3/5-point
-    stencil residual is round-off and the spatial integral of S equals the
-    integral of n.  Free-space grids convolve with the cell-averaged
-    kernel, which gives S >= 0 for n >= 0 and the Young bounds
+    Periodic grids invert the cached discrete symbol (``periodic_symbol``)
+    exactly, so the 3/5-point stencil residual is round-off and the
+    spatial integral of S equals the integral of n.  Free-space grids
+    convolve with the cell-averaged kernel, which gives S >= 0 for n >= 0
+    and the Young bounds
     ||S||_q <= ||n||_q for q in {1, inf}.  In 2-d the product with the
     cached kernel spectrum (``green_spectrum``), inverted and cut to its
     centred x_nodes^2 block, gives the bits of
@@ -333,10 +350,7 @@ def solve_signal(n: np.ndarray, grid: PhaseGrid) -> SignalField:
         raise NonFiniteInput("signal solve received a non-finite density")
 
     if grid.x_topology == "periodic":
-        nx = grid.x_nodes
-        full = (4.0 / grid.dx ** 2) * np.sin(np.pi * np.arange(nx) / nx) ** 2
-        half = full[:nx // 2 + 1]  # the last axis keeps only rfftn's half spectrum
-        sym = 1.0 + half if grid.dim == 1 else 1.0 + full[:, None] + half
+        sym = periodic_symbol(grid.dx, grid.x_nodes, grid.dim)
         axes = range(grid.dim)
         s = np.fft.irfftn(np.fft.rfftn(n, axes=axes) / sym, s=n.shape, axes=axes)
     else:

@@ -6,44 +6,48 @@ half adaptation, then a signal refresh.  The signal is frozen within the
 step, so the adaptation drift dm/dt = F(m, S(x))/eps has a closed-form
 flow, and the adaptation half steps are one conservative remap along it:
 no eps-CFL, and a cost independent of eps.  Both half steps share the
-frozen signal and dt/2, so one plan (``adaptation_plan``: where the feet of
-the m-edges fall, computed edge-major by ``adaptation_feet``, and the gather
-indices) serves both.  The step finds the band of m-rows its input holds
-once (``held_band``), and every sub-step works on a band: each operator
-takes the m-rows [lo, hi) outside which its input is zero as ``band``,
-reads and writes only what those rows need, and leaves the other rows of
-its output as they are, +0.0 in a step; the epilogue sums pbar over the
-band too.  Zero rows add no bit to a sum along m, so every band gives the
-bits of the same operator over every row.  Every operator works on the
-(v, m, *x) view of the density (``fields``): the remap's prefix sums and
-gathers and turning's one batched (G, V, V) product per lambda-cell run
-along contiguous x-rows, each of transport's per-velocity, per-axis shifts
-is one contiguous product over the flattened (m, *x) slab, offset by the
-axis's stride, and each operator returns a density in that layout,
-whatever the strides of its input.  Transport is corner-transport upwind,
-one 1-d upwind sweep per axis, so its CFL bounds the largest per-axis
-Courant number, not their sum.  Turning and transport are explicit and
-written in non-negative-coefficient form, so positivity is preserved under
-their CFL bounds: under the turning CFL every entry of each cell's (V, V)
-matrix is >= 0, and under the transport CFL every sweep is a convex
-combination.
+frozen signal and dt/2, so one plan (``adaptation_plan``: where the feet
+of the m-edges fall, computed edge-major by ``adaptation_feet``, and the
+gather indices) serves both.  The step finds the band of m-rows its input
+holds once (``held_band``), before the plan, which locates only the feet
+of the m-edges that band can reach, and every sub-step works on a band:
+each operator takes the m-rows [lo, hi) outside which its input is zero as
+``band``, reads and writes only what those rows need, and leaves the other
+rows of its output as they are, +0.0 in a step; the epilogue sums pbar
+over the band too.  Zero rows add no bit to a sum along m, so every band
+gives the bits of the same operator over every row.  Every operator works
+on the (v, m, *x) view of the density (``fields``): the remap's gathers
+and turning's one batched (G, V, V) product per lambda-cell run along
+contiguous x-rows, the remap's prefix sums along the contiguous (v, *x)
+m-rows of a buffer laid out (m, v, *x), each of transport's per-velocity,
+per-axis shifts is one contiguous product over the flattened (m, *x) slab,
+offset by the axis's stride, and each operator returns a density in that
+layout, whatever the strides of its input.  Transport is corner-transport
+upwind, one 1-d upwind sweep per axis, so its CFL bounds the largest
+per-axis Courant number, not their sum.  Turning and transport are
+explicit and written in non-negative-coefficient form, so positivity is
+preserved under their CFL bounds: under the turning CFL every entry of
+each cell's (V, V) matrix is >= 0, and under the transport CFL every sweep
+is a convex combination.
 Every sub-operation conserves the discrete mass up to round-off (periodic
 transport telescopes, the turning integrand is antisymmetric under
 swapping the two velocities, and the remap's cell masses telescope to the
 full m-integral because the adaptation rate points inward at both ends of
 the truncated m-interval).
 
-A macro step allocates one density-sized array, its result (zero-filled,
-so rows a banded sub-step leaves are +0.0), and never writes a density it
-has returned.  The sub-steps alternate between that result and one
-(v, m, *x) work buffer (``step_buffers``), each writing the buffer it did
-not read: each operator takes an optional ``out``, the
-C-contiguous (v, m, *x) array to write, allocates only without one, and
-refuses an ``out`` that shares memory with its input.  The work buffer
-and the operators' temporaries (the remap's two gathers, at most (M+1, X)
-each, and one (m, *x) slab for transport's products) are per-thread scratch
-(``_scratch``), reused from step to step, so two threads that step at
-once never share one.
+A macro step allocates one density-sized array, its result, and never
+writes a density it has returned.  The sub-steps alternate between that
+result and one (v, m, *x) work buffer (``step_buffers``), each but the
+last writing the buffer it did not read.  The remaps also take the other
+buffer for their prefix sums, and the last sub-step, remap 2, overwrites
+the result it reads (``macro_step``).  Each operator takes an optional
+``out``, the C-contiguous (v, m, *x) array to write, allocates only
+without one, and refuses an ``out`` that shares memory with its input,
+unless a remap is also given its prefix-sum buffer.  The work buffer and
+the operators' temporaries (the remap's two gathers, at most (M+1, X)
+each, and one (m, *x) slab for transport's products) are per-thread
+scratch (``_scratch``), reused from step to step, so two threads that step
+at once never share one.
 
 The step epilogue (``finish_step``) and the output scheduler (``run``)
 also serve the reduced model of ``limit``, a state on one m-cell, which
@@ -89,17 +93,20 @@ def _scratch(role: str, shape: tuple[int, ...]) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def _target(q: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+def _target(q: np.ndarray, out: np.ndarray | None, *, own: bool = False) -> np.ndarray:
     """The (v, m, *x) array an operator on the (v, m, *x) view ``q`` writes.
 
     A fresh one without ``out``.  ``out`` must be a C-contiguous float64
-    array of q's shape that shares no memory with ``q``.
+    array of q's shape that shares no memory with ``q``; with ``own`` it
+    may also be q's own buffer (a remap given its prefix-sum buffer).
     """
     if out is None:
         return np.empty(q.shape)
     if out.shape != q.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 array of shape {q.shape}")
-    if np.may_share_memory(out, q):
+    if np.may_share_memory(out, q) and not (
+            own and q.flags.c_contiguous and q.dtype == out.dtype
+            and q.ctypes.data == out.ctypes.data):
         raise ValueError("out shares memory with the input density")
     return out
 
@@ -109,10 +116,11 @@ def step_buffers(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A step's sub-steps alternate between the two, each writing the one it
     did not read, and the last writes ``result``, which the step returns.
-    ``result`` starts +0.0, so a banded sub-step may leave its other rows.
+    Neither starts zeroed: every row of ``result`` that no sub-step writes
+    is set to +0.0 by the step itself (``macro_step``).
     """
     shape = vmx(p).shape
-    return _scratch("work", shape), np.zeros(shape)
+    return _scratch("work", shape), np.empty(shape)
 
 
 def held_band(p: np.ndarray) -> tuple[int, int]:
@@ -297,17 +305,18 @@ def transport_apply(p: np.ndarray, grid: PhaseGrid, dt: float,
 # Stiff adaptation in m
 # ---------------------------------------------------------------------------
 
-def adaptation_feet(s: np.ndarray, spec: ModelSpec, grid: PhaseGrid,
-                    dt: float) -> np.ndarray:
-    """m-edges pulled back over dt along the exact flow, clipped to [0, m_max].
+def adaptation_feet(s: np.ndarray, spec: ModelSpec, grid: PhaseGrid, dt: float,
+                    edges: slice = slice(None)) -> np.ndarray:
+    """The m-edges ``edges`` (every edge by default) pulled back over dt along
+    the exact flow, clipped to [0, m_max].
 
-    Edge-major, shape (m_nodes + 1, X) over the X flattened x-cells, and
+    Edge-major, shape (edges, X) over the X flattened x-cells, and
     non-decreasing along the edge axis bit for bit: the exact flow is
     monotone, and ``np.maximum.accumulate`` repairs a rounding inversion
     when a comparison of consecutive edges finds one.
     """
     s = np.asarray(s, dtype=float).ravel()
-    feet = spec.adaptation.pull_back(grid.m_edges[:, None], s, dt / spec.epsilon)
+    feet = spec.adaptation.pull_back(grid.m_edges[edges, None], s, dt / spec.epsilon)
     np.clip(feet, 0.0, grid.m_max, out=feet)
     if np.any(feet[1:] < feet[:-1]):
         np.maximum.accumulate(feet, axis=0, out=feet)
@@ -318,18 +327,26 @@ def adaptation_feet(s: np.ndarray, spec: ModelSpec, grid: PhaseGrid,
 class AdaptationPlan:
     """Where the feet of one adaptation step fall, shared by its two uses.
 
-    The foot of m-edge e above x-cell x lies in m-cell idx[e, x], a
-    fraction ``frac[e, x]`` (shape (M+1, X)) of a cell past its start.
-    ``gather[e, x]`` (same shape) is the flat index idx*X + x of that foot
-    into one velocity's (m, x) slab; all velocities share it.  Nothing of
-    shape (V, M+1, X) is kept.  ``min_cell[e]`` and ``max_cell[e]`` (shape
-    (M+1,)) are the lowest and highest idx[e, x] over x.  Every column's
-    feet are non-decreasing, so both are too, and ``np.searchsorted`` on
-    them finds the edges whose feet reach a band of m-rows (``reach``).
+    The plan covers the m-edges [first_edge, first_edge + E) of the
+    ``m_nodes`` + 1: every edge, or the window a band needs
+    (``adaptation_plan``); row e of each array is edge first_edge + e.
+    That edge's foot above x-cell x lies in m-cell idx[e, x], a fraction
+    ``frac[e, x]`` (shape (E, X)) of a cell past its start.  Two flat
+    indices (same shape) locate the foot, and all velocities share both:
+    ``gather`` = idx*X + x into one velocity's (m, x) slab of the density,
+    and ``gather_sums`` = idx*V*X + x into the remap's (m, v, x) prefix-sum
+    buffer, read from that velocity's offset v*X.  Nothing of shape
+    (V, E, X) is kept.  ``min_cell[e]`` and ``max_cell[e]`` (shape (E,))
+    are the lowest and highest idx[e, x] over x.  Every column's feet are
+    non-decreasing, so both are too, and ``np.searchsorted`` on them finds
+    the edges whose feet reach a band of m-rows (``reach``).
     """
 
+    first_edge: int
+    m_nodes: int
     frac: np.ndarray
     gather: np.ndarray
+    gather_sums: np.ndarray
     min_cell: np.ndarray
     max_cell: np.ndarray
 
@@ -339,21 +356,42 @@ class AdaptationPlan:
         Edges [first, last] are the ones with a foot in the band or next to
         it.  Every other output row is 0.0: both of its edges' feet lie
         below the band in every column, where the prefix sum is 0.0, or
-        above it, where it is the column total.
+        above it, where it is the column total.  The rows are absolute.
+        The searches see only the plan's edges, so one that stops at an end
+        of a window short of that end of the m-grid cannot tell whether the
+        edges beyond it reach the band too: that is a ``SpecViolation``,
+        never a silently wider reach.
         """
         lo, hi = band
-        first = max(int(np.searchsorted(self.max_cell, lo)) - 1, 0)
-        last = min(int(np.searchsorted(self.min_cell, hi)), len(self.min_cell) - 1)
-        return first, last
+        start, n_edges = self.first_edge, len(self.min_cell)
+        below = int(np.searchsorted(self.max_cell, lo))
+        above = int(np.searchsorted(self.min_cell, hi))
+        # below <= above: an edge's max_cell is below lo only if its min_cell is below hi.
+        if (start > 0 and below == 0) or (start + n_edges <= self.m_nodes and above == n_edges):
+            raise SpecViolation(
+                f"m-rows {band} reach past the plan's m-edges [{start}, {start + n_edges - 1}]: "
+                "the adaptation flow carries an edge across m0(S)")
+        return max(start + below - 1, 0), min(start + above, self.m_nodes)
 
 
-def adaptation_plan(s: np.ndarray, spec: ModelSpec, grid: PhaseGrid,
-                    dt: float) -> AdaptationPlan:
+def adaptation_plan(s: np.ndarray, spec: ModelSpec, grid: PhaseGrid, dt: float, *,
+                    band: tuple[int, int] | None = None) -> AdaptationPlan:
     """Check the rate's sign at the m-truncation and locate the feet over dt.
 
     Depends only on the frozen signal and dt, so one plan serves both
     adaptation half steps of a macro step.  A non-finite dt or signal is
     refused before any foot is cast to an index.
+
+    Without ``band`` the plan covers every m-edge.  Given the m-rows
+    [lo, hi) that hold the step's input, it covers the edges [w0, w1]: the
+    hull of the band's edges and of the m-cells of m0(S(x)) over x,
+    widened by 2 edges and clipped to [0, M].  Both rate families move
+    every path monotonically toward m0 without crossing it, so an edge
+    below the band and every m0 has its foot below itself, and an edge
+    above both has its foot above itself: ``reach(band)`` (remap 2's rows)
+    and ``reach(reach(band))`` (the epilogue's) stay inside the window, and
+    ``reach`` raises if a flow breaks that.  Each foot in the window gets
+    the bits the plan over every edge gives it.
     """
     if not math.isfinite(dt):
         raise NonFiniteInput(f"adaptation step dt = {dt} is not finite")
@@ -368,27 +406,38 @@ def adaptation_plan(s: np.ndarray, spec: ModelSpec, grid: PhaseGrid,
     if np.any(f_ends[..., 0] <= 0.0):
         raise SpecViolation("adaptation rate is non-positive at m = 0")
 
-    u = adaptation_feet(s, spec, grid, dt)
+    n_m = grid.m_nodes
+    if band is None:
+        w0, w1 = 0, n_m
+    else:
+        m0 = spec.adaptation.equilibrium(np.asarray(s, dtype=float))
+        w0 = max(min(band[0], math.floor(float(m0.min()) / grid.dm)) - 2, 0)
+        w1 = min(max(band[1], math.floor(float(m0.max()) / grid.dm) + 1) + 2, n_m)
+    u = adaptation_feet(s, spec, grid, dt, slice(w0, w1 + 1))
     u /= grid.dm
-    n_m, n_x = grid.m_nodes, u.shape[1]
-    # The m-cell of each foot as a float, an exact integer, so frac = u - cell
-    # and the flat index cell*X + x (exact below 2**53) are the bits an
-    # integer index gives.
-    cell = np.floor(u)
+    n_x = u.shape[1]
+    # The m-cell of each foot.  It converts to float64 exactly, so frac = u - cell
+    # has the bits a float cell gives; the flat indices are built in place, and
+    # ``gather`` is the only other array of the plan's size.
+    cell = np.floor(u).astype(np.intp)
     np.minimum(cell, n_m - 1, out=cell)
     frac = np.subtract(u, cell, out=u)
     np.minimum(frac, 1.0, out=frac)
     min_cell, max_cell = cell.min(axis=1), cell.max(axis=1)
-    cell *= n_x
-    cell += np.arange(n_x)
-    return AdaptationPlan(frac=frac, gather=cell.astype(np.intp),
-                          min_cell=min_cell.astype(np.intp), max_cell=max_cell.astype(np.intp))
+    x = np.arange(n_x)
+    gather = cell * n_x
+    gather += x
+    cell *= grid.n_v * n_x
+    cell += x
+    return AdaptationPlan(first_edge=w0, m_nodes=n_m, frac=frac, gather=gather,
+                          gather_sums=cell, min_cell=min_cell, max_cell=max_cell)
 
 
 def adaptation_apply(p: np.ndarray, s: np.ndarray, spec: ModelSpec, grid: PhaseGrid,
                      dt: float, plan: AdaptationPlan | None = None,
                      out: np.ndarray | None = None, *,
-                     band: tuple[int, int] | None = None) -> np.ndarray:
+                     band: tuple[int, int] | None = None,
+                     sums: np.ndarray | None = None) -> np.ndarray:
     """Conservative semi-Lagrangian remap of the m-drift term over dt.
 
     The signal is frozen over the step, so dm/dt = F(m, S(x))/eps has a
@@ -403,55 +452,77 @@ def adaptation_apply(p: np.ndarray, s: np.ndarray, spec: ModelSpec, grid: PhaseG
     gives cum[i] + frac*p[i] <= cum[i+1], so C is non-decreasing at the
     feet.  The cost is independent of eps and there is no eps-CFL.
 
-    ``plan`` is ``adaptation_plan(s, spec, grid, dt)``, built here when not
-    given; ``macro_step`` builds one per step for both half steps.  The
-    remap works on the (v, m, x) view.  ``band`` = (lo, hi) is the caller's
-    promise that ``p`` is zero and ``out`` +0.0 outside m-rows [lo, hi);
-    without it the band is every row.  The prefix sums fill the output
-    buffer (``out``, see ``_target``), one add of whole (v, x) rows per
-    m-cell of the band; at and below lo cum is 0.0, and above hi a copy of
+    ``plan`` is ``adaptation_plan(s, spec, grid, dt)``, built here over
+    every edge when not given; ``macro_step`` builds one per step for both
+    half steps.  ``band`` = (lo, hi) is the caller's promise that ``p`` is
+    zero outside m-rows [lo, hi); without it the band is every row.  The
+    plan's ``reach`` gives the output rows [first, last) and the edges
+    whose feet it gathers at.
+
+    The prefix sums run in ``sums``, a C-contiguous float64 buffer of the
+    density's size laid out (m, v, x), so each m-row is one contiguous V*X
+    block (this thread's work scratch when not given).  The band's rows of
+    p are copied there one row up, and the sum of the rows below is added
+    to each in place: the adds of the sum over every row, in the same
+    order, starting from +0.0.  Below the band cum is 0.0, and above hi a copy of
     cum[hi], written only in the rows the gathers read.  These are the bits
     of the sum over every row: x + (+-0.0) = x for every x but -0.0, and a
-    sum that starts at +0.0 is never -0.0.  The plan's ``reach`` gives the
-    output rows [first, last) and the edges whose feet it gathers at.  One
-    velocity at a time then gathers at those feet, through the plan's one
-    index, into two per-thread scratch buffers sized to them (the plan
-    keeps every index in range, so ``mode="clip"``, which gathers without
-    an internal copy, never clips), and overwrites its own (m, x) slab
-    there with the differences, which only that velocity reads.  The other
-    rows it wrote are set to +0.0, and the rows of ``out`` it did not
-    write are left as they are: +0.0 as promised, which is what the remap
-    over every row gives there.
+    sum that starts at +0.0 is never -0.0.  One velocity at a time then
+    gathers cum through ``gather_sums`` from its offset into the flat
+    buffer and p through ``gather``, into two per-thread scratch buffers
+    sized to the edges (the plan keeps every index in range, so
+    ``mode="clip"``, which gathers without an internal copy, never clips),
+    and writes the differences into its own (m, x) slab of the output,
+    rows [first, last).  The band's other output rows are set to +0.0, and
+    every other row of ``out`` is left as it is: what the remap over every
+    row writes there, +0.0, only if the caller has it so.  Without ``out``
+    the result is a fresh zero-filled array.
+
+    ``out`` is checked by ``_target``; given ``sums``, it may be p's own
+    (v, m, x) buffer, which the remap then overwrites in place: each
+    velocity's slab is gathered before it is overwritten, and only that
+    velocity reads it.  ``sums`` may share no memory with ``p`` or ``out``.
     """
     if plan is None:
         plan = adaptation_plan(s, spec, grid, dt)
     n_v, n_m = grid.n_v, grid.m_nodes
-    res = _target(vmx(p), out)
+    res = np.zeros(vmx(p).shape) if out is None else _target(vmx(p), out,
+                                                            own=sums is not None)
     q = np.ascontiguousarray(vmx(p)).reshape(n_v, n_m, -1)
+    n_x = q.shape[2]
+    if sums is None:
+        sums = _scratch("work", q.shape)
+    elif sums.size != q.size or sums.dtype != np.float64 or not sums.flags.c_contiguous:
+        raise ValueError(f"sums must be a C-contiguous float64 array of {q.size} values")
+    if np.may_share_memory(sums, res) or np.may_share_memory(sums, p):
+        raise ValueError("sums shares memory with the input density or out")
     lo, hi = (0, n_m) if band is None else band
     first, last = plan.reach((lo, hi))
+    e0, e1 = first - plan.first_edge, last - plan.first_edge  # the plan's rows of both edges
     # cum is needed in rows [bottom, top], from the lowest foot to the highest:
     # bottom <= lo, and top >= hi unless the band reaches row M-1.
-    bottom, top = int(plan.min_cell[first]), int(plan.max_cell[last])
-    cum = res.reshape(q.shape)
-    cum_rows = cum.swapaxes(0, 1)
-    cum_rows[bottom:lo + 1] = 0.0
-    for prev, row, nxt in zip(cum_rows[lo:hi], q.swapaxes(0, 1)[lo:hi], cum_rows[lo + 1:]):
-        np.add(prev, row, out=nxt)
+    bottom, top = int(plan.min_cell[e0]), int(plan.max_cell[e1])
+    cum = sums.reshape(n_m, n_v, n_x)
+    cum[bottom:lo + 1] = 0.0
+    summed = min(hi, n_m - 1)  # the top row the band's sums fill
+    np.copyto(cum[lo + 1:summed + 1], q[:, lo:summed].swapaxes(0, 1))
+    for prev, row in zip(cum[lo:summed], cum[lo + 1:summed + 1]):
+        np.add(prev, row, out=row)
     if hi < top:
         # From a copy of the row: numpy resolves the overlap of the row with
         # the rows above it by copying the whole broadcast source first.
-        cum_rows[hi + 1:top + 1] = cum_rows[hi].copy()
-    at, frac = plan.gather[first:last + 1], plan.frac[first:last + 1]
+        cum[hi + 1:top + 1] = cum[hi].copy()
+    at, at_sums, frac = (a[e0:e1 + 1] for a in (plan.gather, plan.gather_sums, plan.frac))
     at_feet, gathered = _scratch("remap_cum", at.shape), _scratch("remap_p", at.shape)
-    for cum_v, q_v in zip(cum, q):
-        np.take(cum_v, at, mode="clip", out=at_feet)
+    flat_sums, rows = sums.reshape(-1), res.reshape(q.shape)
+    for v, (q_v, rows_v) in enumerate(zip(q, rows)):
+        np.take(flat_sums[v * n_x:], at_sums, mode="clip", out=at_feet)
         np.take(q_v, at, mode="clip", out=gathered)
         gathered *= frac
         at_feet += gathered
-        np.subtract(at_feet[1:], at_feet[:-1], out=cum_v[first:last])
-    cum[:, bottom:first] = 0.0
-    cum[:, last:top + 1] = 0.0
+        np.subtract(at_feet[1:], at_feet[:-1], out=rows_v[first:last])
+    rows[:, lo:first] = 0.0
+    rows[:, last:hi] = 0.0
     return xvm(res)
 
 
@@ -531,35 +602,38 @@ def macro_step(state: StepperState, dt: float) -> StepperState:
     sub-steps alternate between this thread's work buffer and ``result``,
     the step's one fresh array, which the new state keeps.
 
-    The step finds the band of m-rows its input holds once (``held_band``)
-    and gives every sub-step its band.  Remap 1 can fill only the rows the
-    plan's ``reach`` gives for it, band1; it writes +0.0 in ``result``'s
-    other rows, and the work buffer's are set to +0.0 here, so both
-    buffers hold +0.0 outside band1 from then on.  Turning, transport and
-    remap 2 work on band1, and the epilogue sums pbar over the rows remap 2
-    can fill.  Every band holds all the mass of its density, so each
-    sub-step gives the bits it gives over every row.  A ``dt`` that is not
-    finite and positive is a ``BadConfig``.
+    The step finds the band of m-rows its input holds once (``held_band``),
+    before the plan, whose edges it bounds.  Remap 1 prefix-sums in
+    ``result`` and writes the work buffer, where it can fill only the rows
+    the plan's ``reach`` gives for it, band1; ``result``'s other rows are
+    then set to +0.0.  Turning 1 (work -> result), transport (result ->
+    work) and turning 2 (work -> result) work on band1, and remap 2
+    prefix-sums in the work buffer and remaps ``result`` in place, on band1
+    too; the work buffer's rows outside band1 are never read.  The epilogue
+    sums pbar over the rows remap 2 can fill.  Every band holds all the
+    mass of its density, so each sub-step gives the bits it gives over
+    every row.  A ``dt`` that is not finite and positive is a
+    ``BadConfig``.
     """
     if not 0.0 < dt < math.inf:  # NaN fails it too
         raise BadConfig(f"macro step dt must be finite and positive, got {dt}")
     grid, spec = state.grid, state.spec
     s = state.signal.values
 
-    plan = adaptation_plan(s, spec, grid, 0.5 * dt)
+    band = held_band(state.field.values)
+    plan = adaptation_plan(s, spec, grid, 0.5 * dt, band=band)
     # Allocated after the plan, so the plan's temporaries are already freed.
     work, result = step_buffers(state.field.values)
-    band = held_band(state.field.values)
-    p = adaptation_apply(state.field.values, s, spec, grid, 0.5 * dt, plan, out=result,
-                         band=band)
+    p = adaptation_apply(state.field.values, s, spec, grid, 0.5 * dt, plan, out=work,
+                         band=band, sums=result)
     band = plan.reach(band)
-    work_rows = work.reshape(grid.n_v, grid.m_nodes, -1)
-    work_rows[:, :band[0]] = 0.0
-    work_rows[:, band[1]:] = 0.0
-    p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors, out=work, band=band)
-    p = transport_apply(p, grid, dt, out=result, band=band)
-    p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors, out=work, band=band)
-    p = adaptation_apply(p, s, spec, grid, 0.5 * dt, plan, out=result, band=band)
+    result_rows = result.reshape(grid.n_v, grid.m_nodes, -1)
+    result_rows[:, :band[0]] = 0.0
+    result_rows[:, band[1]:] = 0.0
+    p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors, out=result, band=band)
+    p = transport_apply(p, grid, dt, out=work, band=band)
+    p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors, out=result, band=band)
+    p = adaptation_apply(p, s, spec, grid, 0.5 * dt, plan, out=result, band=band, sums=work)
     return finish_step(state, p, dt, band=plan.reach(band))
 
 

@@ -462,7 +462,8 @@ def test_compare_bitwise_sees_signed_zero(tmp_path, capsys):
         values = dump.values.copy(order="K")
         values[0, 0, 0] = zero
         paths.append(str(tmp_path / name))
-        dumpio.write_dump(paths[-1], values, dump.t, grid, dump.eps, dump.scenario)
+        dumpio.write_dump(paths[-1], values, dump.t, grid, dump.eps, dump.scenario,
+                          steps=dump.steps, max_mass_defect=dump.max_mass_defect)
     capsys.readouterr()
     assert main(["compare", *paths]) == 0
     out = capsys.readouterr().out
@@ -484,7 +485,8 @@ def test_compare_rejects_non_finite_dump(tmp_path, capsys):
     values = dump.values.copy(order="K")
     values[1, 1, 1] = float("nan")
     poisoned = str(tmp_path / "nan.chk")
-    dumpio.write_dump(poisoned, values, dump.t, grid, dump.eps, dump.scenario)
+    dumpio.write_dump(poisoned, values, dump.t, grid, dump.eps, dump.scenario,
+                      steps=dump.steps, max_mass_defect=dump.max_mass_defect)
     capsys.readouterr()
     clean = str(tmp_path / "out" / "final.chk")
     for pair in ((poisoned, poisoned), (clean, poisoned), (poisoned, clean)):
@@ -702,7 +704,7 @@ def test_restart_keeps_the_run_mass_reference(tmp_path, capsys):
     grid, _, _ = build_scenario(cfg)
     drifted = tmp_path / "drifted.chk"
     dumpio.write_dump(drifted, dump.values * (1.0 + 1e-9), dump.t, grid,
-                      dump.eps, dump.scenario)
+                      dump.eps, dump.scenario, steps=dump.steps, max_mass_defect=dump.max_mass_defect)
     capsys.readouterr()
     assert main(["run", str(tmp_path / "full.cfg"), "--restart", str(drifted)]) == 0
     out = capsys.readouterr().out
@@ -722,13 +724,15 @@ def test_restart_rejects_non_finite_dump(tmp_path, capsys):
     values[0, 0, 0] = float("nan")
     grid, _, _ = build_scenario(parse_config(cfg_path))
     poisoned = tmp_path / "nan.chk"
-    dumpio.write_dump(poisoned, values, dump.t, grid, dump.eps, dump.scenario)
+    dumpio.write_dump(poisoned, values, dump.t, grid, dump.eps, dump.scenario,
+                      steps=dump.steps, max_mass_defect=dump.max_mass_defect)
     assert main(["run", str(cfg_path), "--restart", str(poisoned)]) == 2
     assert "non-finite" in capsys.readouterr().err
     # So is a time stamp the output schedule cannot start from.
     for t in (float("nan"), -0.5):
         stamped = tmp_path / "stamped.chk"
-        dumpio.write_dump(stamped, dump.values, t, grid, dump.eps, dump.scenario)
+        dumpio.write_dump(stamped, dump.values, t, grid, dump.eps, dump.scenario,
+                          steps=dump.steps, max_mass_defect=dump.max_mass_defect)
         assert main(["run", str(cfg_path), "--restart", str(stamped)]) == 2
         assert "time stamp" in capsys.readouterr().err
 
@@ -746,7 +750,7 @@ def test_restart_and_compare_reject_a_negative_cell(tmp_path, capsys):
     grid, _, _ = build_scenario(parse_config(cfg_path))
     poisoned = str(tmp_path / "bad.chk")
     dumpio.write_dump(poisoned, values, dump.t, grid, dump.eps, dump.scenario,
-                      steps=dump.steps)
+                      steps=dump.steps, max_mass_defect=dump.max_mass_defect)
     capsys.readouterr()
     assert main(["run", str(cfg_path), "--restart", poisoned]) == 2
     err = capsys.readouterr().err

@@ -5,7 +5,8 @@ from scipy import fft, integrate, signal, special
 
 from chemokin.elliptic import (_cell_average_2d, _gauss_kronrod_21, _k0, _k1, _next_fast_len,
                                _origin_cell_average_2d, green_kernel, green_spectrum,
-                               kernel_check, solve_signal, stencil_residual)
+                               kernel_check, periodic_symbol, solve_signal,
+                               stencil_residual)
 from chemokin.errors import BadConfig, NonFiniteInput
 from chemokin.model import PhaseGrid, velocity_set
 
@@ -290,3 +291,23 @@ def test_free_space_solve_2d_equals_fftconvolve_bitwise(n, extent):
         assert solve_signal(dens, grid).values.tobytes() == expected.tobytes()
     info = green_spectrum.cache_info()
     assert (info.misses, info.hits) == (1, 2)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 1), (1, 128), (1, 33), (2, 24), (2, 17)])
+def test_periodic_solve_reads_its_cached_symbol_bitwise(dim, n):
+    # The symbol is built once per grid, read-only, and the solve gives the
+    # bits of one that builds it on every call.
+    grid = make_grid(dim=dim, n=n, extent=6.0)
+    full = (4.0 / grid.dx ** 2) * np.sin(np.pi * np.arange(n) / n) ** 2
+    half = full[:n // 2 + 1]
+    sym = 1.0 + half if dim == 1 else 1.0 + full[:, None] + half
+    rng = np.random.default_rng(n)
+    periodic_symbol.cache_clear()
+    for _ in range(3):
+        dens = rng.random(grid.x_shape) * rng.uniform(0.0, 50.0)
+        axes = range(dim)
+        expected = np.fft.irfftn(np.fft.rfftn(dens, axes=axes) / sym, s=dens.shape, axes=axes)
+        assert solve_signal(dens, grid).values.tobytes() == expected.tobytes()
+    info = periodic_symbol.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert not periodic_symbol(grid.dx, n, dim).flags.writeable

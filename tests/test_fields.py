@@ -85,7 +85,7 @@ def test_dump_payload_is_the_vmx_buffer(tmp_path):
                      velocities=v, weights=w, m_nodes=4, m_max=1.7)
     p = np.arange(np.prod(grid.field_shape), dtype=float).reshape(grid.field_shape)
     path = tmp_path / "d.chk"
-    dumpio.write_dump(path, in_layout(p), 0.0, grid, 1.0, "x")
+    dumpio.write_dump(path, in_layout(p), 0.0, grid, 1.0, "x", steps=0, max_mass_defect=0.0)
     raw = path.read_bytes()
     payload = raw[raw.index(b"END_HEADER\n") + len(b"END_HEADER\n"):]
     assert payload == vmx(p).tobytes()
@@ -104,7 +104,7 @@ def test_dump_payload_is_the_row_major_density(tmp_path, dim, x_nodes):
     values = in_layout(np.random.default_rng(x_nodes).random(grid.field_shape))
     for written in (values, np.ascontiguousarray(values)):
         path = tmp_path / "d.chk"
-        dumpio.write_dump(path, written, 0.0, grid, 1.0, "x")
+        dumpio.write_dump(path, written, 0.0, grid, 1.0, "x", steps=0, max_mass_defect=0.0)
         raw = path.read_bytes()
         payload = raw[raw.index(b"END_HEADER\n") + len(b"END_HEADER\n"):]
         assert payload == vmx(values).tobytes()
@@ -122,7 +122,7 @@ def test_read_dump_holds_the_file_and_the_density_only(tmp_path):
                      velocities=v, weights=w, m_nodes=16, m_max=1.7)
     values = in_layout(np.random.default_rng(0).random(grid.field_shape))
     path = tmp_path / "d.chk"
-    dumpio.write_dump(path, values, 0.0, grid, 1.0, "x")
+    dumpio.write_dump(path, values, 0.0, grid, 1.0, "x", steps=0, max_mass_defect=0.0)
     tracemalloc.start()
     try:
         read = dumpio.read_dump(path).values

@@ -583,6 +583,117 @@ def test_banded_remap_fills_the_rows_above_the_band_without_a_copy_of_them(dim):
 
 
 @st.composite
+def window_cases(draw):
+    """A plan case over eps in [1e-9, 1] (FLOW_EXPONENT_CAP binds at the small
+    end), on a periodic or free grid, with a density held in the m-rows
+    [lo, hi): empty, one row, from row 0, up to row M-1, every row, or a band
+    wholly below or above the m-cells of every m0(S(x)); -0.0 elsewhere."""
+    dim = draw(st.sampled_from([1, 2]))
+    grid = custom_grid(*velocity_set(dim, draw(st.sampled_from([2, 4]))),
+                       x_nodes=draw(st.integers(1, 12 if dim == 1 else 5)), dim=dim,
+                       topology=draw(st.sampled_from(["periodic", "free"])),
+                       m_nodes=draw(st.integers(1, 96)), m_max=draw(st.floats(1.25, 4.0)))
+    spec = make_spec(grid, f_family=draw(st.sampled_from(["linear", "cubic"])),
+                     kappa=draw(st.floats(0.1, 5.0)), eps=10.0 ** draw(st.floats(-9.0, 0.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    s = draw(st.floats(0.0, 3.0)) + rng.uniform(0.0, draw(st.floats(0.0, 2.0)), grid.x_shape)
+    dt = draw(st.floats(1e-4, 0.5))
+    n_m = grid.m_nodes
+    cells = np.floor(spec.adaptation.equilibrium(s) / grid.dm).astype(int)
+    below, above = int(cells.min()), int(cells.max()) + 1  # rows [0, below), [above, M)
+    kind = draw(st.sampled_from(["empty", "one row", "from row 0", "to row M-1", "full",
+                                 "below every m0", "above every m0"]))
+    if kind == "below every m0" and below > 0:
+        hi = draw(st.integers(1, below))
+        lo = draw(st.integers(0, hi - 1))
+    elif kind == "above every m0" and above < n_m:
+        lo = draw(st.integers(above, n_m - 1))
+        hi = draw(st.integers(lo + 1, n_m))
+    else:
+        lo = 0 if kind in ("empty", "from row 0", "full") else draw(st.integers(0, n_m - 1))
+        hi = {"empty": 0, "one row": lo + 1}.get(kind, n_m)
+        if kind == "from row 0":
+            hi = draw(st.integers(1, n_m))
+    p = np.full(grid.field_shape, -0.0)
+    held = p[..., lo:hi]
+    held[...] = np.where(rng.random(held.shape) < 0.8, rng.random(held.shape), -0.0)
+    return grid, spec, s, dt, p, (lo, hi)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(window_cases())
+def test_plan_over_the_band_window_gives_the_full_plan_bits(case):
+    # A plan given the input's band locates only the feet of the m-edges its
+    # two remaps and the epilogue can reach: each of its rows has the bits of
+    # the plan over every edge, both reaches stay inside its window and equal
+    # the full plan's, and both remaps give the full plan's bits.
+    grid, spec, s, dt, p, band = case
+    full = adaptation_plan(s, spec, grid, dt)
+    window = adaptation_plan(s, spec, grid, dt, band=band)
+    w0, w1 = window.first_edge, window.first_edge + len(window.min_cell) - 1
+    assert full.first_edge == 0 and len(full.min_cell) == grid.m_nodes + 1
+    assert 0 <= w0 <= min(band[0], w1) and band[1] <= w1 <= grid.m_nodes
+    for name in ("frac", "gather", "gather_sums", "min_cell", "max_cell"):
+        assert getattr(window, name).tobytes() == getattr(full, name)[w0:w1 + 1].tobytes()
+    rows = band
+    for _ in range(2):  # remap 1 on the band, then remap 2 on the rows it fills
+        reached = window.reach(rows)
+        assert reached == full.reach(rows)
+        assert w0 <= reached[0] <= reached[1] <= w1
+        expected = adaptation_apply(p, s, spec, grid, dt, full, band=rows)
+        p = adaptation_apply(p, s, spec, grid, dt, window, band=rows)
+        assert p.tobytes() == expected.tobytes()
+        rows = reached
+
+
+def test_plan_window_refuses_a_flow_that_crosses_m0(monkeypatch):
+    # The window rests on every path moving toward m0 without crossing it.
+    # A flow that pulls every foot 1.5 up (edges below m0 then have feet
+    # above it) reaches a band above m0 from edges below the window: reach
+    # must refuse, not return rows short of it.
+    grid = custom_grid(*velocity_set(1, 2), x_nodes=6, m_nodes=40, m_max=2.0)
+    spec = make_spec(grid, eps=0.1)
+    s = np.full(grid.x_shape, 0.5)
+    assert 10 <= float(spec.adaptation.equilibrium(0.5)) / grid.dm < 20
+    band = (30, 34)
+    exact = spec.adaptation.pull_back
+    monkeypatch.setattr(spec.adaptation, "pull_back", lambda m, s, tau: exact(m, s, tau) + 1.5)
+    window = adaptation_plan(s, spec, grid, 0.05, band=band)
+    assert window.first_edge > 0
+    p = np.zeros(grid.field_shape)
+    p[..., band[0]:band[1]] = 1.0
+    with pytest.raises(SpecViolation, match="across m0"):
+        window.reach(band)
+    with pytest.raises(SpecViolation, match="across m0"):
+        adaptation_apply(p, s, spec, grid, 0.05, window, band=band)
+    # The plan over every edge sees those edges, and reaches the band from them.
+    assert adaptation_plan(s, spec, grid, 0.05).reach(band)[0] < window.first_edge
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(banded_remap_cases())
+def test_remap_in_place_with_its_sum_buffer_equals_the_remap_out_of_place(case):
+    # Given a buffer for its prefix sums, the remap may overwrite its input:
+    # each velocity's slab is gathered before it is written.  The sums and
+    # this thread's gather scratch start NaN-filled, so a read of a row they
+    # were not given shows, and no output cell is -0.0.
+    grid, spec, s, dt, p = case
+    q = in_layout(np.where(p == 0.0, 0.0, p))  # +0.0 outside the band, as a step keeps it
+    band = kinetic.held_band(q)
+    plan = adaptation_plan(s, spec, grid, dt, band=band)
+    expected = vmx(adaptation_apply(q, s, spec, grid, dt, plan, band=band)).tobytes()
+    for role in ("remap_cum", "remap_p"):
+        kinetic._scratch(role, ((grid.m_nodes + 1) * q.size,)).fill(np.nan)
+    sums = np.full(q.size, np.nan)
+    got = adaptation_apply(q, s, spec, grid, dt, plan, out=vmx(q), band=band, sums=sums)
+    assert np.shares_memory(vmx(got), vmx(q))
+    assert vmx(got).tobytes() == expected
+    assert not np.any(np.signbit(vmx(got)))
+    with pytest.raises(ValueError, match="sums shares memory"):
+        adaptation_apply(got, s, spec, grid, dt, plan, band=band, sums=vmx(got).reshape(-1))
+
+
+@st.composite
 def band_cases(draw):
     """A grid (dim 1-2, periodic or free), turning and rate family, signal and a
     density held in the m-rows [lo, hi): empty, one row, from row 0, up to row
@@ -1277,12 +1388,28 @@ def test_dump_without_bookkeeping_keys_is_refused(tmp_path):
         assert main(["compare", str(legacy), str(path)]) == 2
 
 
+def test_dump_is_not_written_without_its_bookkeeping(tmp_path):
+    # A dump written without steps or max_mass_defect would read back as a
+    # fresh run's, so the writer takes both as required keywords.
+    from chemokin import dumpio
+    cfg, grid, spec, init = default_scenario()
+    path = tmp_path / "state.chk"
+    args = (path, init.p0.values, 0.0, grid, spec.epsilon, "abc123")
+    for kwargs in ({}, {"steps": 3}, {"max_mass_defect": 0.0}):
+        with pytest.raises(TypeError):
+            dumpio.write_dump(*args, **kwargs)
+    with pytest.raises(TypeError):
+        dumpio.write_dump(*args, 3, 0.0)
+    assert not path.exists()
+
+
 def test_dump_rejects_corruption(tmp_path):
     from chemokin import dumpio
     from chemokin.errors import BadConfig
     cfg, grid, spec, init = default_scenario()
     path = tmp_path / "state.chk"
-    dumpio.write_dump(path, init.p0.values, 0.0, grid, spec.epsilon, "abc123")
+    dumpio.write_dump(path, init.p0.values, 0.0, grid, spec.epsilon, "abc123",
+                      steps=0, max_mass_defect=0.0)
 
     not_a_dump = tmp_path / "junk.chk"
     not_a_dump.write_bytes(b"not a dump at all")
@@ -1316,7 +1443,8 @@ def test_dump_rejects_corruption(tmp_path):
         values = init.p0.values.copy()
         values[1, 2, 3] = bad
         poisoned = tmp_path / "poisoned.chk"
-        dumpio.write_dump(poisoned, values, 0.0, grid, spec.epsilon, "abc123")
+        dumpio.write_dump(poisoned, values, 0.0, grid, spec.epsilon, "abc123",
+                          steps=0, max_mass_defect=0.0)
         with pytest.raises(BadConfig, match=word):
             dumpio.read_dump(poisoned)
 
@@ -1329,7 +1457,8 @@ def test_failed_dump_write_leaves_no_partial_file(tmp_path, monkeypatch):
     from chemokin import dumpio
     cfg, grid, spec, init = default_scenario()
     path = tmp_path / "state.chk"
-    dumpio.write_dump(path, init.p0.values, 0.0, grid, spec.epsilon, "old")
+    dumpio.write_dump(path, init.p0.values, 0.0, grid, spec.epsilon, "old",
+                      steps=0, max_mass_defect=0.0)
     original = path.read_bytes()
 
     real_open = open
@@ -1356,9 +1485,10 @@ def test_failed_dump_write_leaves_no_partial_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(dumpio, "open", DiskFull, raising=False)
     with pytest.raises(OSError, match="no space"):
-        dumpio.write_dump(path, init.p0.values, 0.1, grid, spec.epsilon, "new")
+        dumpio.write_dump(path, init.p0.values, 0.1, grid, spec.epsilon, "new",
+                          steps=0, max_mass_defect=0.0)
     with pytest.raises(OSError, match="no space"):
         dumpio.write_dump(tmp_path / "fresh.chk", init.p0.values, 0.1, grid,
-                          spec.epsilon, "new")
+                          spec.epsilon, "new", steps=0, max_mass_defect=0.0)
     assert path.read_bytes() == original
     assert sorted(p.name for p in tmp_path.iterdir()) == ["state.chk"]
