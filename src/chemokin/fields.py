@@ -18,7 +18,10 @@ of the exact sum, relatively (Higham 1993).  Full integrals go through n:
 the mass is sum_x n(x) * dx^dim, so the initial mass, the per-step mass
 defect and the diagnostics agree bit for bit.  A ``DensityField`` carries
 the pbar that the step which made it computed, so a run's outputs read it
-instead of summing the density over m again.
+instead of summing the density over m again, and the band of m-rows
+outside which its density is +0.0, so the next step and the outputs read
+only those rows.  Both describe ``values`` as it was built: changing it in
+place leaves them stale.
 """
 from __future__ import annotations
 
@@ -43,12 +46,24 @@ class DensityField:
     do), else None.  It is passed along, not cached: a field built from
     another density, as ``dataclasses.replace(state, field=DensityField(...))``
     builds one, has none, and a reader sums that field's values itself.
-    Changing ``values`` in place leaves a carried ``pbar`` stale.
+
+    ``band`` = (lo, hi) is a band of m-rows outside which ``values`` is
+    +0.0.  A step stores the rows its last remap could fill
+    (``kinetic.finish_step``); without one, as for initial data, a dump
+    read back, the reduced model's one m-cell or a field built from
+    another density, it is every row.  ``dataclasses.replace`` keeps it.
+    Changing ``values`` in place leaves a carried ``pbar`` or ``band``
+    stale.
     """
 
     values: np.ndarray
     t: float = 0.0
     pbar: np.ndarray | None = None
+    band: tuple[int, int] | None = None
+
+    def __post_init__(self):
+        if self.band is None:
+            self.band = (0, self.values.shape[-1])
 
 
 @dataclass

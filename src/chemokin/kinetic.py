@@ -8,13 +8,15 @@ flow, and the adaptation half steps are one conservative remap along it:
 no eps-CFL, and a cost independent of eps.  Both half steps share the
 frozen signal and dt/2, so one plan (``adaptation_plan``: where the feet
 of the m-edges fall, computed edge-major by ``adaptation_feet``, and the
-gather indices) serves both.  The step finds the band of m-rows its input
-holds once (``held_band``), before the plan, which locates only the feet
-of the m-edges that band can reach, and every sub-step works on a band:
-each operator takes the m-rows [lo, hi) outside which its input is zero as
-``band``, reads and writes only what those rows need, and leaves the other
-rows of its output as they are, +0.0 in a step; the epilogue sums pbar
-over the band too.  Zero rows add no bit to a sum along m, so every band
+gather indices) serves both.  The band of m-rows a density holds travels
+with it (``DensityField.band``): the step narrows its input's band once
+(``held_band``, a scan inside it), before the plan, which locates only the
+feet of the m-edges that band can reach, and every sub-step works on a
+band: each operator takes the m-rows [lo, hi) outside which its input is
+zero as ``band``, reads and writes only what those rows need, and leaves
+the other rows of its output as they are, +0.0 in a step; the epilogue
+sums pbar over the band too and stores it on the new field.  Band (0, M)
+is every row, and zero rows add no bit to a sum along m, so every band
 gives the bits of the same operator over every row.  Every operator works
 on the (v, m, *x) view of the density (``fields``): the remap's gathers
 and turning's one batched (G, V, V) product per lambda-cell run along
@@ -41,20 +43,22 @@ result and one (v, m, *x) work buffer (``step_buffers``), each but the
 last writing the buffer it did not read.  The remaps also take the other
 buffer for their prefix sums, and the last sub-step, remap 2, overwrites
 the result it reads (``macro_step``).  Each operator takes an optional
-``out``, the C-contiguous (v, m, *x) array to write, allocates only
-without one, and refuses an ``out`` that shares memory with its input,
-unless a remap is also given its prefix-sum buffer.  The work buffer and
+``out``, the C-contiguous (v, m, *x) array to write, allocates a
+zero-filled one only without it, and refuses an ``out`` that shares
+memory with its input, unless a remap is also given its prefix-sum
+buffer.  The work buffer and
 the operators' temporaries (the remap's two gathers, at most (M+1, X)
 each, and one (m, *x) slab for transport's products) are per-thread
 scratch (``_scratch``), reused from step to step, so two threads that step
 at once never share one.
 
-The step epilogue (``finish_step``) and the output scheduler (``run``)
-also serve the reduced model of ``limit``, a state on one m-cell, which
-passes no band.  The epilogue takes the mass from the n it computes for
-the signal, the way ``fields.total_mass`` gave the initial mass, so a step
-that changes nothing has zero defect, and the new field carries the pbar
-that n came from, which the run's outputs read.
+The turning and transport operators, the step epilogue (``finish_step``)
+and the output scheduler (``run``) also serve the reduced model of
+``limit``, a state on one m-cell, whose band is that one row.  The
+epilogue takes the mass from the n it computes for the signal, the way
+``fields.total_mass`` gave the initial mass, so a step that changes
+nothing has zero defect, and the new field carries the pbar that n came
+from, which the run's outputs read.
 """
 from __future__ import annotations
 
@@ -96,12 +100,13 @@ def _scratch(role: str, shape: tuple[int, ...]) -> np.ndarray:
 def _target(q: np.ndarray, out: np.ndarray | None, *, own: bool = False) -> np.ndarray:
     """The (v, m, *x) array an operator on the (v, m, *x) view ``q`` writes.
 
-    A fresh one without ``out``.  ``out`` must be a C-contiguous float64
+    A fresh zero-filled one without ``out``, so the rows outside the band
+    an operator is given read +0.0.  ``out`` must be a C-contiguous float64
     array of q's shape that shares no memory with ``q``; with ``own`` it
     may also be q's own buffer (a remap given its prefix-sum buffer).
     """
     if out is None:
-        return np.empty(q.shape)
+        return np.zeros(q.shape)
     if out.shape != q.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 array of shape {q.shape}")
     if np.may_share_memory(out, q) and not (
@@ -123,20 +128,23 @@ def step_buffers(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _scratch("work", shape), np.empty(shape)
 
 
-def held_band(p: np.ndarray) -> tuple[int, int]:
+def held_band(p: np.ndarray, band: tuple[int, int]) -> tuple[int, int]:
     """The band [lo, hi) of m-rows of density ``p`` that holds anything but zeros.
 
-    Every row when the first and the last row hold something: the scan
-    costs more there than the band saves.  Otherwise one ``any`` over the
-    density finds it, and an empty density gives (0, 0).  Either way NaN,
-    inf and negative cells count as held.
+    ``band`` is the caller's promise that ``p`` is zero outside those rows
+    (``DensityField.band``), so only they are scanned.  The band itself
+    when its first and last row hold something: the scan costs more there
+    than the narrowing saves.  Otherwise one ``any`` over the band's rows
+    finds it, and an empty density gives (0, 0).  Either way NaN, inf and
+    negative cells count as held.
     """
+    lo, hi = band
     q = np.ascontiguousarray(vmx(p))
-    q = q.reshape(q.shape[0], q.shape[1], -1)
-    if q[:, 0].any() and q[:, -1].any():
-        return 0, q.shape[1]
+    q = q.reshape(q.shape[0], q.shape[1], -1)[:, lo:hi]
+    if hi > lo and q[:, 0].any() and q[:, -1].any():
+        return lo, hi
     held = np.flatnonzero(q.any(axis=0).any(axis=1))
-    return (int(held[0]), int(held[-1]) + 1) if held.size else (0, 0)
+    return (lo + int(held[0]), lo + int(held[-1]) + 1) if held.size else (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +181,8 @@ class TurningTensors:
         return cls(gain=ker * w[None, :], lam=lam, loss=np.multiply.outer(lam, w @ ker))
 
 
-def turning_apply(p: np.ndarray, spec: ModelSpec, grid: PhaseGrid, dt: float,
-                  tensors: TurningTensors | None = None,
-                  out: np.ndarray | None = None, *,
-                  band: tuple[int, int] | None = None) -> np.ndarray:
+def turning_apply(p: np.ndarray, tensors: TurningTensors, dt: float,
+                  out: np.ndarray | None = None, *, band: tuple[int, int]) -> np.ndarray:
     """One explicit Euler step of the velocity-jump operator.
 
     One batched (G, V, V) product of the matrices A_g (``TurningTensors``)
@@ -188,12 +194,12 @@ def turning_apply(p: np.ndarray, spec: ModelSpec, grid: PhaseGrid, dt: float,
     weights w, so mass moves only by round-off.
 
     ``band`` = (lo, hi) is the caller's promise that ``p`` is zero and
-    ``out`` +0.0 outside m-rows [lo, hi) (``macro_step``); then only the
-    lambda-cells of those rows are multiplied, and the other rows of
-    ``out`` are left as they are, which is what the step over every row
-    writes there.  Each cell's product is the same with or without it.
+    ``out`` +0.0 outside m-rows [lo, hi) (``macro_step``; (0, 1) on the
+    reduced model's one m-cell).  Only the lambda-cells of those rows are
+    multiplied, and the other rows of ``out`` are left as they are, which
+    is what the step over every row writes there.  Each cell's product is
+    the same in every band that holds it.
     """
-    tensors = tensors or TurningTensors.build(spec, grid)
     max_loss = tensors.loss.max()
     if not dt * max_loss <= 1.0 + CFL_SLACK:  # NaN fails it too
         raise CflViolation(
@@ -201,10 +207,9 @@ def turning_apply(p: np.ndarray, spec: ModelSpec, grid: PhaseGrid, dt: float,
     q = vmx(p)
     res = _target(q, out)
     n_v, n_m, n_g = len(q), q.shape[1], tensors.lam.size
-    lo, hi = (0, n_m) if band is None else band
     # The lambda-cells are consecutive blocks of the flattened (m, *x) slab,
     # so m-rows [lo, hi) are the cells [lo, hi) * G / M.
-    lo, hi = lo * n_g // n_m, hi * n_g // n_m
+    lo, hi = band[0] * n_g // n_m, band[1] * n_g // n_m
     a = (dt * tensors.lam[lo:hi].reshape(-1, 1, 1)) * tensors.gain
     a.reshape(-1, n_v * n_v)[:, ::n_v + 1] += 1.0 - dt * tensors.loss[lo:hi]  # the diagonals
     np.matmul(a, np.ascontiguousarray(q).reshape(n_v, n_g, -1)[:, lo:hi].transpose(1, 0, 2),
@@ -243,8 +248,7 @@ def _upwind(dst: np.ndarray, slab: np.ndarray, axis: int, cmag: float, sign: int
 
 
 def transport_apply(p: np.ndarray, grid: PhaseGrid, dt: float,
-                    out: np.ndarray | None = None, *,
-                    band: tuple[int, int] | None = None) -> np.ndarray:
+                    out: np.ndarray | None = None, *, band: tuple[int, int]) -> np.ndarray:
     """First-order corner-transport upwind x-transport, one step for every velocity node.
 
     Each velocity moves by one 1-d upwind sweep per axis it moves on, in
@@ -266,10 +270,10 @@ def transport_apply(p: np.ndarray, grid: PhaseGrid, dt: float,
     ``_target``, and every velocity's CFL before anything is written.
 
     ``band`` = (lo, hi) is the caller's promise that ``p`` is zero and
-    ``out`` +0.0 outside m-rows [lo, hi) (``macro_step``); then each slab
-    is cut to those rows, still one contiguous block, and the other rows
-    of ``out`` are left as they are.  The sweeps act along x only, so each
-    cell gets the bits it gets without a band.
+    ``out`` +0.0 outside m-rows [lo, hi) (``macro_step``).  Each slab is
+    cut to those rows, still one contiguous block, and the other rows of
+    ``out`` are left as they are.  The sweeps act along x only, so each
+    cell gets the bits it gets in every band that holds it.
     """
     periodic = grid.x_topology == "periodic"
     courants = grid.velocities * dt / grid.dx
@@ -279,7 +283,7 @@ def transport_apply(p: np.ndarray, grid: PhaseGrid, dt: float,
             f"transport step dt = {dt} exceeds dx/|v_i| for velocity node {over[0]}")
     q = np.ascontiguousarray(vmx(p))
     res = _target(q, out)
-    lo, hi = (0, q.shape[1]) if band is None else band
+    lo, hi = band
     shifted = _scratch("slab", q.shape[1:])[lo:hi]
     for slab, c_k, res_k in zip(q[:, lo:hi], courants, res[:, lo:hi]):
         moved = False
@@ -375,23 +379,23 @@ class AdaptationPlan:
 
 
 def adaptation_plan(s: np.ndarray, spec: ModelSpec, grid: PhaseGrid, dt: float, *,
-                    band: tuple[int, int] | None = None) -> AdaptationPlan:
+                    band: tuple[int, int]) -> AdaptationPlan:
     """Check the rate's sign at the m-truncation and locate the feet over dt.
 
     Depends only on the frozen signal and dt, so one plan serves both
     adaptation half steps of a macro step.  A non-finite dt or signal is
     refused before any foot is cast to an index.
 
-    Without ``band`` the plan covers every m-edge.  Given the m-rows
-    [lo, hi) that hold the step's input, it covers the edges [w0, w1]: the
-    hull of the band's edges and of the m-cells of m0(S(x)) over x,
-    widened by 2 edges and clipped to [0, M].  Both rate families move
-    every path monotonically toward m0 without crossing it, so an edge
-    below the band and every m0 has its foot below itself, and an edge
-    above both has its foot above itself: ``reach(band)`` (remap 2's rows)
-    and ``reach(reach(band))`` (the epilogue's) stay inside the window, and
-    ``reach`` raises if a flow breaks that.  Each foot in the window gets
-    the bits the plan over every edge gives it.
+    Given the m-rows ``band`` = [lo, hi) that hold the step's input, the
+    plan covers the edges [w0, w1]: the hull of the band's edges and of
+    the m-cells of m0(S(x)) over x, widened by 2 edges and clipped to
+    [0, M].  Both rate families move every path monotonically toward m0
+    without crossing it, so an edge below the band and every m0 has its
+    foot below itself, and an edge above both has its foot above itself:
+    ``reach(band)`` (remap 2's rows) and ``reach(reach(band))`` (the
+    epilogue's) stay inside the window, and ``reach`` raises if a flow
+    breaks that.  Band (0, M) gives every edge, and each foot in a window
+    gets the bits it gets there.
     """
     if not math.isfinite(dt):
         raise NonFiniteInput(f"adaptation step dt = {dt} is not finite")
@@ -407,12 +411,9 @@ def adaptation_plan(s: np.ndarray, spec: ModelSpec, grid: PhaseGrid, dt: float, 
         raise SpecViolation("adaptation rate is non-positive at m = 0")
 
     n_m = grid.m_nodes
-    if band is None:
-        w0, w1 = 0, n_m
-    else:
-        m0 = spec.adaptation.equilibrium(np.asarray(s, dtype=float))
-        w0 = max(min(band[0], math.floor(float(m0.min()) / grid.dm)) - 2, 0)
-        w1 = min(max(band[1], math.floor(float(m0.max()) / grid.dm) + 1) + 2, n_m)
+    m0 = spec.adaptation.equilibrium(np.asarray(s, dtype=float))
+    w0 = max(min(band[0], math.floor(float(m0.min()) / grid.dm)) - 2, 0)
+    w1 = min(max(band[1], math.floor(float(m0.max()) / grid.dm) + 1) + 2, n_m)
     u = adaptation_feet(s, spec, grid, dt, slice(w0, w1 + 1))
     u /= grid.dm
     n_x = u.shape[1]
@@ -435,8 +436,7 @@ def adaptation_plan(s: np.ndarray, spec: ModelSpec, grid: PhaseGrid, dt: float, 
 
 def adaptation_apply(p: np.ndarray, s: np.ndarray, spec: ModelSpec, grid: PhaseGrid,
                      dt: float, plan: AdaptationPlan | None = None,
-                     out: np.ndarray | None = None, *,
-                     band: tuple[int, int] | None = None,
+                     out: np.ndarray | None = None, *, band: tuple[int, int],
                      sums: np.ndarray | None = None) -> np.ndarray:
     """Conservative semi-Lagrangian remap of the m-drift term over dt.
 
@@ -452,10 +452,10 @@ def adaptation_apply(p: np.ndarray, s: np.ndarray, spec: ModelSpec, grid: PhaseG
     gives cum[i] + frac*p[i] <= cum[i+1], so C is non-decreasing at the
     feet.  The cost is independent of eps and there is no eps-CFL.
 
-    ``plan`` is ``adaptation_plan(s, spec, grid, dt)``, built here over
-    every edge when not given; ``macro_step`` builds one per step for both
-    half steps.  ``band`` = (lo, hi) is the caller's promise that ``p`` is
-    zero outside m-rows [lo, hi); without it the band is every row.  The
+    ``band`` = (lo, hi) is the caller's promise that ``p`` is zero outside
+    m-rows [lo, hi).  ``plan`` is ``adaptation_plan(s, spec, grid, dt,
+    band=...)`` for that band or a wider one, built here for ``band`` when
+    not given; ``macro_step`` builds one per step for both half steps.  The
     plan's ``reach`` gives the output rows [first, last) and the edges
     whose feet it gathers at.
 
@@ -484,10 +484,9 @@ def adaptation_apply(p: np.ndarray, s: np.ndarray, spec: ModelSpec, grid: PhaseG
     velocity reads it.  ``sums`` may share no memory with ``p`` or ``out``.
     """
     if plan is None:
-        plan = adaptation_plan(s, spec, grid, dt)
+        plan = adaptation_plan(s, spec, grid, dt, band=band)
     n_v, n_m = grid.n_v, grid.m_nodes
-    res = np.zeros(vmx(p).shape) if out is None else _target(vmx(p), out,
-                                                            own=sums is not None)
+    res = _target(vmx(p), out, own=sums is not None)
     q = np.ascontiguousarray(vmx(p)).reshape(n_v, n_m, -1)
     n_x = q.shape[2]
     if sums is None:
@@ -496,8 +495,8 @@ def adaptation_apply(p: np.ndarray, s: np.ndarray, spec: ModelSpec, grid: PhaseG
         raise ValueError(f"sums must be a C-contiguous float64 array of {q.size} values")
     if np.may_share_memory(sums, res) or np.may_share_memory(sums, p):
         raise ValueError("sums shares memory with the input density or out")
-    lo, hi = (0, n_m) if band is None else band
-    first, last = plan.reach((lo, hi))
+    lo, hi = band
+    first, last = plan.reach(band)
     e0, e1 = first - plan.first_edge, last - plan.first_edge  # the plan's rows of both edges
     # cum is needed in rows [bottom, top], from the lowest foot to the highest:
     # bottom <= lo, and top >= hi unless the band reaches row M-1.
@@ -602,25 +601,25 @@ def macro_step(state: StepperState, dt: float) -> StepperState:
     sub-steps alternate between this thread's work buffer and ``result``,
     the step's one fresh array, which the new state keeps.
 
-    The step finds the band of m-rows its input holds once (``held_band``),
-    before the plan, whose edges it bounds.  Remap 1 prefix-sums in
-    ``result`` and writes the work buffer, where it can fill only the rows
-    the plan's ``reach`` gives for it, band1; ``result``'s other rows are
-    then set to +0.0.  Turning 1 (work -> result), transport (result ->
-    work) and turning 2 (work -> result) work on band1, and remap 2
-    prefix-sums in the work buffer and remaps ``result`` in place, on band1
-    too; the work buffer's rows outside band1 are never read.  The epilogue
-    sums pbar over the rows remap 2 can fill.  Every band holds all the
-    mass of its density, so each sub-step gives the bits it gives over
-    every row.  A ``dt`` that is not finite and positive is a
-    ``BadConfig``.
+    The step narrows the band its input's field carries once
+    (``held_band``), before the plan, whose edges it bounds.  Remap 1
+    prefix-sums in ``result`` and writes the work buffer, where it can fill
+    only the rows the plan's ``reach`` gives for it, band1; ``result``'s
+    other rows are then set to +0.0.  Turning 1 (work -> result), transport
+    (result -> work) and turning 2 (work -> result) work on band1, and
+    remap 2 prefix-sums in the work buffer and remaps ``result`` in place,
+    on band1 too; the work buffer's rows outside band1 are never read.  The
+    epilogue sums pbar over the rows remap 2 can fill, which the new field
+    carries as its band.  Every band holds all the mass of its density, so
+    each sub-step gives the bits it gives over every row.  A ``dt`` that is
+    not finite and positive is a ``BadConfig``.
     """
     if not 0.0 < dt < math.inf:  # NaN fails it too
         raise BadConfig(f"macro step dt must be finite and positive, got {dt}")
     grid, spec = state.grid, state.spec
     s = state.signal.values
 
-    band = held_band(state.field.values)
+    band = held_band(state.field.values, state.field.band)
     plan = adaptation_plan(s, spec, grid, 0.5 * dt, band=band)
     # Allocated after the plan, so the plan's temporaries are already freed.
     work, result = step_buffers(state.field.values)
@@ -630,15 +629,15 @@ def macro_step(state: StepperState, dt: float) -> StepperState:
     result_rows = result.reshape(grid.n_v, grid.m_nodes, -1)
     result_rows[:, :band[0]] = 0.0
     result_rows[:, band[1]:] = 0.0
-    p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors, out=result, band=band)
+    p = turning_apply(p, state.tensors, 0.5 * dt, out=result, band=band)
     p = transport_apply(p, grid, dt, out=work, band=band)
-    p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors, out=result, band=band)
+    p = turning_apply(p, state.tensors, 0.5 * dt, out=result, band=band)
     p = adaptation_apply(p, s, spec, grid, 0.5 * dt, plan, out=result, band=band, sums=work)
     return finish_step(state, p, dt, band=plan.reach(band))
 
 
 def finish_step(state: StepperState, p: np.ndarray, dt: float, *,
-                band: tuple[int, int] | None = None) -> StepperState:
+                band: tuple[int, int]) -> StepperState:
     """Close a step that produced density ``p``: check, refresh, account.
 
     Positivity is asserted on the result: a negative, NaN or infinite
@@ -646,11 +645,11 @@ def finish_step(state: StepperState, p: np.ndarray, dt: float, *,
     cell of ``p``, catches the first two wherever a sub-step left them; a
     +inf cell of an otherwise non-negative density makes its column's n
     infinite.  n comes from pbar, summed over the m-rows ``band`` only
-    when given (the caller's promise that ``p`` is +0.0 outside them; see
+    (the caller's promise that ``p`` is +0.0 outside them; see
     ``fields.pbar_of``), and the new field carries that pbar for the
-    run's outputs.  The signal is then re-solved from n (unless the state
-    freezes it) and the largest relative mass defect against ``mass0`` so
-    far is kept.
+    run's outputs and that band for the next step.  The signal is then
+    re-solved from n (unless the state freezes it) and the largest
+    relative mass defect against ``mass0`` so far is kept.
     """
     grid = state.grid
     pmin = float(p.min())
@@ -665,7 +664,7 @@ def finish_step(state: StepperState, p: np.ndarray, dt: float, *,
     defect = (x_integral(n, grid) - state.mass0) / state.mass0 if state.mass0 else 0.0
     return replace(
         state,
-        field=DensityField(p, state.t + dt, pbar),
+        field=DensityField(p, state.t + dt, pbar, band),
         signal=signal,
         step_count=state.step_count + 1,
         max_mass_defect=max(state.max_mass_defect, abs(defect)),
@@ -684,10 +683,11 @@ def run(state: StepperState, t_end: float, output_every: float,
     schedules.  A fresh run (no report, or a report with no rows) is
     observed at t_start, and every run at each output instant, by one
     helper: ``report.observe`` (given the pbar the state's field carries)
-    and then ``observer(state)``.  Each step is given its state without
-    that pbar, which only outputs read.  A schedule ``output_times``
-    refuses raises ``BadConfig`` before the first observation.  This
-    thread's scratch buffers are freed when the run returns or raises.
+    and then ``observer(state)``.  Each step is given its state without that
+    pbar, which only outputs read, and with its band.  A schedule
+    ``output_times`` refuses raises ``BadConfig`` before the first
+    observation.  This thread's scratch buffers are freed when the run
+    returns or raises.
     """
     step = macro_step if step is None else step
 

@@ -47,8 +47,8 @@ def oda_state(grid: PhaseGrid, spec: ModelSpec, initial: InitialData) -> Stepper
     The density is the m-integral of the kinetic initial data, held in one
     m-cell of unit width, so ``pbar_of``, ``number_density`` and
     ``total_mass`` read it unchanged; the field carries that m-integral as
-    its pbar, which is the density's own buffer.  ``mass0`` is the kinetic
-    run's mass.
+    its pbar, which is the density's own buffer, and its one row as its
+    band.  ``mass0`` is the kinetic run's mass.
     """
     rgrid = dc_replace(grid, m_nodes=1, m_max=1.0)
     pbar = pbar_of(initial.p0.values, grid)
@@ -66,14 +66,15 @@ def oda_step(state: StepperState, dt: float) -> StepperState:
     step closes like a kinetic macro step (positivity check, signal
     refresh, mass defect), so the two solvers collapse onto each other
     when the kernel is m-independent.  Like a macro step, it runs in the
-    scratch work buffer and one fresh result, which the new state keeps.
+    scratch work buffer and one fresh result, which the new state keeps,
+    on the band its field carries: the one m-row.
     """
-    grid, spec = state.grid, state.spec
+    grid, spec, band = state.grid, state.spec, state.field.band
     work, result = step_buffers(state.field.values)
-    p = turning_apply(state.field.values, spec, grid, 0.5 * dt, state.tensors, out=result)
-    p = transport_apply(p, grid, dt, out=work)
-    p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors, out=result)
-    state = finish_step(state, p, dt)
+    p = turning_apply(state.field.values, state.tensors, 0.5 * dt, out=result, band=band)
+    p = transport_apply(p, grid, dt, out=work, band=band)
+    p = turning_apply(p, state.tensors, 0.5 * dt, out=result, band=band)
+    state = finish_step(state, p, dt, band=band)
     return dc_replace(state, tensors=_adapted_tensors(spec, grid, state.signal.values))
 
 
@@ -92,29 +93,41 @@ def oda_run(grid: PhaseGrid, spec: ModelSpec, initial: InitialData, t_end: float
 # Concentration metrics
 # ---------------------------------------------------------------------------
 
-def concentration_metrics(p: np.ndarray, s: np.ndarray, spec: ModelSpec,
-                          grid: PhaseGrid, pbar: np.ndarray | None = None) -> float:
+def concentration_metrics(field: DensityField, s: np.ndarray, spec: ModelSpec,
+                          grid: PhaseGrid) -> float:
     """Distance of the normalized m-marginals from the adapted Dirac profile.
 
     Returns the Wasserstein-1 distance of each spatial cell's normalized
     m-marginal to the Dirac at m0(S(x)) (the first absolute moment about
     it, equivalently the integral of |CDF - step|), mass-weighted over the
-    cells above the vacuum floor.  The cells' n comes from ``pbar``, p's
-    m-integral, when the caller has it (``DensityField.pbar``), else from
-    ``pbar_of(p)``.
+    cells above the vacuum floor.  The cells' n comes from the field's
+    pbar when it carries one, else from ``pbar_of`` of its values.
+
+    The velocity marginal is one matrix product over every m-row: BLAS
+    treats the last few elements of a product apart from the rest, so a
+    product over the band alone moves bits of the band's last row unless the
+    number of x-cells is a multiple of its block.  Everything after it reads
+    only the field's band of m-rows, where the density is not +0.0: the sum
+    along m adds the rows in sequence, so +0.0 rows change no bit of
+    it.  With one x-cell m is the contiguous axis and every row is read, as
+    in ``pbar_of``.
     """
-    n_x = density_of_pbar(pbar_of(p, grid) if pbar is None else pbar, grid).reshape(-1)
+    p = field.values
+    n_x = density_of_pbar(pbar_of(p, grid, field.band) if field.pbar is None else field.pbar,
+                          grid).reshape(-1)
     total = x_integral(n_x, grid)
     if total <= 0.0:
         raise EmptyField("concentration metrics need positive total mass")
     q = np.ascontiguousarray(vmx(p)).reshape(grid.n_v, -1)
-    marginal = (grid.weights @ q).reshape(grid.m_nodes, -1) * grid.dm
+    marginal = (grid.weights @ q).reshape(grid.m_nodes, -1)
+    lo, hi = (0, grid.m_nodes) if marginal.shape[1] == 1 else field.band
+    marginal = marginal[lo:hi] * grid.dm
 
     # Some cell holds at least total / N, so the weights below never all vanish.
     included = n_x * grid.cell_volume > 1e-12 * total / n_x.size
     m0x = spec.adaptation.equilibrium(np.asarray(s).reshape(-1))
     norm = marginal / np.where(included, n_x, 1.0)
-    w1 = np.einsum("mx,mx->x", norm, np.abs(grid.m_centers[:, None] - m0x))
+    w1 = np.einsum("mx,mx->x", norm, np.abs(grid.m_centers[lo:hi, None] - m0x))
     weight = np.where(included, n_x, 0.0)
     return float(np.sum(w1 * weight) / np.sum(weight))
 
@@ -172,8 +185,7 @@ def _run_one_eps(grid: PhaseGrid, spec: ModelSpec, initial: InitialData, output_
     def observer(st: StepperState) -> None:
         pbar = st.field.pbar
         gap = x_integral(density_of_pbar(np.abs(pbar - oda_bars[len(w1_gaps)]), grid), grid)
-        w1_gaps.append((concentration_metrics(st.field.values, st.signal.values, spec, grid,
-                                              pbar), gap))
+        w1_gaps.append((concentration_metrics(st.field, st.signal.values, spec, grid), gap))
 
     kinetic_run(state, study.t_end, output_every, report=report, observer=observer)
     rates = [0.0] + [float(r) for r in report.x_moment_rates()]

@@ -48,7 +48,7 @@ def test_two_dimensional_concentration_metrics():
                                   eps=0.05)
     state = StepperState.create(grid, spec, init)
     state, _ = kinetic_run(state, 0.4, 0.1)
-    w1 = concentration_metrics(state.field.values, state.signal.values, spec, grid)
+    w1 = concentration_metrics(state.field, state.signal.values, spec, grid)
     assert np.isfinite(w1)
     # relaxed for ~8 relaxation times: width collapses toward the grid scale
     assert w1 <= 4 * grid.dm

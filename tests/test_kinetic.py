@@ -3,18 +3,18 @@ from dataclasses import fields as dc_fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chemokin import kinetic
 from chemokin.config import GridConfig, RunConfig
 from chemokin.diagnostics import DiagnosticsReport, ReportRow, reduce_norms
-from chemokin.errors import (BadConfig, CflViolation, NonFiniteInput, PositivityError,
-                             SpecViolation)
+from chemokin.errors import (BadConfig, CflViolation, EmptyField, NonFiniteInput,
+                             PositivityError, SpecViolation)
 from chemokin.fields import DensityField, in_layout, pbar_of, total_mass, vmx
 from chemokin.kinetic import (StepperState, TurningTensors, adaptation_apply,
                               adaptation_feet, adaptation_plan, macro_step, run,
                               transport_apply, turning_apply)
-from chemokin.limit import oda_run, oda_state, oda_step
+from chemokin.limit import concentration_metrics, oda_run, oda_state, oda_step
 from chemokin.model import (AdaptationModel, ModelSpec, PhaseGrid, TurningModel,
                             build_scenario, package_initial, velocity_set)
 
@@ -85,7 +85,7 @@ def test_turning_two_velocity_exchange():
     a, b = 0.3, 1.1
     p[0, 0, 0], p[0, 1, 0] = a, b
     dt = 0.2
-    new = turning_apply(p, spec, grid, dt, tensors)
+    new = turning_apply(p, tensors, dt, band=(0, grid.m_nodes))
     assert new[0, 0, 0] == pytest.approx(a + dt * (b - a), rel=1e-14)
     assert new[0, 1, 0] == pytest.approx(b + dt * (a - b), rel=1e-14)
 
@@ -97,7 +97,7 @@ def test_turning_matches_direct_quadrature():
     rng = np.random.default_rng(8)
     p = rng.random(grid.field_shape)
     dt = 0.3
-    new = turning_apply(p, spec, grid, dt, tensors)
+    new = turning_apply(p, tensors, dt, band=(0, grid.m_nodes))
     oracle = turning_oracle(p, turning_tensor(spec, grid), grid.weights, dt)
     assert np.allclose(new, oracle, rtol=1e-13, atol=1e-15)
 
@@ -106,7 +106,7 @@ def test_turning_uniform_in_v_is_stationary():
     grid = custom_grid(*velocity_set(1, 4), x_nodes=4, m_nodes=4)
     spec = make_spec(grid, t_family="constant")
     p = np.ones(grid.field_shape) * 0.7
-    new = turning_apply(p, spec, grid, 0.25)
+    new = turning_apply(p, TurningTensors.build(spec, grid), 0.25, band=(0, grid.m_nodes))
     assert np.allclose(new, p, rtol=1e-14)
 
 
@@ -115,7 +115,7 @@ def test_turning_conserves_mass_roundoff():
     spec = make_spec(grid, t_family="separable-angle", lambda0=1.3)
     rng = np.random.default_rng(13)
     p = rng.random(grid.field_shape)
-    new = turning_apply(p, spec, grid, 0.2)
+    new = turning_apply(p, TurningTensors.build(spec, grid), 0.2, band=(0, grid.m_nodes))
     assert total_mass(new, grid) == pytest.approx(total_mass(p, grid), rel=1e-14)
 
 
@@ -123,7 +123,8 @@ def test_turning_cfl_violation():
     grid = custom_grid(*velocity_set(1, 2), x_nodes=2, m_nodes=2)
     spec = make_spec(grid, t_family="constant", lambda0=2.0)
     with pytest.raises(CflViolation):
-        turning_apply(np.ones(grid.field_shape), spec, grid, dt=1.01)
+        turning_apply(np.ones(grid.field_shape), TurningTensors.build(spec, grid), dt=1.01,
+                      band=(0, grid.m_nodes))
 
 
 # -- transport -----------------------------------------------------------------
@@ -132,7 +133,7 @@ def test_unit_cfl_shifts_exactly_one_cell():
     grid = custom_grid([1.0], [2.0], x_nodes=8, m_nodes=2)
     p = np.zeros(grid.field_shape)
     p[3, 0, :] = 1.0
-    new = transport_apply(p, grid, dt=grid.dx)
+    new = transport_apply(p, grid, dt=grid.dx, band=(0, grid.m_nodes))
     expected = np.roll(p, 1, axis=0)
     assert np.array_equal(new, expected)
 
@@ -141,14 +142,14 @@ def test_zero_velocity_node_unchanged():
     grid = custom_grid([0.0, 0.5], [1.0, 1.0], x_nodes=8, m_nodes=2)
     rng = np.random.default_rng(1)
     p = rng.random(grid.field_shape)
-    new = transport_apply(p, grid, dt=0.3)
+    new = transport_apply(p, grid, dt=0.3, band=(0, grid.m_nodes))
     assert np.array_equal(new[:, 0, :], p[:, 0, :])
 
 
 def test_transport_cfl_violation():
     grid = custom_grid([1.0], [2.0], x_nodes=8, m_nodes=2)
     with pytest.raises(CflViolation):
-        transport_apply(np.ones(grid.field_shape), grid, dt=1.5 * grid.dx)
+        transport_apply(np.ones(grid.field_shape), grid, dt=1.5 * grid.dx, band=(0, grid.m_nodes))
 
 
 def test_transport_first_order_against_exact_translate():
@@ -163,7 +164,7 @@ def test_transport_first_order_against_exact_translate():
         n_steps = int(round(1.0 / dt))
         cur = p
         for _ in range(n_steps):
-            cur = transport_apply(cur, grid, dt)
+            cur = transport_apply(cur, grid, dt, band=(0, grid.m_nodes))
         shift_cells = int(round(1.0 / grid.dx))
         exact = np.roll(p, shift_cells, axis=0)
         errors.append(float(np.sum(np.abs(cur - exact)) * grid.dx))
@@ -175,7 +176,7 @@ def test_transport_conserves_mass_periodic():
     grid = custom_grid(*velocity_set(1, 4), x_nodes=32, m_nodes=4)
     rng = np.random.default_rng(3)
     p = rng.random(grid.field_shape)
-    new = transport_apply(p, grid, dt=0.4 * grid.dx)
+    new = transport_apply(p, grid, dt=0.4 * grid.dx, band=(0, grid.m_nodes))
     assert total_mass(new, grid) == pytest.approx(total_mass(p, grid), rel=1e-14)
 
 
@@ -185,7 +186,7 @@ def test_transport_2d_positivity_and_mass():
     rng = np.random.default_rng(6)
     p = rng.random(grid.field_shape)
     dt = 0.9 * grid.dx / grid.max_speed
-    new = transport_apply(p, grid, dt)
+    new = transport_apply(p, grid, dt, band=(0, grid.m_nodes))
     assert new.min() >= 0.0
     assert total_mass(new, grid) == pytest.approx(total_mass(p, grid), rel=1e-13)
 
@@ -207,7 +208,7 @@ def translation_2d_error(n):
     p = np.repeat(gaussian(0.0, 0.0)[:, :, None, None], grid.n_v, axis=2)
     dt = grid.dx / grid.max_speed
     for _ in range(round(2.0 / dt)):
-        p = transport_apply(p, grid, dt)
+        p = transport_apply(p, grid, dt, band=(0, grid.m_nodes))
     exact = np.stack([gaussian(*(2.0 * v)) for v in grid.velocities], axis=2)[..., None]
     return float(np.sum(np.abs(p - exact)) * grid.dx ** 2 / grid.n_v)
 
@@ -288,8 +289,8 @@ def test_transport_equals_zero_filled_accumulation_bitwise(case):
     # density included.  A NaN-filled ``out`` shows any cell left unwritten.
     grid, p, dt = case
     expected = transport_reference(p, grid, dt)
-    assert transport_apply(p, grid, dt).tobytes() == expected.tobytes()
-    into = transport_apply(p, grid, dt, out=np.full(vmx(p).shape, np.nan))
+    assert transport_apply(p, grid, dt, band=(0, grid.m_nodes)).tobytes() == expected.tobytes()
+    into = transport_apply(p, grid, dt, out=np.full(vmx(p).shape, np.nan), band=(0, grid.m_nodes))
     assert into.tobytes() == expected.tobytes()
 
 
@@ -319,11 +320,11 @@ def test_turning_at_cfl_edge_positive_and_conservative(case):
     grid, spec, p, _ = case
     tensors = TurningTensors.build(spec, grid)
     dt = 1.0 / tensors.loss.max()
-    new = turning_apply(p, spec, grid, dt, tensors)
+    new = turning_apply(p, tensors, dt, band=(0, grid.m_nodes))
     assert new.min() >= 0.0
     assert total_mass(new, grid) == pytest.approx(total_mass(p, grid), rel=1e-13)
     with pytest.raises(CflViolation):
-        turning_apply(p, spec, grid, dt * (1.0 + 1e-6), tensors)
+        turning_apply(p, tensors, dt * (1.0 + 1e-6), band=(0, grid.m_nodes))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -338,7 +339,7 @@ def test_reduced_turning_at_cfl_edge_positive_conservative_and_exact(case):
     tensors = TurningTensors.build(spec, rgrid, m=m0[None])
     p = rng.random(rgrid.field_shape) * (rng.random(rgrid.field_shape) < 0.7)
     dt = 1.0 / tensors.loss.max()
-    new = turning_apply(p, spec, rgrid, dt, tensors)
+    new = turning_apply(p, tensors, dt, band=(0, 1))
     assert new.min() >= 0.0
     assert total_mass(new, rgrid) == pytest.approx(total_mass(p, rgrid), rel=1e-13)
     ker = spec.turning.kernel_matrix(rgrid)[:, :, None]
@@ -347,7 +348,7 @@ def test_reduced_turning_at_cfl_edge_positive_conservative_and_exact(case):
         oracle = turning_oracle(p[x][None], tensor, rgrid.weights, dt)[0]
         assert np.allclose(new[x], oracle, rtol=1e-13, atol=1e-15)
     with pytest.raises(CflViolation):
-        turning_apply(p, spec, rgrid, dt * (1.0 + 1e-6), tensors)
+        turning_apply(p, tensors, dt * (1.0 + 1e-6), band=(0, 1))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -355,7 +356,7 @@ def test_reduced_turning_at_cfl_edge_positive_conservative_and_exact(case):
 def test_transport_at_cfl_edge_positive_and_conservative(case):
     grid, _, p, _ = case
     dt = grid.dx / grid.max_speed
-    new = transport_apply(p, grid, dt)
+    new = transport_apply(p, grid, dt, band=(0, grid.m_nodes))
     assert new.min() >= 0.0
     before, after = total_mass(p, grid), total_mass(new, grid)
     if grid.x_topology == "periodic":
@@ -363,7 +364,7 @@ def test_transport_at_cfl_edge_positive_and_conservative(case):
     else:
         assert after <= before * (1.0 + 1e-13)
     with pytest.raises(CflViolation):
-        transport_apply(p, grid, dt * (1.0 + 1e-6))
+        transport_apply(p, grid, dt * (1.0 + 1e-6), band=(0, grid.m_nodes))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -405,7 +406,7 @@ def test_adapted_data_barely_moves():
     j0 = int(m0 / grid.dm)
     p = np.zeros(grid.field_shape)
     p[:, :, j0] = 1.0
-    new = adaptation_apply(p, s, spec, grid, dt=0.1)
+    new = adaptation_apply(p, s, spec, grid, dt=0.1, band=(0, grid.m_nodes))
     marg = new.sum(axis=(0, 1))
     mean = float(marg @ grid.m_centers / marg.sum())
     assert abs(mean - grid.m_centers[j0]) <= grid.dm
@@ -433,7 +434,7 @@ def remap_cases(draw):
 def test_remap_column_mass_finite_and_positive(case):
     grid, spec, s, dt, rng = case
     p = rng.random(grid.field_shape) * (rng.random(grid.field_shape) < 0.8)
-    new = adaptation_apply(p, s, spec, grid, dt)
+    new = adaptation_apply(p, s, spec, grid, dt, band=(0, grid.m_nodes))
     assert np.all(np.isfinite(new))
     assert new.min() >= 0.0
     before, after = p.sum(axis=-1), new.sum(axis=-1)
@@ -486,7 +487,7 @@ def test_plan_equals_one_with_an_unconditional_running_maximum(case, jitter):
     exact = spec.adaptation.pull_back
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spec.adaptation, "pull_back", lambda m, s, tau: exact(m, s, tau) + noise)
-        plan = adaptation_plan(s, spec, grid, dt)
+        plan = adaptation_plan(s, spec, grid, dt, band=(0, grid.m_nodes))
         frac, at = plan_reference(s, spec, grid, dt)
     assert plan.frac.tobytes() == frac.tobytes()
     assert plan.gather.dtype == at.dtype and np.array_equal(plan.gather, at)
@@ -552,10 +553,11 @@ def test_banded_remap_equals_a_full_range_remap_bitwise(case):
     # them, and a NaN-filled ``out`` shows any row left unwritten.
     grid, spec, s, dt, p = case
     expected = full_remap_reference(p, s, spec, grid, dt)
-    new = vmx(adaptation_apply(p, s, spec, grid, dt))
+    new = vmx(adaptation_apply(p, s, spec, grid, dt, band=(0, grid.m_nodes)))
     assert new.tobytes() == expected.tobytes()
     assert not np.any(np.signbit(new))
-    into = adaptation_apply(p, s, spec, grid, dt, out=np.full(vmx(p).shape, np.nan))
+    into = adaptation_apply(p, s, spec, grid, dt, out=np.full(vmx(p).shape, np.nan),
+                            band=(0, grid.m_nodes))
     assert vmx(into).tobytes() == expected.tobytes()
 
 
@@ -571,7 +573,7 @@ def test_banded_remap_fills_the_rows_above_the_band_without_a_copy_of_them(dim):
     dens = np.zeros(grid.field_shape)
     dens[..., 2:6] = 1.0
     p, out = in_layout(dens), np.empty(vmx(dens).shape)
-    plan = adaptation_plan(s, spec, grid, 0.1)
+    plan = adaptation_plan(s, spec, grid, 0.1, band=(0, grid.m_nodes))
     adaptation_apply(p, s, spec, grid, 0.1, plan, out=out, band=(2, 6))
     tracemalloc.start()
     try:
@@ -628,7 +630,7 @@ def test_plan_over_the_band_window_gives_the_full_plan_bits(case):
     # the plan over every edge, both reaches stay inside its window and equal
     # the full plan's, and both remaps give the full plan's bits.
     grid, spec, s, dt, p, band = case
-    full = adaptation_plan(s, spec, grid, dt)
+    full = adaptation_plan(s, spec, grid, dt, band=(0, grid.m_nodes))
     window = adaptation_plan(s, spec, grid, dt, band=band)
     w0, w1 = window.first_edge, window.first_edge + len(window.min_cell) - 1
     assert full.first_edge == 0 and len(full.min_cell) == grid.m_nodes + 1
@@ -667,7 +669,8 @@ def test_plan_window_refuses_a_flow_that_crosses_m0(monkeypatch):
     with pytest.raises(SpecViolation, match="across m0"):
         adaptation_apply(p, s, spec, grid, 0.05, window, band=band)
     # The plan over every edge sees those edges, and reaches the band from them.
-    assert adaptation_plan(s, spec, grid, 0.05).reach(band)[0] < window.first_edge
+    every_edge = adaptation_plan(s, spec, grid, 0.05, band=(0, grid.m_nodes))
+    assert every_edge.reach(band)[0] < window.first_edge
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -679,7 +682,7 @@ def test_remap_in_place_with_its_sum_buffer_equals_the_remap_out_of_place(case):
     # were not given shows, and no output cell is -0.0.
     grid, spec, s, dt, p = case
     q = in_layout(np.where(p == 0.0, 0.0, p))  # +0.0 outside the band, as a step keeps it
-    band = kinetic.held_band(q)
+    band = kinetic.held_band(q, (0, grid.m_nodes))
     plan = adaptation_plan(s, spec, grid, dt, band=band)
     expected = vmx(adaptation_apply(q, s, spec, grid, dt, plan, band=band)).tobytes()
     for role in ("remap_cum", "remap_p"):
@@ -726,31 +729,66 @@ def band_cases(draw):
     return grid, spec, s, p, (lo, hi), edge
 
 
+def marginal_tail_case():
+    """A band case whose w1 moves a bit if the velocity marginal's product is
+    cut to the band: 8 velocities on 3 x-cells, so the 2-row band holds 6
+    elements, not a multiple of the block BLAS computes its products in."""
+    grid = custom_grid(*velocity_set(1, 8), x_nodes=3, m_nodes=4)
+    spec = make_spec(grid, t_family="separable-uniform")
+    rng = np.random.default_rng(6)
+    p = np.full(grid.field_shape, -0.0)
+    p[..., 1:3] = rng.random(p[..., 1:3].shape)
+    return grid, spec, rng.uniform(0.0, 3.0, grid.x_shape), p, (1, 3), 1.0
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(band_cases())
+@example(marginal_tail_case())
 def test_banded_operators_equal_full_row_operators_bitwise(case):
     # Given the band that holds the density, each operator gives the bits of
-    # its call over every row.  ``out`` is NaN-filled: turning and transport
-    # must write every band row and leave every other row untouched; the
-    # remap must leave only rows that the call over every row sets to +0.0.
+    # its call over every row, band (0, M).  ``out`` is NaN-filled: turning
+    # and transport must write every band row and leave every other row
+    # untouched, and without ``out`` those rows are +0.0; the remap must
+    # leave only rows that the call over every row sets to +0.0.
+    # concentration_metrics reads only the band of the field it is given
+    # after its velocity marginal (every row with one x-cell) and must give
+    # the bits of reading every row.  ``m_moments`` is not banded and not
+    # tested here: cutting its matmul to a band moves bits, as cutting the
+    # marginal's product does (``marginal_tail_case``).
     grid, spec, s, p, band, edge = case
     lo, hi = band
+    every = (0, grid.m_nodes)
     tensors = TurningTensors.build(spec, grid)
     dt_turn = edge / tensors.loss.max()
     dt_move = edge * grid.dx / grid.max_speed
     nan_out = lambda: np.full(vmx(p).shape, np.nan)
-    for op in (lambda **kw: turning_apply(p, spec, grid, dt_turn, tensors, **kw),
+    for op in (lambda **kw: turning_apply(p, tensors, dt_turn, **kw),
                lambda **kw: transport_apply(p, grid, dt_move, **kw)):
-        full, banded = vmx(op()), vmx(op(out=nan_out(), band=band))
+        full, banded = vmx(op(band=every)), vmx(op(out=nan_out(), band=band))
         assert banded[:, lo:hi].tobytes() == full[:, lo:hi].tobytes()
         assert np.isnan(banded[:, :lo]).all() and np.isnan(banded[:, hi:]).all()
-    plan = adaptation_plan(s, spec, grid, 0.5 * dt_move)
-    full = vmx(adaptation_apply(p, s, spec, grid, 0.5 * dt_move, plan))
+        fresh = vmx(op(band=band))  # a fresh output is zero-filled
+        assert fresh[:, lo:hi].tobytes() == full[:, lo:hi].tobytes()
+        for outside in (fresh[:, :lo], fresh[:, hi:]):
+            assert not np.any(outside) and not np.any(np.signbit(outside))
+    plan = adaptation_plan(s, spec, grid, 0.5 * dt_move, band=every)
+    full = vmx(adaptation_apply(p, s, spec, grid, 0.5 * dt_move, plan, band=every))
     banded = vmx(adaptation_apply(p, s, spec, grid, 0.5 * dt_move, plan, out=nan_out(),
                                   band=band))
     first, last = plan.reach(band)
     assert not np.isnan(banded[:, first:last]).any()
     assert np.where(np.isnan(banded), 0.0, banded).tobytes() == full.tobytes()
+
+    def width(field):
+        try:
+            return concentration_metrics(field, s, spec, grid)
+        except EmptyField:
+            return "empty"
+
+    for pbar in (None, pbar_of(p, grid)):
+        full = width(DensityField(p, pbar=pbar))
+        assert full == "empty" or np.isfinite(full)
+        assert repr(width(DensityField(p, pbar=pbar, band=band))) == repr(full)
 
 
 @st.composite
@@ -792,13 +830,88 @@ def test_macro_step_is_strang_composition(case, banded):
     dt = float(rng.uniform(0.1, 1.0)) * state.cfl_dt()
     s = state.signal.values
     stepped = macro_step(state, dt).field
-    p = adaptation_apply(state.field.values, s, spec, grid, 0.5 * dt)
-    p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors)
-    p = transport_apply(p, grid, dt)
-    p = turning_apply(p, spec, grid, 0.5 * dt, state.tensors)
-    p = adaptation_apply(p, s, spec, grid, 0.5 * dt)
+    every = (0, grid.m_nodes)
+    p = adaptation_apply(state.field.values, s, spec, grid, 0.5 * dt, band=every)
+    p = turning_apply(p, state.tensors, 0.5 * dt, band=every)
+    p = transport_apply(p, grid, dt, band=every)
+    p = turning_apply(p, state.tensors, 0.5 * dt, band=every)
+    p = adaptation_apply(p, s, spec, grid, 0.5 * dt, band=every)
     assert np.array_equal(stepped.values, p)
     assert stepped.pbar.tobytes() == pbar_of(p, grid).tobytes()
+
+
+@st.composite
+def carried_band_cases(draw):
+    """A grid (dim 1-2, periodic or free), rate family, eps in [1e-9, 1], a
+    density held in every m-row, in a random band of them or in none, and
+    an output schedule of one to three intervals of one or two steps each."""
+    dim = draw(st.sampled_from([1, 2]))
+    grid = custom_grid(*velocity_set(dim, draw(st.sampled_from([2, 4, 8]))),
+                       x_nodes=draw(st.integers(1, 12 if dim == 1 else 5)),
+                       x_extent=draw(st.floats(1.0, 10.0)),
+                       topology=draw(st.sampled_from(["periodic", "free"])),
+                       dim=dim, m_nodes=draw(st.integers(1, 40)),
+                       m_max=draw(st.floats(1.25, 4.0)))
+    spec = make_spec(grid, t_family="separable-uniform",
+                     f_family=draw(st.sampled_from(["linear", "cubic"])),
+                     kappa=draw(st.floats(0.1, 5.0)), eps=10.0 ** draw(st.floats(-9.0, 0.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dens = rng.random(grid.field_shape) * (rng.random(grid.field_shape) < 0.8)
+    kind = draw(st.sampled_from(["every row", "band", "none"]))
+    if kind == "none":
+        dens[...] = 0.0
+    elif kind == "band":
+        lo = int(rng.integers(grid.m_nodes))
+        hi = int(rng.integers(lo + 1, grid.m_nodes + 1))
+        dens[..., :lo] = 0.0
+        dens[..., hi:] = 0.0
+    return grid, spec, dens, draw(st.floats(0.3, 2.0)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(carried_band_cases())
+def test_each_step_stores_the_band_its_density_is_held_in(case):
+    # After every step the density is +0.0 outside the band its field
+    # carries, the rows remap 2 can fill from the band its input holds, and
+    # the scan inside that band finds what a scan of every row finds.
+    # ``run`` hands each step the band the last one stored.  A field built
+    # from a density and a state restarted from a dump carry every row.
+    import tempfile
+    from pathlib import Path
+    from chemokin import cli, dumpio
+    grid, spec, dens, steps_per_output, n_outputs = case
+    every = (0, grid.m_nodes)
+    init = package_initial(DensityField(dens), grid)
+    state = StepperState.create(grid, spec, init)
+    assert init.p0.band == state.field.band == every
+    carried = [state.field.band]
+
+    def step(st, dt):
+        assert st.field.band == carried[-1]
+        new = macro_step(st, dt)
+        held = kinetic.held_band(st.field.values, every)
+        plan = adaptation_plan(st.signal.values, spec, grid, 0.5 * dt, band=held)
+        assert new.field.band == plan.reach(plan.reach(held))
+        lo, hi = new.field.band
+        q = vmx(new.field.values)
+        for outside in (q[:, :lo], q[:, hi:]):
+            assert not np.any(outside) and not np.any(np.signbit(outside))
+        assert kinetic.held_band(new.field.values, (lo, hi)) == \
+            kinetic.held_band(new.field.values, every)
+        carried.append((lo, hi))
+        return new
+
+    output_every = steps_per_output * state.cfl_dt()
+    state, _ = run(state, n_outputs * output_every, output_every, step=step)
+    assert len(carried) > n_outputs and state.field.band == carried[-1]
+    assert DensityField(state.field.values).band == every
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.chk"
+        dumpio.write_dump(path, state.field.values, state.t, grid, spec.epsilon, "h",
+                          steps=state.step_count, max_mass_defect=state.max_mass_defect)
+        restarted = cli._first_state(grid, spec, init, str(path), "h")
+    assert restarted.field.band == every
+    assert restarted.field.values.tobytes() == state.field.values.tobytes()
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -816,10 +929,12 @@ def test_operators_give_the_same_bits_in_either_layout(case):
     state = StepperState.create(grid, spec, package_initial(DensityField(p), grid))
     dt = float(rng.uniform(0.1, 1.0)) * state.cfl_dt()
 
+    every = (0, grid.m_nodes)
+
     def operators(dens, out=lambda: None):
-        return (adaptation_apply(dens, s, spec, grid, 0.5 * dt, out=out()),
-                turning_apply(dens, spec, grid, 0.5 * dt, state.tensors, out=out()),
-                transport_apply(dens, grid, dt, out=out()))
+        return (adaptation_apply(dens, s, spec, grid, 0.5 * dt, out=out(), band=every),
+                turning_apply(dens, state.tensors, 0.5 * dt, out=out(), band=every),
+                transport_apply(dens, grid, dt, out=out(), band=every))
 
     results = [operators(dens)
                + (macro_step(replace(state, field=DensityField(dens)), dt).field.values,)
@@ -830,11 +945,11 @@ def test_operators_give_the_same_bits_in_either_layout(case):
             assert written.tobytes() == expected.tobytes()
         own = in_layout(dens)
         with pytest.raises(ValueError, match="shares memory"):
-            adaptation_apply(own, s, spec, grid, 0.5 * dt, out=vmx(own))
+            adaptation_apply(own, s, spec, grid, 0.5 * dt, out=vmx(own), band=every)
         with pytest.raises(ValueError, match="shares memory"):
-            turning_apply(own, spec, grid, 0.5 * dt, state.tensors, out=vmx(own))
+            turning_apply(own, state.tensors, 0.5 * dt, out=vmx(own), band=every)
         with pytest.raises(ValueError, match="shares memory"):
-            transport_apply(own, grid, dt, out=vmx(own))
+            transport_apply(own, grid, dt, out=vmx(own), band=every)
     for c_ordered, vmx_backed in zip(*results):
         assert c_ordered.tobytes() == vmx_backed.tobytes()
         assert vmx(c_ordered).flags.c_contiguous and vmx(vmx_backed).flags.c_contiguous
@@ -856,7 +971,8 @@ def test_remap_positive_even_if_flow_rounds_out_of_order(monkeypatch):
 
     monkeypatch.setattr(spec.adaptation, "pull_back", jittered)
     p = rng.random(grid.field_shape)
-    new = adaptation_apply(p, rng.uniform(0.0, 2.0, grid.x_shape), spec, grid, 0.05)
+    new = adaptation_apply(p, rng.uniform(0.0, 2.0, grid.x_shape), spec, grid, 0.05,
+                           band=(0, grid.m_nodes))
     assert new.min() >= 0.0
     assert np.allclose(new.sum(axis=-1), p.sum(axis=-1), rtol=1e-13, atol=0.0)
 
@@ -891,7 +1007,7 @@ def test_remap_mean_m_refines_against_characteristics(family, kappa):
                             grid.field_shape).copy()
         s = np.full(grid.x_shape, s_val)
         for _ in range(n_steps):
-            p = adaptation_apply(p, s, spec, grid, t_end / n_steps)
+            p = adaptation_apply(p, s, spec, grid, t_end / n_steps, band=(0, grid.m_nodes))
         errors.append(abs(float(p[0, 0] @ grid.m_centers / p[0, 0].sum()) - exact))
         spacings.append(grid.dm)
     order = np.log2(errors[0] / errors[-1]) / (len(errors) - 1)
@@ -905,7 +1021,7 @@ def test_adaptation_mass_exact_and_positive():
     rng = np.random.default_rng(17)
     p = rng.random(grid.field_shape)
     s = np.linspace(0.0, 1.0, grid.x_nodes)
-    new = adaptation_apply(p, s, spec, grid, dt=0.1)
+    new = adaptation_apply(p, s, spec, grid, dt=0.1, band=(0, grid.m_nodes))
     assert new.min() >= 0.0
     assert total_mass(new, grid) == pytest.approx(total_mass(p, grid), rel=1e-13)
 
@@ -919,7 +1035,7 @@ def test_adaptation_relaxes_to_equilibrium():
     s = np.full(grid.x_shape, s_val)
     p = np.ones(grid.field_shape)  # uniform slab in m
     for _ in range(40):
-        p = adaptation_apply(p, s, spec, grid, dt=0.05)
+        p = adaptation_apply(p, s, spec, grid, dt=0.05, band=(0, grid.m_nodes))
     marg = p[0, 0]
     mean = float(marg @ grid.m_centers / marg.sum())
     # oracle: integrate the ODE from the slab's mean; long-time limit is m0
@@ -938,7 +1054,8 @@ def test_adaptation_rejects_bad_truncation():
                       m_nodes=8, m_max=1.0)  # below m_plus
     p = np.ones(small.field_shape)
     with pytest.raises(SpecViolation, match="m_max"):
-        adaptation_apply(p, np.full(small.x_shape, 5.0), spec, small, dt=0.01)
+        adaptation_apply(p, np.full(small.x_shape, 5.0), spec, small, dt=0.01,
+                         band=(0, small.m_nodes))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -952,7 +1069,7 @@ def test_adaptation_rejects_non_finite_signal(bad):
     s = state.signal.values.copy()
     s[5] = bad
     with pytest.raises(NonFiniteInput):
-        adaptation_apply(state.field.values, s, spec, grid, 0.05)
+        adaptation_apply(state.field.values, s, spec, grid, 0.05, band=(0, grid.m_nodes))
 
 
 # -- macro step and run ---------------------------------------------------------
@@ -971,9 +1088,9 @@ def test_a_step_that_is_not_finite_and_positive_is_refused(target, dt, error):
     state = StepperState.create(grid, spec, init)
     p, s = state.field.values, state.signal.values
     call = {"macro_step": lambda: macro_step(state, dt),
-            "turning": lambda: turning_apply(p, spec, grid, dt, state.tensors),
-            "transport": lambda: transport_apply(p, grid, dt),
-            "plan": lambda: adaptation_plan(s, spec, grid, dt)}[target]
+            "turning": lambda: turning_apply(p, state.tensors, dt, band=(0, grid.m_nodes)),
+            "transport": lambda: transport_apply(p, grid, dt, band=(0, grid.m_nodes)),
+            "plan": lambda: adaptation_plan(s, spec, grid, dt, band=(0, grid.m_nodes))}[target]
     with pytest.raises(error):
         call()
 
@@ -1119,8 +1236,8 @@ def test_reduced_step_allocates_no_more_than_its_turning(grid_cfg):
     state = oda_step(state, dt)
     peaks = []
     for call in (lambda: oda_step(state, dt),
-                 lambda: turning_apply(state.field.values, spec, state.grid, 0.5 * dt,
-                                       state.tensors)):
+                 lambda: turning_apply(state.field.values, state.tensors, 0.5 * dt,
+                                       band=(0, 1))):
         tracemalloc.start()
         try:
             call()
@@ -1204,7 +1321,7 @@ def test_initial_mass_and_step_defect_share_one_measure(dim, x_nodes, v_count):
     grid, spec, init = build_scenario(cfg)
     assert total_mass(init.p0.values, grid) == init.mass
     state = StepperState.create(grid, spec, init)
-    unchanged = kinetic.finish_step(state, state.field.values.copy(), 0.01)
+    unchanged = kinetic.finish_step(state, state.field.values.copy(), 0.01, band=(0, grid.m_nodes))
     assert unchanged.max_mass_defect == 0.0
 
 
